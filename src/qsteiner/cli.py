@@ -34,7 +34,7 @@ from .steiner import (
     enumerate_steiner,
     gram_check,
     gram_coefficients,
-    incidence_matrix_or_empty,
+    gram_matrix,
     kappa_i_formula,
     lambda_i,
     load_design_file,
@@ -260,14 +260,15 @@ def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
     designs_ok = all(verify_design_ids(d).ok for d in designs)
     report["designs_verified"] = designs_ok
 
-    u = incidence_matrix_or_empty(params, designs)
+    gram = gram_matrix(params, designs)
     coeffs = gram_coefficients(n_designs, params)
-    kappa_seen, kappa_const = empirical_kappa(u)
+    kappa_seen, kappa_const = empirical_kappa(gram)
     kappa_ok = kappa_const and kappa_seen == {coeffs.kappa}
     report["kappa"] = _frac(coeffs.kappa)
     report["kappa_empirical_matches"] = kappa_ok
 
-    buckets = empirical_pair_counts(params, designs)
+    scheme = SchemeInstance(params.n, params.k, params.q)
+    buckets = empirical_pair_counts(gram, scheme)
     kappa_i_ok = True
     kappa_i_vals = []
     for i in range(params.t + 1):
@@ -279,17 +280,16 @@ def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
     report["kappa_i"] = kappa_i_vals
     report["kappa_i_empirical_matches"] = kappa_i_ok
 
-    scheme = SchemeInstance(params.n, params.k, params.q)
-    gram_ok = gram_check(u, coeffs, scheme)
+    gram_ok = gram_check(gram, coeffs, scheme)
     report["gram_check"] = gram_ok
 
-    spectrum_report = verify_gram_spectrum(params, u, coeffs.kappa)
+    spectrum_report = verify_gram_spectrum(params, gram, coeffs.kappa)
     report["mu"] = [_frac(v) for _, v, _ in spectrum_report.spectrum]
     report["multiplicities"] = [m for _, _, m in spectrum_report.spectrum]
     report["spectral_rank_checks"] = [c.to_dict() for c in spectrum_report.checks]
     report["trace_check"] = spectrum_report.trace_ok
 
-    rank_u = rank_exact(u)
+    rank_u = rank_exact(gram)  # rank(U) == rank(U U^T) over Q
     target = dimension_formula(params)
     report["rank_U"] = rank_u
     report["dimension_formula"] = target

@@ -435,14 +435,16 @@ def spanning_count_formula(m: int, d: int, q: int) -> int:
     total = Fraction(0)
     for j in range(d + 1):
         pts = q_int(j, q)
-        assert pts.denominator == 1
+        if pts.denominator != 1:
+            raise ValueError(f"[{j}]_{q} = {pts} is not an integer")
         total += (
             gauss_binom(d, j, q)
             * (-1) ** (d - j)
             * q ** choose2(d - j)
             * comb(int(pts), m)
         )
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise ValueError(f"spanning count {total} is not an integer")
     return int(total)
 
 
@@ -509,7 +511,8 @@ def count_fixed_intersection(a: int, b: int, u: int, n: int, q: int) -> tuple[in
         raise ValueError("need 0 <= a <= min(b,u) <= max(b,u) <= n")
     base = q ** ((b - a) * (u - a)) * gauss_binom(n - b, u - a, q)
     both = base * gauss_binom(b, a, q)
-    assert base.denominator == 1 and both.denominator == 1
+    if base.denominator != 1 or both.denominator != 1:
+        raise ValueError(f"fixed-intersection counts {base}, {both} not integral")
     return int(base), int(both)
 
 

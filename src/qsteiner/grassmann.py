@@ -57,7 +57,8 @@ def eisfeld_eigenvalue(n: int, k: int, q: int, i: int, r: int) -> Fraction:
 def eigenspace_multiplicity(n: int, r: int, q: int) -> int:
     """[n r] - [n r-1], the dimension of the r-th eigenspace."""
     val = gauss_binom(n, r, q) - gauss_binom(n, r - 1, q)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ValueError(f"eigenspace multiplicity {val} is not an integer")
     return int(val)
 
 

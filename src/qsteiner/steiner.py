@@ -30,8 +30,8 @@ from .gfspaces import (
     rref,
     subspace_from_rows,
 )
-from .grassmann import SchemeInstance, eigenspace_multiplicity
-from .linalg import ExactMatrix, mat_mul, rank_exact, transpose
+from .grassmann import RankCheck, SchemeInstance, eigenspace_multiplicity
+from .linalg import ExactMatrix, rank_exact
 
 _UNIVERSE_GUARD = 200
 _BLOCK_GUARD = 2000
@@ -394,13 +394,6 @@ def incidence_matrix(designs: Sequence[Design]) -> ExactMatrix:
     )
 
 
-def incidence_matrix_or_empty(params: ParamSet, designs: Sequence[Design]) -> ExactMatrix:
-    if designs:
-        return incidence_matrix(designs)
-    size = int(gauss_binom(params.n, params.k, params.q))
-    return ExactMatrix.zeros(size, 0)
-
-
 def inclusion_matrix(params: ParamSet) -> ExactMatrix:
     """0/1 containment matrix W: rows = t-subspaces, columns = k-subspaces."""
     ctx = design_context(params)
@@ -487,12 +480,30 @@ def gram_coefficients(n_designs: int, params: ParamSet) -> GramCoefficients:
     )
 
 
-def gram_check(u: ExactMatrix, coeffs: GramCoefficients,
+def gram_matrix(params: ParamSet, designs: Sequence[Design]) -> ExactMatrix:
+    """U U^T built straight from the block lists, without forming U.
+
+    Entry (x, y) counts the designs containing both blocks x and y, so the
+    diagonal holds the row sums of U.  Costs N b^2 additions for N designs
+    of b blocks each.
+    """
+    if any(d.params != params for d in designs):
+        raise ValueError("designs with mixed parameters")
+    size = len(design_context(params).k_subspaces)
+    data = [[0] * size for _ in range(size)]
+    for d in designs:
+        for x in d.blocks:
+            row = data[x]
+            for y in d.blocks:
+                row[y] += 1
+    return ExactMatrix(data, cols=size)
+
+
+def gram_check(gram: ExactMatrix, coeffs: GramCoefficients,
                scheme: SchemeInstance) -> bool:
     """Entrywise test of U U^T == kappa I + sum_i kappa_i A_(k-i)."""
-    if u.rows != scheme.size:
-        raise ValueError("incidence matrix rows do not match the scheme size")
-    gram = mat_mul(u, transpose(u))
+    if gram.rows != scheme.size:
+        raise ValueError("Gram matrix rows do not match the scheme size")
     expected = ExactMatrix.identity(scheme.size).scaled(coeffs.kappa)
     for i, ki in enumerate(coeffs.kappa_i):
         if ki != 0:
@@ -500,29 +511,26 @@ def gram_check(u: ExactMatrix, coeffs: GramCoefficients,
     return gram == expected
 
 
-def empirical_kappa(u: ExactMatrix) -> tuple[set, bool]:
-    """Row sums of the incidence matrix; (values seen, constant?)."""
-    sums = set(u.row_sums())
+def empirical_kappa(gram: ExactMatrix) -> tuple[set, bool]:
+    """Diagonal of U U^T, i.e. the row sums of U; (values seen, constant?)."""
+    sums = {gram.data[x][x] for x in range(gram.rows)}
     return sums, len(sums) == 1
 
 
-def empirical_pair_counts(params: ParamSet,
-                          designs: Sequence[Design]) -> dict[int, set[int]]:
-    """For every unordered block pair, the number of designs containing both,
-    bucketed by intersection dimension.  Constancy per bucket is the
-    empirical well-definedness of the pair coefficients."""
-    ctx = design_context(params)
-    subs = ctx.k_subspaces
-    containing: list[set[int]] = [set() for _ in subs]
-    for did, d in enumerate(designs):
-        for kid in d.blocks:
-            containing[kid].add(did)
+def empirical_pair_counts(gram: ExactMatrix,
+                          scheme: SchemeInstance) -> dict[int, set[int]]:
+    """For every unordered block pair, the number of designs containing both
+    (an off-diagonal entry of U U^T), bucketed by intersection dimension.
+    Constancy per bucket is the empirical well-definedness of the pair
+    coefficients."""
+    if gram.rows != scheme.size:
+        raise ValueError("Gram matrix rows do not match the scheme size")
     buckets: dict[int, set[int]] = {}
-    for x in range(len(subs)):
-        for y in range(x + 1, len(subs)):
-            dim = intersection_dim(subs[x], subs[y])
-            c = len(containing[x] & containing[y])
-            buckets.setdefault(dim, set()).add(c)
+    for x in range(scheme.size):
+        row = gram.data[x]
+        for y in range(x + 1, scheme.size):
+            dim = scheme.k - scheme.relation_index(x, y)
+            buckets.setdefault(dim, set()).add(row[y])
     return buckets
 
 
@@ -594,30 +602,9 @@ def mu_spectrum(params: ParamSet, kappa: Fraction) -> list[tuple[int, Fraction, 
 
 
 @dataclass
-class GramSpectrumCheck:
-    value: Fraction
-    grouped_multiplicity: int
-    expected_rank: int
-    rank: int
-
-    @property
-    def ok(self) -> bool:
-        return self.rank == self.expected_rank
-
-    def to_dict(self) -> dict:
-        return {
-            "value": str(self.value),
-            "grouped_multiplicity": self.grouped_multiplicity,
-            "expected_rank": self.expected_rank,
-            "rank": self.rank,
-            "ok": self.ok,
-        }
-
-
-@dataclass
 class GramSpectrumReport:
     spectrum: list[tuple[int, Fraction, int]]
-    checks: list[GramSpectrumCheck]
+    checks: list[RankCheck]
     trace_ok: bool
 
     @property
@@ -625,15 +612,14 @@ class GramSpectrumReport:
         return self.trace_ok and all(c.ok for c in self.checks)
 
 
-def verify_gram_spectrum(params: ParamSet, u: ExactMatrix,
+def verify_gram_spectrum(params: ParamSet, gram: ExactMatrix,
                          kappa: Fraction) -> GramSpectrumReport:
     """Rank-deficiency test of U U^T against the closed-form spectrum.
 
     Exactly equal eigenvalues are grouped before asserting the deficiency;
     the trace must equal [n k]_q * kappa.
     """
-    size = u.rows
-    gram = mat_mul(u, transpose(u))
+    size = gram.rows
     spec = mu_spectrum(params, kappa)
     groups: dict[Fraction, int] = {}
     for _, v, m in spec:
@@ -641,7 +627,7 @@ def verify_gram_spectrum(params: ParamSet, u: ExactMatrix,
     checks = []
     for v, grouped in groups.items():
         rank = rank_exact(gram.shifted(v))
-        checks.append(GramSpectrumCheck(v, grouped, size - grouped, rank))
+        checks.append(RankCheck(v, grouped, size - grouped, rank))
     trace_ok = gram.trace() == sum(v * m for _, v, m in spec) == size * Fraction(kappa)
     return GramSpectrumReport(spec, checks, trace_ok)
 
@@ -653,7 +639,8 @@ def dimension_formula(params: ParamSet) -> int:
         - gauss_binom(params.n, params.t, params.q)
         + 1
     )
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ValueError(f"dimension formula gave the non-integer {val}")
     return int(val)
 
 
@@ -700,14 +687,16 @@ def rank_certificate(params: ParamSet, designs: Sequence[Design]) -> RankCertifi
     vector), and those differences have rank rank(W) - 1; the remaining
     all-ones functional is not annihilated, leaving
     rank(U) <= [n k] - rank(W) + 1.  Lower bound: exact rank of the columns
-    actually collected.  The certificate meets when both bounds hit
-    [n k] - [n t] + 1.
+    actually collected, read as rank(U U^T), which equals rank(U) over Q.
+    The certificate meets when both bounds hit [n k] - [n t] + 1.
+
+    Column d of W U is the t-subspace coverage vector of design d, so the
+    annihilation test is design verification of every collected column.
     """
     size_k = int(gauss_binom(params.n, params.k, params.q))
+    gram = gram_matrix(params, designs)
     w = inclusion_matrix(params)
-    u = incidence_matrix_or_empty(params, designs)
-    wu = mat_mul(w, u)
-    annihilation_ok = all(x == 1 for row in wu.data for x in row)
+    annihilation_ok = all(verify_design_ids(d).ok for d in designs)
     w_rank = rank_exact(w)
     diffs = ExactMatrix(
         [
@@ -722,7 +711,7 @@ def rank_certificate(params: ParamSet, designs: Sequence[Design]) -> RankCertifi
         row_diff_rank=rank_exact(diffs),
         annihilation_ok=annihilation_ok,
         upper_bound=size_k - w_rank + 1,
-        lower_bound=rank_exact(u),
+        lower_bound=rank_exact(gram),
         target=dimension_formula(params),
     )
 

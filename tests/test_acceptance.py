@@ -34,6 +34,7 @@ from qsteiner.steiner import (
     enumerate_steiner,
     gram_check,
     gram_coefficients,
+    gram_matrix,
     incidence_matrix,
     intersect_count,
     kappa_i_formula,
@@ -92,22 +93,23 @@ def test_criterion_3_pg32_pipeline():
     ok = n_designs == 56
     ok = ok and all(verify_design_ids(d).ok for d in designs)
 
-    u = incidence_matrix(designs)
+    gram = gram_matrix(params, designs)
     coeffs = gram_coefficients(n_designs, params)
-    values, constant = empirical_kappa(u)
+    values, constant = empirical_kappa(gram)
     ok = ok and constant and values == {8} and coeffs.kappa == 8
-    buckets = empirical_pair_counts(params, designs)
+    scheme = SchemeInstance(4, 2, 2)
+    buckets = empirical_pair_counts(gram, scheme)
     ok = ok and buckets[0] == {2} and kappa_i_formula(n_designs, 0, params) == 2
     ok = ok and buckets.get(1, {0}) == {0}
 
-    scheme = SchemeInstance(4, 2, 2)
-    ok = ok and gram_check(u, coeffs, scheme)
+    ok = ok and gram_check(gram, coeffs, scheme)
 
-    spec = verify_gram_spectrum(params, u, coeffs.kappa)
+    spec = verify_gram_spectrum(params, gram, coeffs.kappa)
     ok = ok and [str(v) for _, v, _ in spec.spectrum] == ["40", "0", "12"]
     ok = ok and [m for _, _, m in spec.spectrum] == [1, 14, 20]
     ok = ok and spec.ok
-    gram = mat_mul(u, transpose(u))
+    u = incidence_matrix(designs)
+    ok = ok and gram == mat_mul(u, transpose(u))
     ok = ok and gram.trace() == 280 == 35 * 8
 
     ok = ok and rank_exact(u) == 21 == dimension_formula(params)

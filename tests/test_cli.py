@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsteiner
 from qsteiner.cli import main
 from qsteiner.steiner import ParamSet, enumerate_steiner, save_design_file
 
@@ -51,6 +56,24 @@ def test_reports_are_byte_identical(tmp_path):
         assert main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3",
                      "--sample", "--seed", "5", "--out", str(out)]) == 0
     assert c.read_bytes() == d.read_bytes()
+
+
+def test_dimension_report_unchanged_under_optimize():
+    """``python -O`` strips asserts; no check may depend on them."""
+    env = dict(os.environ)
+    src = str(Path(qsteiner.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["-m", "qsteiner.cli", "dimension",
+            "--t", "1", "--k", "2", "--n", "4", "--q", "2"]
+    plain, optimized = [
+        subprocess.run([sys.executable, *flags, *argv], env=env,
+                       capture_output=True, text=True, timeout=300)
+        for flags in ([], ["-O"])
+    ]
+    assert plain.returncode == optimized.returncode == 0
+    assert json.loads(plain.stdout)["all_pass"] is True
+    assert optimized.stdout == plain.stdout
+    assert optimized.stderr == plain.stderr
 
 
 def test_dimension_pipeline_pg32(tmp_path):

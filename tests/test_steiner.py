@@ -8,6 +8,7 @@ from qsteiner.gfspaces import enumerate_subspaces, subspace_from_rows
 from qsteiner.grassmann import SchemeInstance, eisfeld_eigenvalue
 from qsteiner.linalg import ExactMatrix, mat_mul, rank_exact, transpose
 from qsteiner.steiner import (
+    Design,
     ParamSet,
     design_context,
     design_from_dict,
@@ -18,8 +19,8 @@ from qsteiner.steiner import (
     enumerate_steiner,
     gram_check,
     gram_coefficients,
+    gram_matrix,
     incidence_matrix,
-    incidence_matrix_or_empty,
     inclusion_matrix,
     intersect_count,
     kappa_formula,
@@ -156,9 +157,35 @@ def test_incidence_matrix_shapes_and_sums():
     assert set(u.row_sums()) == {8}
     one = incidence_matrix(designs[:1])
     assert one.col_sums() == [5]
-    empty = incidence_matrix_or_empty(PG32, [])
-    assert (empty.rows, empty.cols) == (35, 0)
+
+
+def test_gram_matrix_matches_dense_product():
+    designs = enumerate_steiner(PG32)
+    u = incidence_matrix(designs)
+    gram = gram_matrix(PG32, designs)
+    assert gram == mat_mul(u, transpose(u))
+    assert rank_exact(gram) == rank_exact(u) == 21
+    few = designs[:3]
+    u_few = incidence_matrix(few)
+    gram_few = gram_matrix(PG32, few)
+    assert gram_few == mat_mul(u_few, transpose(u_few))
+    assert rank_exact(gram_few) == rank_exact(u_few) == 3
+    sampled = sample_steiner(PG33, seed=5, count=200)
+    assert sampled.complete
+    u = incidence_matrix(sampled.designs)
+    assert gram_matrix(PG33, sampled.designs) == mat_mul(u, transpose(u))
+
+
+def test_gram_matrix_empty_and_mixed():
+    empty = gram_matrix(PG32, [])
+    assert empty == ExactMatrix.zeros(35, 35)
     assert rank_exact(empty) == 0
+    pg32 = enumerate_steiner(PG32)[:1]
+    pg33 = sample_steiner(PG33, seed=1, count=1).designs
+    with pytest.raises(ValueError, match="mixed"):
+        gram_matrix(PG32, pg32 + pg33)
+    with pytest.raises(ValueError, match="mixed"):
+        gram_matrix(PG33, pg32)
 
 
 def test_kappa_formulas():
@@ -181,10 +208,10 @@ def test_intersect_count_values():
 
 def test_empirical_kappa_matches_formula():
     designs = enumerate_steiner(PG32)
-    u = incidence_matrix(designs)
-    values, constant = empirical_kappa(u)
+    gram = gram_matrix(PG32, designs)
+    values, constant = empirical_kappa(gram)
     assert constant and values == {kappa_formula(56, PG32)}
-    buckets = empirical_pair_counts(PG32, designs)
+    buckets = empirical_pair_counts(gram, SchemeInstance(4, 2, 2))
     assert buckets[0] == {2}  # disjoint pairs lie in exactly two spreads
     assert buckets[1] == {0}  # meeting pairs never share a spread
     assert buckets[0] == {kappa_i_formula(56, 0, PG32)}
@@ -204,18 +231,15 @@ def test_per_intersection_counts_match_formula():
 
 def test_gram_check_and_corruption():
     designs = enumerate_steiner(PG32)
-    u = incidence_matrix(designs)
     coeffs = gram_coefficients(56, PG32)
     scheme = SchemeInstance(4, 2, 2)
-    assert gram_check(u, coeffs, scheme)
-    # flip one bit
-    bad = ExactMatrix(u.data)
+    assert gram_check(gram_matrix(PG32, designs), coeffs, scheme)
+    # flip one bit of U
+    bad = incidence_matrix(designs)
     bad.data[0][0] = 1 - bad.data[0][0]
-    assert not gram_check(bad, coeffs, scheme)
+    assert not gram_check(mat_mul(bad, transpose(bad)), coeffs, scheme)
     # empty design set: 0 = 0*I + 0
-    assert gram_check(
-        incidence_matrix_or_empty(PG32, []), gram_coefficients(0, PG32), scheme
-    )
+    assert gram_check(gram_matrix(PG32, []), gram_coefficients(0, PG32), scheme)
 
 
 def test_mu_eigenvalues_pg32():
@@ -249,14 +273,13 @@ def test_mu_matches_scheme_combination_on_grid():
 
 def test_gram_spectrum_report():
     designs = enumerate_steiner(PG32)
-    u = incidence_matrix(designs)
-    report = verify_gram_spectrum(PG32, u, kappa_formula(56, PG32))
+    gram = gram_matrix(PG32, designs)
+    report = verify_gram_spectrum(PG32, gram, kappa_formula(56, PG32))
     assert report.ok
     assert [m for _, _, m in report.spectrum] == [1, 14, 20]
     by_value = {c.value: c for c in report.checks}
     assert by_value[Fraction(0)].rank == 21
     # trace: 35 * 8 = 280 = 1*40 + 14*0 + 20*12
-    gram = mat_mul(u, transpose(u))
     assert gram.trace() == 280
 
 
@@ -296,6 +319,17 @@ def test_rank_certificate_with_few_designs_stays_open():
     assert cert.annihilation_ok
 
 
+def test_rank_certificate_annihilation_matches_w_times_u():
+    w = inclusion_matrix(PG32)
+    designs = enumerate_steiner(PG32)[:3]
+    not_a_spread = Design(PG32, tuple(range(5)))
+    assert not verify_design_ids(not_a_spread).ok
+    for ds, expected in ((designs, True), (designs + [not_a_spread], False)):
+        wu = mat_mul(w, incidence_matrix(ds))
+        assert all(x == 1 for row in wu.data for x in row) is expected
+        assert rank_certificate(PG32, ds).annihilation_ok is expected
+
+
 def test_rank_certificate_pg33_sampling():
     res = sample_steiner(PG33, seed=7, count=110)
     assert res.complete
@@ -309,20 +343,24 @@ def test_full_pipeline_pg33_enumeration():
     designs = enumerate_steiner(PG33)
     n_designs = len(designs)
     assert n_designs == 8424
-    u = incidence_matrix(designs)
+    gram = gram_matrix(PG33, designs)
     coeffs = gram_coefficients(n_designs, PG33)
     assert coeffs.kappa == 648 and coeffs.kappa_i[0] == 72
-    values, constant = empirical_kappa(u)
+    values, constant = empirical_kappa(gram)
     assert constant and values == {648}
-    buckets = empirical_pair_counts(PG33, designs)
+    scheme = SchemeInstance(4, 2, 3)
+    buckets = empirical_pair_counts(gram, scheme)
     assert buckets[0] == {72} and buckets[1] == {0}
-    assert gram_check(u, coeffs, SchemeInstance(4, 2, 3))
-    report = verify_gram_spectrum(PG33, u, coeffs.kappa)
+    assert gram_check(gram, coeffs, scheme)
+    report = verify_gram_spectrum(PG33, gram, coeffs.kappa)
     assert report.ok
     assert [(str(v), m) for _, v, m in report.spectrum] == [
         ("6480", 1), ("0", 39), ("864", 90)
     ]
-    assert rank_exact(u) == 91 == dimension_formula(PG33)
+    assert rank_exact(gram) == 91 == dimension_formula(PG33)
+    # independent check on U itself, 130 x 8424
+    u = incidence_matrix(designs)
+    assert rank_exact(u) == 91
 
 
 def test_design_file_round_trip(tmp_path):
