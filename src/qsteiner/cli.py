@@ -289,7 +289,11 @@ def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
     report["spectral_rank_checks"] = [c.to_dict() for c in spectrum_report.checks]
     report["trace_check"] = spectrum_report.trace_ok
 
-    rank_u = rank_exact(gram)  # rank(U) == rank(U U^T) over Q
+    # rank(U) == rank(U U^T) over Q; the value-0 rank check has already
+    # ranked U U^T - 0*I, and the closed form need not contain 0.
+    rank_u = next((c.rank for c in spectrum_report.checks if c.value == 0), None)
+    if rank_u is None:
+        rank_u = rank_exact(gram)
     target = dimension_formula(params)
     report["rank_U"] = rank_u
     report["dimension_formula"] = target
@@ -305,6 +309,8 @@ def _dimension_sample(params: ParamSet, config: RunConfig, report: dict) -> bool
     report["mode"] = "sample"
     report["seed"] = config.seed
     target = dimension_formula(params)
+    if config.count is not None and config.count < 1:
+        raise CLIError("--count must be positive")
     counts = (config.count,) if config.count else _ADAPTIVE_SAMPLE_STEPS
     cert = None
     designs: list[Design] = []
@@ -316,7 +322,7 @@ def _dimension_sample(params: ParamSet, config: RunConfig, report: dict) -> bool
         cert = rank_certificate(params, designs)
         if cert.meets:
             break
-    designs_ok = all(verify_design_ids(d).ok for d in designs)
+    designs_ok = cert.annihilation_ok  # verify_design_ids on every design
     report["sampled"] = len(designs)
     report["sampling_complete"] = complete
     report["designs_verified"] = designs_ok
@@ -400,6 +406,8 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad q list: {text!r}") from exc
     if not values:
         raise argparse.ArgumentTypeError("empty q list")
+    if min(values) < 2:
+        raise argparse.ArgumentTypeError(f"q must be at least 2: {text!r}")
     return values
 
 
@@ -456,22 +464,7 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        t=getattr(args, "t", None),
-        k=getattr(args, "k", None),
-        n=getattr(args, "n", None),
-        q=getattr(args, "q", None),
-        qs=getattr(args, "qs", ()),
-        max_n=getattr(args, "max_n", 6),
-        seed=getattr(args, "seed", 0),
-        sample=getattr(args, "sample", False),
-        count=getattr(args, "count", None),
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", "json"),
-        designs=getattr(args, "designs", None),
-    )
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         return _RUNNERS[config.command](config)
     except CLIError as exc:

@@ -12,14 +12,6 @@ import math
 from fractions import Fraction
 from functools import cache
 
-# Universal scalar type.  Fraction already guarantees lowest terms and a
-# positive denominator, which is exactly the invariant we need.
-ExactRational = Fraction
-
-# An integer e standing for the q-power q**e.  Hypergeometric parameters are
-# always of this shape here, so a plain int is the whole type.
-QExponent = int
-
 # Returned by q_valuation(0, q); compares correctly against any integer.
 INFINITE = math.inf
 
@@ -102,7 +94,7 @@ def q_int(n: int, q: int) -> Fraction:
     return (q_pow(n, q) - 1) / (q - 1)
 
 
-def q_pochhammer(a: QExponent, n: int, q: int) -> Fraction:
+def q_pochhammer(a: int, n: int, q: int) -> Fraction:
     """(q^a; q)_n = prod_{i<n} (1 - q^(a+i)); empty product is 1."""
     if n < 0:
         raise ValueError("q-Pochhammer length must be nonnegative")

@@ -114,10 +114,6 @@ class SchemeInstance:
         return min(self.k, self.n - self.k)
 
 
-def adjacency_matrix(scheme: SchemeInstance, i: int) -> ExactMatrix:
-    return scheme.adjacency_matrix(i)
-
-
 @dataclass
 class RankCheck:
     value: Fraction
@@ -196,12 +192,21 @@ class SpectrumReport:
         }
 
 
-def group_by_value(values: list[tuple[int, Fraction, int]]):
-    """Group (r, value, multiplicity) triples by exact value."""
-    groups: dict[Fraction, list[tuple[int, int]]] = {}
-    for r, v, m in values:
-        groups.setdefault(v, []).append((r, m))
-    return groups
+def rank_checks(matrix: ExactMatrix,
+                values: list[tuple[int, Fraction, int]]) -> list[RankCheck]:
+    """One rank test of matrix - v*I per distinct exact eigenvalue v.
+
+    The (r, value, multiplicity) triples are grouped by value in order of
+    first appearance; each group predicts rank = size - summed multiplicity.
+    """
+    groups: dict[Fraction, int] = {}
+    for _, v, m in values:
+        groups[v] = groups.get(v, 0) + m
+    size = matrix.rows
+    return [
+        RankCheck(v, grouped, size - grouped, rank_exact(matrix.shifted(v)))
+        for v, grouped in groups.items()
+    ]
 
 
 def verify_spectrum(scheme: SchemeInstance) -> SpectrumReport:
@@ -234,12 +239,6 @@ def verify_spectrum(scheme: SchemeInstance) -> SpectrumReport:
                 agrees = False
             values.append((r, v, mults[r]))
         a_i = scheme.adjacency_matrix(i)
-        checks = []
-        for v, members in group_by_value(values).items():
-            grouped = sum(m for _, m in members)
-            expected = size - grouped
-            rank = rank_exact(a_i.shifted(v))
-            checks.append(RankCheck(v, grouped, expected, rank))
         trace_zero = None
         if i >= 1:
             trace_zero = sum(m * v for _, v, m in values) == 0 and a_i.trace() == 0
@@ -247,7 +246,7 @@ def verify_spectrum(scheme: SchemeInstance) -> SpectrumReport:
             RelationSpectrum(
                 i=i,
                 eigenvalues=values,
-                rank_checks=checks,
+                rank_checks=rank_checks(a_i, values),
                 trace_zero=trace_zero,
                 eberlein_agrees=agrees,
             )

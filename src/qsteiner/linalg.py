@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
+
+from .gfspaces import field, rows_rank
 
 Scalar = int | Fraction
 
@@ -62,12 +64,6 @@ class ExactMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i: int) -> list[Scalar]:
-        return list(self.data[i])
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
 
     def scaled(self, c: Scalar) -> "ExactMatrix":
         return ExactMatrix([[c * x for x in row] for row in self.data], cols=self.cols)
@@ -197,8 +193,16 @@ def rank_exact(m: ExactMatrix) -> int:
 
 
 def rank_mod_p(m: ExactMatrix, p: int) -> int:
-    """Rank of m reduced mod the prime p; lower bound on rank_exact(m)."""
-    rows: list[list[int]] = []
+    """Rank of m reduced mod the prime p; lower bound on rank_exact(m).
+
+    The reduced rows go to the F_p kernel of ``rows_rank``.  A modulus that
+    is not prime raises ValueError; primality is tested by trial division,
+    so keep p below about 2**40.
+    """
+    fld = field(p)
+    if fld.e != 1:
+        raise ValueError(f"{p} is not a prime")
+    rows = []
     for row in m.data:
         rr = []
         for x in row:
@@ -209,29 +213,4 @@ def rank_mod_p(m: ExactMatrix, p: int) -> int:
             else:
                 rr.append(x % p)
         rows.append(rr)
-    nr = len(rows)
-    nc = m.cols
-    rank = 0
-    for col in range(nc):
-        piv = next((i for i in range(rank, nr) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        prow = rows[rank]
-        for j in range(col, nc):
-            prow[j] = prow[j] * inv % p
-        for i in range(nr):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                ri = rows[i]
-                for j in range(col, nc):
-                    ri[j] = (ri[j] - f * prow[j]) % p
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
-def from_rows(rows: Iterable[Iterable[Scalar]], cols: int | None = None) -> ExactMatrix:
-    return ExactMatrix([list(r) for r in rows], cols=cols)
+    return rows_rank(rows, fld)

@@ -30,7 +30,7 @@ from .gfspaces import (
     rref,
     subspace_from_rows,
 )
-from .grassmann import RankCheck, SchemeInstance, eigenspace_multiplicity
+from .grassmann import RankCheck, SchemeInstance, eigenspace_multiplicity, rank_checks
 from .linalg import ExactMatrix, rank_exact
 
 _UNIVERSE_GUARD = 200
@@ -95,6 +95,13 @@ def _abstract_subspaces(n: int, k: int, q: int) -> tuple[Subspace, ...]:
     return tuple(enumerate_subspaces(n, k, q))
 
 
+def _inner_subspaces(block: Subspace, i: int, fld):
+    """(basis, pivots) in RREF of every i-subspace of the block, in the
+    canonical order of the i-subspaces of F_q^k mapped through its basis."""
+    for w in _abstract_subspaces(block.dim, i, fld.q):
+        yield rref(gf_matmul(w.basis, block.basis, fld), fld)
+
+
 class _DesignContext:
     """Canonical k- and t-subspace enumerations plus per-block cover sets."""
 
@@ -106,17 +113,11 @@ class _DesignContext:
         self.k_subspaces = list(_abstract_subspaces(n, k, q))
         self.t_index = {s.basis: i for i, s in enumerate(self.t_subspaces)}
         self.k_index = {s.basis: i for i, s in enumerate(self.k_subspaces)}
-        inner = _abstract_subspaces(k, t, q)
-        cover = []
-        for block in self.k_subspaces:
-            ids = []
-            for w in inner:
-                rows = gf_matmul([list(r) for r in w.basis],
-                                 [list(r) for r in block.basis], self.field)
-                basis, _ = rref(rows, self.field)
-                ids.append(self.t_index[basis])
-            cover.append(frozenset(ids))
-        self.cover = cover
+        self.cover = [
+            frozenset(self.t_index[basis]
+                      for basis, _ in _inner_subspaces(block, t, self.field))
+            for block in self.k_subspaces
+        ]
 
 
 @cache
@@ -183,13 +184,9 @@ def verify_design(blocks: Sequence[Subspace], params: ParamSet,
             raise ValueError("duplicate block")
         seen.add(b.basis)
     fld = gf_field(q)
-    inner = _abstract_subspaces(k, t, q)
     coverage: dict[tuple, int] = {}
     for b in blocks:
-        brows = [list(r) for r in b.basis]
-        for w in inner:
-            rows = gf_matmul([list(r) for r in w.basis], brows, fld)
-            basis, _ = rref(rows, fld)
+        for basis, _ in _inner_subspaces(b, t, fld):
             coverage[basis] = coverage.get(basis, 0) + 1
     total_t = gauss_binom(n, t, q)
     over = [basis for basis, c in coverage.items() if c != lam]
@@ -540,13 +537,9 @@ def per_intersection_counts(design: Design, i: int) -> set[int]:
     ctx = design_context(params)
     fld = ctx.field
     blocks = [ctx.k_subspaces[b] for b in design.blocks]
-    inner = _abstract_subspaces(params.k, i, params.q)
     counts = set()
     for x, bx in enumerate(blocks):
-        brows = [list(r) for r in bx.basis]
-        for w in inner:
-            rows = gf_matmul([list(r) for r in w.basis], brows, fld)
-            basis, pivots = rref(rows, fld)
+        for basis, pivots in _inner_subspaces(bx, i, fld):
             ispace = Subspace(params.n, params.q, basis, pivots)
             c = 0
             for y, by in enumerate(blocks):
@@ -619,17 +612,9 @@ def verify_gram_spectrum(params: ParamSet, gram: ExactMatrix,
     Exactly equal eigenvalues are grouped before asserting the deficiency;
     the trace must equal [n k]_q * kappa.
     """
-    size = gram.rows
     spec = mu_spectrum(params, kappa)
-    groups: dict[Fraction, int] = {}
-    for _, v, m in spec:
-        groups[v] = groups.get(v, 0) + m
-    checks = []
-    for v, grouped in groups.items():
-        rank = rank_exact(gram.shifted(v))
-        checks.append(RankCheck(v, grouped, size - grouped, rank))
-    trace_ok = gram.trace() == sum(v * m for _, v, m in spec) == size * Fraction(kappa)
-    return GramSpectrumReport(spec, checks, trace_ok)
+    trace_ok = gram.trace() == sum(v * m for _, v, m in spec) == gram.rows * Fraction(kappa)
+    return GramSpectrumReport(spec, rank_checks(gram, spec), trace_ok)
 
 
 def dimension_formula(params: ParamSet) -> int:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import qsteiner
+from qsteiner import steiner
 from qsteiner.cli import main
 from qsteiner.steiner import ParamSet, enumerate_steiner, save_design_file
 
@@ -97,6 +98,36 @@ def test_dimension_rejects_inadmissible(capsys):
     assert "inadmissible" in err
 
 
+@pytest.mark.parametrize("count", ["-5", "0"])
+def test_dimension_sample_rejects_nonpositive_count(count, tmp_path, capsys):
+    out = tmp_path / "d.json"
+    code = main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "2",
+                 "--sample", "--count", count, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --count must be positive\n"
+    assert not out.exists()
+
+
+def test_rank_u_does_not_trust_the_closed_form(tmp_path, monkeypatch):
+    """With every closed-form eigenvalue off by one there is no value-0 rank
+    check to read rank(U) from, so it is ranked from the Gram matrix."""
+    true_spectrum = steiner.mu_spectrum
+    monkeypatch.setattr(
+        steiner, "mu_spectrum",
+        lambda params, kappa: [(r, v + 1, m) for r, v, m in true_spectrum(params, kappa)],
+    )
+    out = tmp_path / "d.json"
+    code = main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "2",
+                 "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text())
+    assert report["rank_U"] == 21
+    assert report["rank_matches_dimension"] is True
+    assert report["all_pass"] is False
+    checks = report["spectral_rank_checks"]
+    assert checks and not any(c["ok"] for c in checks)
+
+
 def test_dimension_sampling_certificate(tmp_path):
     out = tmp_path / "d3.json"
     code = main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3",
@@ -107,6 +138,14 @@ def test_dimension_sampling_certificate(tmp_path):
     assert report["certificate"]["upper_bound"] == 91
     assert report["certificate"]["lower_bound"] == 91
     assert report["dimension_formula"] == 91
+
+
+@pytest.mark.parametrize("qs", ["1", "2,0"])
+def test_identities_rejects_q_below_two(qs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["identities", "--q", qs, "--max-n", "2"])
+    assert exc.value.code == 2
+    assert "q must be at least 2" in capsys.readouterr().err
 
 
 def test_scheme_command(tmp_path):

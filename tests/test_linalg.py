@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qsteiner.gfspaces import field, rref
 from qsteiner.linalg import ExactMatrix, mat_mul, rank_exact, rank_mod_p, transpose
 from qsteiner.steiner import ParamSet, enumerate_steiner, incidence_matrix
 
@@ -80,6 +81,21 @@ def test_rank_chain_and_modular_consistency():
         mod_ranks = [rank_mod_p(m, p) for p in LARGE_PRIMES]
         assert all(mr <= r for mr in mod_ranks)
         assert r in mod_ranks
+
+
+def test_rank_mod_p_small_primes_and_bad_moduli():
+    rng = random.Random(11)
+    for trial in range(40):
+        m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
+        r = rank_exact(m)
+        for p in (2, 3, 5, 7):
+            reduced = [[x % p for x in row] for row in m.data]
+            mr = rank_mod_p(m, p)
+            assert mr == len(rref(reduced, field(p))[0])
+            assert mr <= r
+    for p in (4, 6, 9):
+        with pytest.raises(ValueError):
+            rank_mod_p(ExactMatrix.identity(3), p)
 
 
 def test_rank_with_engineered_low_rank():
