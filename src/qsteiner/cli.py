@@ -29,13 +29,11 @@ from .steiner import (
     ParamSet,
     design_to_dict,
     dimension_formula,
-    empirical_kappa,
     empirical_pair_counts,
     enumerate_steiner,
     gram_check,
     gram_coefficients,
     gram_matrix,
-    kappa_i_formula,
     lambda_i,
     load_design_file,
     rank_certificate,
@@ -61,7 +59,7 @@ class RunConfig:
     q: int | None = None
     qs: tuple[int, ...] = ()
     max_n: int = 6
-    seed: int = 0
+    seed: int | None = None
     sample: bool = False
     count: int | None = None
     out: str | None = None
@@ -262,25 +260,16 @@ def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
 
     gram = gram_matrix(params, designs)
     coeffs = gram_coefficients(n_designs, params)
-    kappa_seen, kappa_const = empirical_kappa(gram)
-    kappa_ok = kappa_const and kappa_seen == {coeffs.kappa}
+    buckets = empirical_pair_counts(gram, SchemeInstance(params.n, params.k, params.q))
+    diagonal = {params.k: buckets.pop(params.k)}
+    kappa_ok = gram_check(diagonal, coeffs, params.k)
+    kappa_i_ok = gram_check(buckets, coeffs, params.k)
     report["kappa"] = _frac(coeffs.kappa)
     report["kappa_empirical_matches"] = kappa_ok
-
-    scheme = SchemeInstance(params.n, params.k, params.q)
-    buckets = empirical_pair_counts(gram, scheme)
-    kappa_i_ok = True
-    kappa_i_vals = []
-    for i in range(params.t + 1):
-        kappa_i_vals.append(_frac(coeffs.kappa_i[i]))
-    for dim, counts in sorted(buckets.items()):
-        expected = kappa_i_formula(n_designs, dim, params)
-        if len(counts) != 1 or counts != {expected}:
-            kappa_i_ok = False
-    report["kappa_i"] = kappa_i_vals
+    report["kappa_i"] = [_frac(v) for v in coeffs.kappa_i]
     report["kappa_i_empirical_matches"] = kappa_i_ok
-
-    gram_ok = gram_check(gram, coeffs, scheme)
+    # the diagonal and off-diagonal buckets together are every entry
+    gram_ok = kappa_ok and kappa_i_ok
     report["gram_check"] = gram_ok
 
     spectrum_report = verify_gram_spectrum(params, gram, coeffs.kappa)
@@ -307,7 +296,8 @@ def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
 
 def _dimension_sample(params: ParamSet, config: RunConfig, report: dict) -> bool:
     report["mode"] = "sample"
-    report["seed"] = config.seed
+    seed = config.seed or 0
+    report["seed"] = seed
     target = dimension_formula(params)
     if config.count is not None and config.count < 1:
         raise CLIError("--count must be positive")
@@ -316,7 +306,7 @@ def _dimension_sample(params: ParamSet, config: RunConfig, report: dict) -> bool
     designs: list[Design] = []
     complete = True
     for count in counts:
-        result = sample_steiner(params, config.seed, count)
+        result = sample_steiner(params, seed, count)
         designs = result.designs
         complete = result.complete
         cert = rank_certificate(params, designs)
@@ -333,6 +323,10 @@ def _dimension_sample(params: ParamSet, config: RunConfig, report: dict) -> bool
 
 def run_dimension(config: RunConfig) -> int:
     params = _params(config)
+    if not config.sample:
+        for flag in ("count", "seed"):
+            if getattr(config, flag) is not None:
+                raise CLIError(f"--{flag} needs --sample")
     report: dict = {
         "command": "dimension",
         "t": params.t,
@@ -442,9 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--sample", action="store_true",
                    help="sample designs and use the rank certificate")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="sampling seed (default 0); needs --sample")
     p.add_argument("--count", type=int,
-                   help="number of designs to sample (default adaptive)")
+                   help="number of designs to sample (default adaptive); "
+                        "needs --sample")
     p.add_argument("--out")
     p.add_argument("--format", choices=("json",), default="json")
 

@@ -8,12 +8,8 @@ manipulations) evaluate to exact rationals instead of raising.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import cache
-
-# Returned by q_valuation(0, q); compares correctly against any integer.
-INFINITE = math.inf
 
 
 def choose2(m: int) -> int:
@@ -104,15 +100,16 @@ def q_pochhammer(a: int, n: int, q: int) -> Fraction:
     return val
 
 
-def q_valuation(m: int, q: int) -> int | float:
-    """Index of the lowest nonzero digit of |m| in base q; INFINITE for m == 0.
+def q_valuation(m: int, q: int) -> int:
+    """Index of the lowest nonzero digit of |m| in base q.
 
-    Equivalently the largest j with q^j dividing m.
+    Equivalently the largest j with q^j dividing m.  Zero has no such j and
+    raises ValueError.
     """
     if q < 2:
         raise ValueError("base must be at least 2")
     if m == 0:
-        return INFINITE
+        raise ValueError("0 has no q-adic valuation")
     m = abs(m)
     v = 0
     while m % q == 0:

@@ -506,6 +506,71 @@ class SweepSummary:
         return self.failed == 0
 
 
+def _sweep_cases(qs: Iterable[int], max_n: int):
+    """(skip name, check function, keyword arguments) for every grid point,
+    in sweep order.
+
+    The check functions are read from the module globals as the cases are
+    generated, so a caller that rebinds one (a profiler, a test double) sees
+    every call the sweep makes.
+    """
+    small = min(4, max_n)
+    for q in qs:
+        for n in range(max_n + 1):
+            for k in range(n + 1):
+                yield ("pochhammer_suite", check_pochhammer_suite,
+                       {"n": n, "k": k, "q": q})
+        for n in range(-4, 0):
+            for k in range(5):
+                yield "upper_negation", check_upper_negation, {"n": n, "k": k, "q": q}
+        for n in range(max_n + 1):
+            for x, y in _THEOREM_XY:
+                yield ("q_binomial_theorem", check_q_binomial_theorem,
+                       {"n": n, "x": x, "y": y, "q": q})
+        for n in range(small + 1):
+            for a in range(1, 5):
+                for b in range(1, 5):
+                    for c in range(1, 5):
+                        for d in range(1, 5):
+                            yield ("transformation_3phi2", check_3phi2_transformation,
+                                   {"n": n, "a": a, "b": b, "c": c, "d": d, "q": q})
+        for x in range(-2, max_n + 1):
+            for y in range(-2, max_n + 1):
+                for p in range(4):
+                    for h in range(p + 1):
+                        yield ("product_expansion", check_product_expansion,
+                               {"x": x, "y": y, "h": h, "p": p, "q": q})
+        for x in range(-3, max_n + 1):
+            for a in range(5):
+                yield ("alternating_column_sum", check_alternating_column_sum,
+                       {"x": x, "a": a, "q": q})
+        for n in range(max_n + 1):
+            for k in range(n + 1):
+                for r in range(n + 2):
+                    for u in range(5):
+                        for i in range(5):
+                            yield ("shifted_sum_transform", check_shifted_sum_transform,
+                                   {"n": n, "r": r, "k": k, "u": u, "i": i, "q": q})
+                    for i in range(5):
+                        yield ("shifted_sum_transform_diagonal",
+                               check_shifted_sum_transform_diagonal,
+                               {"n": n, "r": r, "k": k, "i": i, "q": q})
+                    for t in range(5):
+                        yield ("double_sum_reduction", check_double_sum_reduction,
+                               {"n": n, "r": r, "k": k, "t": t, "q": q})
+                        yield ("triple_sum_closed_form", check_triple_sum_closed_form,
+                               {"n": n, "k": k, "r": r, "t": t, "q": q})
+                        yield ("triple_sum_weighted_form",
+                               check_triple_sum_weighted_form,
+                               {"n": n, "k": k, "r": r, "t": t, "q": q})
+        for n in range(max_n + 1):
+            for k in range(1, n // 2 + 1):
+                for t in range(1, k):
+                    for r in range(1, t + 1):
+                        yield ("eigenvalue_kernel_sum", check_eigenvalue_kernel_sum,
+                               {"n": n, "k": k, "t": t, "r": r, "q": q})
+
+
 def run_identity_sweep(
     qs: Iterable[int] = DEFAULT_SWEEP_QS,
     max_n: int = 10,
@@ -516,135 +581,33 @@ def run_identity_sweep(
 
     All emitted reports are expected equal; the kernel-sum identity is only
     swept over its validity window 1 <= r <= t.  Precondition violations are
-    recorded as skips.  Deterministic iteration order throughout.
-    max_n = 0 requests an empty sweep.
+    recorded as skips, with the case's keyword arguments as parameters.
+    Deterministic iteration order throughout.  max_n = 0 requests an empty
+    sweep.
     """
     summary = SweepSummary()
     if max_n < 1:
         return summary
-
-    def emit(reports: IdentityReport | list[IdentityReport]) -> None:
-        if isinstance(reports, IdentityReport):
-            reports = [reports]
-        for rep in reports:
+    for name, check, kwargs in _sweep_cases(qs, max_n):
+        try:
+            result = check(**kwargs)
+        except PreconditionError as exc:
+            summary.skipped += 1
+            summary.skip_counts[name] = summary.skip_counts.get(name, 0) + 1
+            if on_skip is not None:
+                on_skip(SkipRecord(name, kwargs, str(exc)))
+            continue
+        for rep in result if isinstance(result, list) else [result]:
             summary.checked += 1
             if not rep.equal:
                 summary.failed += 1
                 summary.failures.append(rep)
             if on_report is not None:
                 on_report(rep)
-
-    def attempt(name: str, params: dict[str, int], thunk) -> None:
-        try:
-            emit(thunk())
-        except PreconditionError as exc:
-            summary.skipped += 1
-            summary.skip_counts[name] = summary.skip_counts.get(name, 0) + 1
-            if on_skip is not None:
-                on_skip(SkipRecord(name, dict(params), str(exc)))
-
-    small = min(4, max_n)
-    for q in qs:
-        for n in range(max_n + 1):
-            for k in range(n + 1):
-                attempt(
-                    "pochhammer_suite",
-                    {"n": n, "k": k, "q": q},
-                    lambda n=n, k=k, q=q: check_pochhammer_suite(n, k, q),
-                )
-        for n in range(-4, 0):
-            for k in range(5):
-                attempt(
-                    "upper_negation",
-                    {"n": n, "k": k, "q": q},
-                    lambda n=n, k=k, q=q: check_upper_negation(n, k, q),
-                )
-        for n in range(max_n + 1):
-            for x, y in _THEOREM_XY:
-                attempt(
-                    "q_binomial_theorem",
-                    {"n": n, "q": q},
-                    lambda n=n, x=x, y=y, q=q: check_q_binomial_theorem(n, x, y, q),
-                )
-        for n in range(small + 1):
-            for a in range(1, 5):
-                for b in range(1, 5):
-                    for c in range(1, 5):
-                        for d in range(1, 5):
-                            attempt(
-                                "transformation_3phi2",
-                                {"n": n, "a": a, "b": b, "c": c, "d": d, "q": q},
-                                lambda n=n, a=a, b=b, c=c, d=d, q=q:
-                                    check_3phi2_transformation(n, a, b, c, d, q),
-                            )
-        for x in range(-2, max_n + 1):
-            for y in range(-2, max_n + 1):
-                for p in range(4):
-                    for h in range(p + 1):
-                        attempt(
-                            "product_expansion",
-                            {"x": x, "y": y, "h": h, "p": p, "q": q},
-                            lambda x=x, y=y, h=h, p=p, q=q:
-                                check_product_expansion(x, y, h, p, q),
-                        )
-        for x in range(-3, max_n + 1):
-            for a in range(5):
-                attempt(
-                    "alternating_column_sum",
-                    {"x": x, "a": a, "q": q},
-                    lambda x=x, a=a, q=q: check_alternating_column_sum(x, a, q),
-                )
-        for n in range(max_n + 1):
-            for k in range(n + 1):
-                for r in range(n + 2):
-                    for u in range(5):
-                        for i in range(5):
-                            attempt(
-                                "shifted_sum_transform",
-                                {"n": n, "r": r, "k": k, "u": u, "i": i, "q": q},
-                                lambda n=n, r=r, k=k, u=u, i=i, q=q:
-                                    check_shifted_sum_transform(n, r, k, u, i, q),
-                            )
-                    for i in range(5):
-                        attempt(
-                            "shifted_sum_transform_diagonal",
-                            {"n": n, "r": r, "k": k, "i": i, "q": q},
-                            lambda n=n, r=r, k=k, i=i, q=q:
-                                check_shifted_sum_transform_diagonal(n, r, k, i, q),
-                        )
-                    for t in range(5):
-                        attempt(
-                            "double_sum_reduction",
-                            {"n": n, "r": r, "k": k, "t": t, "q": q},
-                            lambda n=n, r=r, k=k, t=t, q=q:
-                                check_double_sum_reduction(n, r, k, t, q),
-                        )
-                        attempt(
-                            "triple_sum_closed_form",
-                            {"n": n, "k": k, "r": r, "t": t, "q": q},
-                            lambda n=n, k=k, r=r, t=t, q=q:
-                                check_triple_sum_closed_form(n, k, r, t, q),
-                        )
-                        attempt(
-                            "triple_sum_weighted_form",
-                            {"n": n, "k": k, "r": r, "t": t, "q": q},
-                            lambda n=n, k=k, r=r, t=t, q=q:
-                                check_triple_sum_weighted_form(n, k, r, t, q),
-                        )
-        for n in range(max_n + 1):
-            for k in range(1, n // 2 + 1):
-                for t in range(1, k):
-                    for r in range(1, t + 1):
-                        attempt(
-                            "eigenvalue_kernel_sum",
-                            {"n": n, "k": k, "t": t, "r": r, "q": q},
-                            lambda n=n, k=k, t=t, r=r, q=q:
-                                check_eigenvalue_kernel_sum(n, k, t, r, q),
-                        )
     return summary
 
 
-def kernel_sum_valuation(n: int, k: int, t: int, r: int, q: int) -> int | float:
+def kernel_sum_valuation(n: int, k: int, t: int, r: int, q: int) -> int:
     """q-adic valuation of the kernel sum (used for the nonvanishing window)."""
     val = kernel_sum(n, k, t, r, q)
     if val.denominator != 1:

@@ -61,28 +61,11 @@ class ExactMatrix:
             )
         )
 
-    def __getitem__(self, ij: tuple[int, int]) -> Scalar:
-        i, j = ij
-        return self.data[i][j]
-
-    def scaled(self, c: Scalar) -> "ExactMatrix":
-        return ExactMatrix([[c * x for x in row] for row in self.data], cols=self.cols)
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._same_shape(other)
         return ExactMatrix(
             [
                 [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.data, other.data)
             ],
             cols=self.cols,

@@ -361,9 +361,11 @@ def sample_steiner(params: ParamSet, seed: int, count: int,
         return SampleResult([], params.admissible, 0)
     budget = attempt_budget if attempt_budget is not None else 200 + 50 * count
     attempts = 0
+    # search() undoes every cover before it returns, so one instance serves
+    # every attempt
+    cover = _ExactCover(len(ctx.t_subspaces), ctx.cover)
     while len(found) < count and attempts < budget:
         attempts += 1
-        cover = _ExactCover(len(ctx.t_subspaces), ctx.cover)
         sols = cover.search(rng=rng, limit=1, node_budget=20000)
         if sols and sols[0] not in seen:
             seen.add(sols[0])
@@ -496,39 +498,41 @@ def gram_matrix(params: ParamSet, designs: Sequence[Design]) -> ExactMatrix:
     return ExactMatrix(data, cols=size)
 
 
-def gram_check(gram: ExactMatrix, coeffs: GramCoefficients,
-               scheme: SchemeInstance) -> bool:
-    """Entrywise test of U U^T == kappa I + sum_i kappa_i A_(k-i)."""
-    if gram.rows != scheme.size:
-        raise ValueError("Gram matrix rows do not match the scheme size")
-    expected = ExactMatrix.identity(scheme.size).scaled(coeffs.kappa)
-    for i, ki in enumerate(coeffs.kappa_i):
-        if ki != 0:
-            expected = expected + scheme.adjacency_matrix(scheme.k - i).scaled(ki)
-    return gram == expected
-
-
-def empirical_kappa(gram: ExactMatrix) -> tuple[set, bool]:
-    """Diagonal of U U^T, i.e. the row sums of U; (values seen, constant?)."""
-    sums = {gram.data[x][x] for x in range(gram.rows)}
-    return sums, len(sums) == 1
-
-
 def empirical_pair_counts(gram: ExactMatrix,
                           scheme: SchemeInstance) -> dict[int, set[int]]:
-    """For every unordered block pair, the number of designs containing both
-    (an off-diagonal entry of U U^T), bucketed by intersection dimension.
-    Constancy per bucket is the empirical well-definedness of the pair
-    coefficients."""
+    """Every entry of U U^T, bucketed by the intersection dimension of its
+    two blocks; the diagonal is bucket k.
+
+    Entry (x, y) counts the designs containing both blocks, so constancy per
+    bucket is the empirical well-definedness of kappa and the pair
+    coefficients.
+    """
     if gram.rows != scheme.size:
         raise ValueError("Gram matrix rows do not match the scheme size")
     buckets: dict[int, set[int]] = {}
-    for x in range(scheme.size):
-        row = gram.data[x]
-        for y in range(x + 1, scheme.size):
+    for x, row in enumerate(gram.data):
+        for y, entry in enumerate(row):
             dim = scheme.k - scheme.relation_index(x, y)
-            buckets.setdefault(dim, set()).add(row[y])
+            buckets.setdefault(dim, set()).add(entry)
     return buckets
+
+
+def gram_check(buckets: dict[int, set[int]], coeffs: GramCoefficients,
+               k: int) -> bool:
+    """U U^T == kappa I + sum_i kappa_i A_(k-i), read from the buckets of
+    ``empirical_pair_counts``: bucket k holds only kappa, bucket i <= t only
+    kappa_i and every bucket above t only 0.  Any subset of the buckets may
+    be passed; each is checked on its own."""
+    for dim, entries in buckets.items():
+        if dim == k:
+            expected = coeffs.kappa
+        elif dim < len(coeffs.kappa_i):
+            expected = coeffs.kappa_i[dim]
+        else:
+            expected = 0
+        if entries != {expected}:
+            return False
+    return True
 
 
 def per_intersection_counts(design: Design, i: int) -> set[int]:

@@ -108,6 +108,16 @@ def test_dimension_sample_rejects_nonpositive_count(count, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--count", "-5", "--seed", "9"], ["--seed", "0"]])
+def test_dimension_sampling_flags_need_sample(flags, tmp_path, capsys):
+    out = tmp_path / "d.json"
+    code = main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "2",
+                 *flags, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flags[0]} needs --sample\n"
+    assert not out.exists()
+
+
 def test_rank_u_does_not_trust_the_closed_form(tmp_path, monkeypatch):
     """With every closed-form eigenvalue off by one there is no value-0 rank
     check to read rank(U) from, so it is ranked from the Gram matrix."""

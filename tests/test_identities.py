@@ -1,6 +1,9 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+
+from qsteiner.cli import main
 
 from qsteiner.exactq import choose2
 from qsteiner.identities import (
@@ -204,3 +207,27 @@ def test_sweep_reports_stream_deterministically():
 def test_empty_sweep():
     summary = run_identity_sweep(qs=(2,), max_n=0)
     assert summary.checked == 0 and summary.ok
+
+
+def test_sweep_pinned_counts_and_report_hashes(tmp_path):
+    """Counts and --out bytes of the q = 2, 3, max_n = 4 sweep, fixed so that
+    a rewrite of the sweep must keep every case, its order and its record."""
+    summary = run_identity_sweep(qs=(2, 3), max_n=4)
+    assert (summary.checked, summary.failed, summary.skipped) == (8518, 0, 2654)
+    assert summary.skip_counts == {
+        "double_sum_reduction": 430,
+        "shifted_sum_transform": 862,
+        "shifted_sum_transform_diagonal": 350,
+        "transformation_3phi2": 152,
+        "triple_sum_closed_form": 430,
+        "triple_sum_weighted_form": 430,
+    }
+    expected = {
+        "json": "95ce0abd914bb4be01177310a418d50e917beb3b0a9a4eee6187c001ab85508b",
+        "csv": "0f6c872ef621b6f67e268d8e1047ebbdfed7f8b8fe509c2fe2c9cd007718d000",
+    }
+    for fmt, digest in expected.items():
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(["identities", "--q", "2,3", "--max-n", "4",
+                     "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,12 @@ from qsteiner.grassmann import SchemeInstance, eisfeld_eigenvalue
 from qsteiner.linalg import ExactMatrix, mat_mul, rank_exact, transpose
 from qsteiner.steiner import (
     Design,
+    _ExactCover,
     ParamSet,
     design_context,
     design_from_dict,
     design_to_dict,
     dimension_formula,
-    empirical_kappa,
     empirical_pair_counts,
     enumerate_steiner,
     gram_check,
@@ -149,6 +150,26 @@ def test_sampling_prefix_property_and_empty():
     assert sample_steiner(PG32, seed=3, count=0).designs == []
 
 
+def test_exact_cover_search_restores_its_state():
+    """sample_steiner reuses one _ExactCover for every attempt, which is
+    sound only if search() leaves it as it found it after every kind of stop."""
+    ctx = design_context(PG33)
+    cover = _ExactCover(len(ctx.t_subspaces), ctx.cover)
+
+    def state():
+        return (list(cover.row_active), list(cover.col_live),
+                list(cover.col_covered), cover.uncovered)
+
+    initial = state()
+    rng = random.Random(1)
+    assert len(cover.search(rng=rng, limit=1)) == 1  # limit stop
+    assert state() == initial
+    assert cover.search(rng=rng, node_budget=3) == []  # node-budget cut-off
+    assert state() == initial
+    assert len(cover.search()) == 8424  # search exhausted
+    assert state() == initial
+
+
 def test_incidence_matrix_shapes_and_sums():
     designs = enumerate_steiner(PG32)
     u = incidence_matrix(designs)
@@ -209,9 +230,8 @@ def test_intersect_count_values():
 def test_empirical_kappa_matches_formula():
     designs = enumerate_steiner(PG32)
     gram = gram_matrix(PG32, designs)
-    values, constant = empirical_kappa(gram)
-    assert constant and values == {kappa_formula(56, PG32)}
     buckets = empirical_pair_counts(gram, SchemeInstance(4, 2, 2))
+    assert buckets[2] == {kappa_formula(56, PG32)}  # the diagonal, bucket k
     assert buckets[0] == {2}  # disjoint pairs lie in exactly two spreads
     assert buckets[1] == {0}  # meeting pairs never share a spread
     assert buckets[0] == {kappa_i_formula(56, 0, PG32)}
@@ -233,13 +253,17 @@ def test_gram_check_and_corruption():
     designs = enumerate_steiner(PG32)
     coeffs = gram_coefficients(56, PG32)
     scheme = SchemeInstance(4, 2, 2)
-    assert gram_check(gram_matrix(PG32, designs), coeffs, scheme)
+
+    def check(gram, coeffs):
+        return gram_check(empirical_pair_counts(gram, scheme), coeffs, PG32.k)
+
+    assert check(gram_matrix(PG32, designs), coeffs)
     # flip one bit of U
     bad = incidence_matrix(designs)
     bad.data[0][0] = 1 - bad.data[0][0]
-    assert not gram_check(mat_mul(bad, transpose(bad)), coeffs, scheme)
+    assert not check(mat_mul(bad, transpose(bad)), coeffs)
     # empty design set: 0 = 0*I + 0
-    assert gram_check(gram_matrix(PG32, []), gram_coefficients(0, PG32), scheme)
+    assert check(gram_matrix(PG32, []), gram_coefficients(0, PG32))
 
 
 def test_mu_eigenvalues_pg32():
@@ -346,12 +370,10 @@ def test_full_pipeline_pg33_enumeration():
     gram = gram_matrix(PG33, designs)
     coeffs = gram_coefficients(n_designs, PG33)
     assert coeffs.kappa == 648 and coeffs.kappa_i[0] == 72
-    values, constant = empirical_kappa(gram)
-    assert constant and values == {648}
-    scheme = SchemeInstance(4, 2, 3)
-    buckets = empirical_pair_counts(gram, scheme)
+    buckets = empirical_pair_counts(gram, SchemeInstance(4, 2, 3))
+    assert buckets[2] == {648}
     assert buckets[0] == {72} and buckets[1] == {0}
-    assert gram_check(gram, coeffs, scheme)
+    assert gram_check(buckets, coeffs, PG33.k)
     report = verify_gram_spectrum(PG33, gram, coeffs.kappa)
     assert report.ok
     assert [(str(v), m) for _, v, m in report.spectrum] == [
