@@ -25,18 +25,12 @@ def q_pow(e: int, q: int) -> Fraction:
 
 
 def is_prime_power(q: int) -> bool:
-    """Trial-factorization prime-power test (meant for q < 2**20)."""
-    if q < 2:
+    """Whether ``prime_power_parts`` accepts q (meant for q < 2**20)."""
+    try:
+        prime_power_parts(q)
+    except ValueError:
         return False
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            return m == 1
-        p += 1
-    return True  # m itself is prime
+    return True
 
 
 def prime_power_parts(q: int) -> tuple[int, int]:

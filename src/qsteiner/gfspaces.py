@@ -8,8 +8,9 @@ k x n basis matrix is a plain nested list of small ints.
 Subspaces are kept in reduced row echelon form, which makes equality a tuple
 comparison and gives a total canonical order on each Grassmannian: pivot
 column sets in colexicographic order, then the free entries read row-major
-as base-q digits.  ``enumerate_subspaces`` produces exactly that order and
-``canonical_index`` inverts it without materializing the enumeration.
+as base-q digits.  ``grassmannian`` holds each Grassmannian in exactly that
+order, ``canonical_index`` inverts it without materializing the enumeration,
+and ``inner_subspaces`` walks the subspaces of one block in the same order.
 """
 
 from __future__ import annotations
@@ -306,8 +307,12 @@ def subspace_from_rows(rows, n: int, q: int, expect_dim: int | None = None) -> S
     for r in rows:
         if len(r) != n:
             raise ValueError(f"row length {len(r)} != ambient {n}")
-        if any(not (0 <= x < q) for x in r):
-            raise ValueError("entry outside 0..q-1")
+        for x in r:
+            # bool is an int subclass, and JSON 1.0 or true must not pass as 1
+            if type(x) is not int:
+                raise ValueError(f"entry {x!r} is not an integer")
+            if not 0 <= x < q:
+                raise ValueError("entry outside 0..q-1")
     basis, pivots = rref(rows, fld)
     if expect_dim is not None and len(basis) != expect_dim:
         raise ValueError(f"expected dimension {expect_dim}, got {len(basis)}")
@@ -354,13 +359,19 @@ def iter_subspaces(n: int, k: int, q: int):
             yield _subspace_for(pivots, digits, n, q, free)
 
 
-def enumerate_subspaces(n: int, k: int, q: int) -> list[Subspace]:
-    """All k-dim subspaces of F_q^n in canonical order.
+@cache
+def grassmannian(n: int, k: int, q: int) -> tuple[Subspace, ...]:
+    """The k-dim subspaces of F_q^n in canonical order, built once.
 
     Order: pivot sets colexicographically, then free entries read row-major
     as base-q digits (first slot most significant).  Length is [n k]_q.
     """
-    return list(iter_subspaces(n, k, q))
+    return tuple(iter_subspaces(n, k, q))
+
+
+def enumerate_subspaces(n: int, k: int, q: int) -> list[Subspace]:
+    """All k-dim subspaces of F_q^n in canonical order, as a fresh list."""
+    return list(grassmannian(n, k, q))
 
 
 def gf_matmul(a, b, fld: FieldSpec) -> list[list[int]]:
@@ -376,6 +387,22 @@ def gf_matmul(a, b, fld: FieldSpec) -> list[list[int]]:
                         acc[j] = fld.add(acc[j], fld.mul(x, y))
         out.append(acc)
     return out
+
+
+def inner_subspaces(block: Subspace, i: int):
+    """Yield (basis, pivots) in RREF of every i-subspace of the block.
+
+    The order is the canonical order of the i-subspaces W of F_q^k, each
+    mapped to W.B through the block's basis B.  No elimination is needed:
+    W.B is already in RREF.  B's pivot columns are unit columns, so W.B
+    restricted to them is W; row r of W.B is zero before column
+    B.pivots[W.pivots[r]], where it holds W's leading 1, and every other
+    pivot column of W.B holds a zero of W.
+    """
+    fld = field(block.q)
+    for w in grassmannian(block.dim, i, block.q):
+        yield (tuple(map(tuple, gf_matmul(w.basis, block.basis, fld))),
+               tuple(block.pivots[p] for p in w.pivots))
 
 
 def canonical_index(s: Subspace) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exactq import choose2, gauss_binom, q_pow
-from .gfspaces import Subspace, enumerate_subspaces, field as gf_field, intersection_dim
+from .gfspaces import Subspace, field as gf_field, grassmannian, intersection_dim
 from .linalg import ExactMatrix, rank_exact
 
 _DENSE_GUARD = 2000
@@ -77,7 +77,7 @@ class SchemeInstance:
         self.k = k
         self.q = q
         self.field = gf_field(q)
-        self.subspaces: list[Subspace] = enumerate_subspaces(n, k, q)
+        self.subspaces: tuple[Subspace, ...] = grassmannian(n, k, q)
         self.size = len(self.subspaces)
         self._adjacency: dict[int, ExactMatrix] = {}
 

@@ -22,15 +22,15 @@ from typing import Sequence
 from .exactq import choose2, gauss_binom, is_prime_power, q_int, q_pow
 from .gfspaces import (
     Subspace,
-    enumerate_subspaces,
     field as gf_field,
-    gf_matmul,
+    grassmannian,
+    inner_subspaces,
     intersection_dim,
     iter_subspaces,
-    rref,
     subspace_from_rows,
 )
 from .grassmann import RankCheck, SchemeInstance, eigenspace_multiplicity, rank_checks
+from .identities import kernel_sum
 from .linalg import ExactMatrix, rank_exact
 
 _UNIVERSE_GUARD = 200
@@ -90,32 +90,17 @@ def lambda_i(params: ParamSet, i: int, lam: int = 1) -> Fraction:
 # canonical enumerations shared by everything downstream
 # ---------------------------------------------------------------------------
 
-@cache
-def _abstract_subspaces(n: int, k: int, q: int) -> tuple[Subspace, ...]:
-    return tuple(enumerate_subspaces(n, k, q))
-
-
-def _inner_subspaces(block: Subspace, i: int, fld):
-    """(basis, pivots) in RREF of every i-subspace of the block, in the
-    canonical order of the i-subspaces of F_q^k mapped through its basis."""
-    for w in _abstract_subspaces(block.dim, i, fld.q):
-        yield rref(gf_matmul(w.basis, block.basis, fld), fld)
-
-
 class _DesignContext:
     """Canonical k- and t-subspace enumerations plus per-block cover sets."""
 
     def __init__(self, params: ParamSet):
         t, k, n, q = params.t, params.k, params.n, params.q
         self.params = params
-        self.field = gf_field(q)
-        self.t_subspaces = list(_abstract_subspaces(n, t, q))
-        self.k_subspaces = list(_abstract_subspaces(n, k, q))
+        self.t_subspaces = grassmannian(n, t, q)
+        self.k_subspaces = grassmannian(n, k, q)
         self.t_index = {s.basis: i for i, s in enumerate(self.t_subspaces)}
-        self.k_index = {s.basis: i for i, s in enumerate(self.k_subspaces)}
         self.cover = [
-            frozenset(self.t_index[basis]
-                      for basis, _ in _inner_subspaces(block, t, self.field))
+            frozenset(self.t_index[basis] for basis, _ in inner_subspaces(block, t))
             for block in self.k_subspaces
         ]
 
@@ -164,6 +149,18 @@ class VerificationResult:
         return self.ok
 
 
+def _first_miss(coverage, lam: int) -> VerificationResult:
+    """The witness rule of both verifiers: the first (t-subspace, coverage)
+    pair, in canonical order, whose coverage is not lam."""
+    for s, c in coverage:
+        if c != lam:
+            return VerificationResult(
+                False, witness=s, coverage=c,
+                message=f"t-subspace covered {c} times, expected {lam}",
+            )
+    return VerificationResult(True)
+
+
 def verify_design(blocks: Sequence[Subspace], params: ParamSet,
                   lam: int = 1) -> VerificationResult:
     """Check that every t-subspace lies in exactly lam of the given blocks.
@@ -183,24 +180,17 @@ def verify_design(blocks: Sequence[Subspace], params: ParamSet,
         if b.basis in seen:
             raise ValueError("duplicate block")
         seen.add(b.basis)
-    fld = gf_field(q)
     coverage: dict[tuple, int] = {}
     for b in blocks:
-        for basis, _ in _inner_subspaces(b, t, fld):
+        for basis, _ in inner_subspaces(b, t):
             coverage[basis] = coverage.get(basis, 0) + 1
     total_t = gauss_binom(n, t, q)
     over = [basis for basis, c in coverage.items() if c != lam]
     if not over and Fraction(len(coverage)) == total_t:
         return VerificationResult(True)
-    # deterministic witness: first t-subspace in canonical order that misses lam
-    for s in iter_subspaces(n, t, q):
-        c = coverage.get(s.basis, 0)
-        if c != lam:
-            return VerificationResult(
-                False, witness=s, coverage=c,
-                message=f"t-subspace covered {c} times, expected {lam}",
-            )
-    return VerificationResult(True)
+    return _first_miss(
+        ((s, coverage.get(s.basis, 0)) for s in iter_subspaces(n, t, q)), lam
+    )
 
 
 def verify_design_ids(design: Design) -> VerificationResult:
@@ -210,13 +200,7 @@ def verify_design_ids(design: Design) -> VerificationResult:
     for kid in design.blocks:
         for tid in ctx.cover[kid]:
             counts[tid] += 1
-    for tid, c in enumerate(counts):
-        if c != 1:
-            return VerificationResult(
-                False, witness=ctx.t_subspaces[tid], coverage=c,
-                message=f"t-subspace covered {c} times, expected 1",
-            )
-    return VerificationResult(True)
+    return _first_miss(zip(ctx.t_subspaces, counts), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +325,14 @@ class SampleResult:
     attempts: int
 
 
-def sample_steiner(params: ParamSet, seed: int, count: int,
-                   attempt_budget: int | None = None) -> SampleResult:
+def sample_steiner(params: ParamSet, seed: int, count: int) -> SampleResult:
     """Up to ``count`` distinct designs by seeded randomized descent.
 
     Each attempt runs the exact-cover search with randomly shuffled branch
     order and stops at its first solution; duplicates are discarded.  Fully
     deterministic given the seed, and a larger count extends a smaller one.
-    The attempt budget stands in for a timeout so that runs stay
-    reproducible; running out marks the result incomplete.
+    The attempt budget of 200 + 50 * count stands in for a timeout so that
+    runs stay reproducible; running out marks the result incomplete.
     """
     if params.n < 2 * params.k:
         raise ValueError("nontrivial sampling needs n >= 2k")
@@ -359,7 +342,7 @@ def sample_steiner(params: ParamSet, seed: int, count: int,
     seen: set[tuple[int, ...]] = set()
     if count == 0 or not params.admissible:
         return SampleResult([], params.admissible, 0)
-    budget = attempt_budget if attempt_budget is not None else 200 + 50 * count
+    budget = 200 + 50 * count
     attempts = 0
     # search() undoes every cover before it returns, so one instance serves
     # every attempt
@@ -539,11 +522,10 @@ def per_intersection_counts(design: Design, i: int) -> set[int]:
     """#{Y != X : X ^ Y = I} over all blocks X and i-subspaces I of X."""
     params = design.params
     ctx = design_context(params)
-    fld = ctx.field
     blocks = [ctx.k_subspaces[b] for b in design.blocks]
     counts = set()
     for x, bx in enumerate(blocks):
-        for basis, pivots in _inner_subspaces(bx, i, fld):
+        for basis, pivots in inner_subspaces(bx, i):
             ispace = Subspace(params.n, params.q, basis, pivots)
             c = 0
             for y, by in enumerate(blocks):
@@ -572,20 +554,12 @@ def mu_eigenvalue(params: ParamSet, r: int, kappa: Fraction) -> Fraction:
         for i in range(t):
             acc += q_pow(n - i, q) * gauss_binom(n, i, q) / gauss_binom(k - 1, i, q)
         return kappa * (1 - q_int(k - n, q) / q_int(k, q) * acc)
-    acc = Fraction(0)
-    for i in range(t):
-        acc += (
-            (-1) ** i
-            * q ** choose2(i)
-            * gauss_binom(k - i - 1, r - i - 1, q)
-            * gauss_binom(n - r, i, q)
-        )
     return kappa * (
         1
         + (-1) ** r
         * q_pow(choose2(r) - k * r + k, q)
         / gauss_binom(n - k - 1, r - 1, q)
-        * acc
+        * kernel_sum(n, k, t, r, q)
     )
 
 
@@ -736,7 +710,7 @@ def design_from_dict(obj: dict) -> tuple[ParamSet, list[Subspace]]:
     if missing:
         raise ValueError(f"missing keys: {sorted(missing)}")
     q, n, k, t = obj["q"], obj["n"], obj["k"], obj["t"]
-    if not all(isinstance(v, int) for v in (q, n, k, t)):
+    if any(type(v) is not int for v in (q, n, k, t)):  # rejects bool too
         raise ValueError("q, n, k, t must be integers")
     params = ParamSet(t=t, k=k, n=n, q=q)
     if not isinstance(obj["blocks"], list):

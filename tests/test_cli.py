@@ -207,6 +207,30 @@ def test_verify_design_malformed_json(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def _set_entry(obj, value, old):
+    row = next(r for r in obj["blocks"][0] if old in r)
+    row[row.index(old)] = value
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: _set_entry(obj, 1.0, 1), "entry 1.0 is not an integer"),
+    (lambda obj: _set_entry(obj, 0.0, 0), "entry 0.0 is not an integer"),
+    (lambda obj: _set_entry(obj, True, 1), "entry True is not an integer"),
+    (lambda obj: obj.update(t=True), "q, n, k, t must be integers"),
+], ids=["float-one", "float-zero", "bool-entry", "bool-t"])
+def test_verify_design_rejects_non_integers(tmp_path, capsys, edit, message):
+    params = ParamSet(t=1, k=2, n=4, q=2)
+    path = tmp_path / "design.json"
+    save_design_file(path, params, enumerate_steiner(params)[0].block_subspaces())
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify-design", "--designs", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 def test_verify_design_missing_file():
     assert main(["verify-design", "--designs", "/no/such/file.json"]) == 2
 

@@ -10,6 +10,9 @@ from qsteiner.gfspaces import (
     count_fixed_intersection_bruteforce,
     enumerate_subspaces,
     field,
+    gf_matmul,
+    grassmannian,
+    inner_subspaces,
     intersection_dim,
     iter_subspaces,
     mobius_delta_check,
@@ -214,3 +217,20 @@ def test_bruteforce_profile_guard():
 
 def test_iter_matches_list():
     assert list(iter_subspaces(4, 2, 3)) == enumerate_subspaces(4, 2, 3)
+
+
+def test_inner_subspaces_need_no_elimination():
+    # W.B of two RREF matrices is already in RREF, so the walker must equal
+    # the eliminated product on every block and every sub-dimension
+    cases = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        fld = field(q)
+        for n in range(1, (4 if q <= 3 else 3) + 1):
+            for k in range(n + 1):
+                for block in grassmannian(n, k, q):
+                    for i in range(k + 1):
+                        expected = [rref(gf_matmul(w.basis, block.basis, fld), fld)
+                                    for w in grassmannian(k, i, q)]
+                        assert list(inner_subspaces(block, i)) == expected
+                        cases += len(expected)
+    assert cases == 7049

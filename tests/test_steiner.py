@@ -121,6 +121,31 @@ def test_verify_design_detects_corruption():
     assert result.witness.dim == 1
 
 
+def _swap_last_block(design):
+    taken = set(design.blocks)
+    spare = next(i for i in range(len(design_context(design.params).k_subspaces))
+                 if i not in taken)
+    return Design(design.params, design.blocks[:-1] + (spare,))
+
+
+def test_both_verifiers_give_the_same_verdict_and_witness():
+    pg32 = enumerate_steiner(PG32)
+    designs = [
+        *pg32,
+        Design(PG32, tuple(range(5))),
+        _swap_last_block(pg32[0]),
+        _swap_last_block(enumerate_steiner(PG33)[0]),
+    ]
+    failures = 0
+    for d in designs:
+        by_ids = verify_design_ids(d)
+        by_blocks = verify_design(d.block_subspaces(), d.params)
+        assert (by_ids.ok, by_ids.witness, by_ids.coverage, by_ids.message) == (
+            by_blocks.ok, by_blocks.witness, by_blocks.coverage, by_blocks.message)
+        failures += not by_ids.ok
+    assert failures == 3
+
+
 def test_verify_design_rejects_malformed():
     blocks = enumerate_steiner(PG32)[0].block_subspaces()
     with pytest.raises(ValueError):
