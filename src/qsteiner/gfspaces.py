@@ -11,6 +11,10 @@ column sets in colexicographic order, then the free entries read row-major
 as base-q digits.  ``grassmannian`` holds each Grassmannian in exactly that
 order, ``canonical_index`` inverts it without materializing the enumeration,
 and ``inner_subspaces`` walks the subspaces of one block in the same order.
+
+Over F_2 a row is also held packed into an int, bit j holding column j:
+elimination and the design coverage keys then run on xor, and the tuple
+bases are built from the packed rows once.
 """
 
 from __future__ import annotations
@@ -145,12 +149,57 @@ def field(q: int) -> FieldSpec:
     return FieldSpec(q)
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack(row) -> int:
+    """An F_2 row (entries 0 and 1) as an int, bit j holding column j."""
+    return int(bytes(row)[::-1].translate(_BIT_DIGITS) or b"0", 2)
+
+
+def _unpack(word: int, n: int) -> tuple[int, ...]:
+    """The row of length n >= 1 that ``_pack`` packs into word."""
+    return tuple(bin(word)[:1:-1].ljust(n, "0").encode().translate(_BIT_VALUES))
+
+
+def _f2_eliminate(words) -> dict[int, int]:
+    """Gauss-Jordan elimination of packed F_2 rows, the one F_2 kernel.
+
+    Returns {pivot bit: row}: each row's lowest set bit is its pivot, and
+    every row is zero in the pivot columns of the others, so the rows sorted
+    by pivot are the RREF.
+    """
+    basis: dict[int, int] = {}
+    for word in words:
+        for piv, row in basis.items():
+            if word & piv:
+                word ^= row
+        if word:
+            low = word & -word
+            for piv, row in basis.items():
+                if row & low:
+                    basis[piv] = row ^ word
+            basis[low] = word
+    return basis
+
+
 def rref(rows, fld: FieldSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over F_q.
 
     Returns (nonzero rows as tuples, pivot columns).  Idempotent on its own
-    output; the zero space comes back as an empty row tuple.
+    output; the zero space comes back as an empty row tuple.  F_2 rows are
+    packed into ints and reduced by ``_f2_eliminate``.
     """
+    if fld.q == 2:
+        rows = list(rows)
+        if not rows:
+            return (), ()
+        n = len(rows[0])
+        reduced = _f2_eliminate(map(_pack, rows))
+        pivots = sorted(reduced)
+        return (tuple([_unpack(reduced[piv], n) for piv in pivots]),
+                tuple([piv.bit_length() - 1 for piv in pivots]))
     m = [list(r) for r in rows]
     if not m:
         return (), ()
@@ -178,29 +227,19 @@ def rref(rows, fld: FieldSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
 
 
 def rows_rank(rows, fld: FieldSpec) -> int:
-    """Rank of a coefficient matrix over F_q (forward elimination only).
+    """Rank of a coefficient matrix over F_q.
 
-    F_2 rows are packed into ints and eliminated by xor; prime fields use
-    modular arithmetic; extension fields go through the tables.
+    F_2 rows go packed through ``_f2_eliminate``; other fields use forward
+    elimination, modular for prime fields and through the tables otherwise.
     """
+    if fld.q == 2:
+        return len(_f2_eliminate(map(_pack, rows)))
     m = [list(r) for r in rows]
     if not m:
         return 0
     ncols = len(m[0])
     nrows = len(m)
     rank = 0
-    if fld.q == 2:
-        basis: dict[int, int] = {}  # lowest set bit -> reduced row
-        for row in m:
-            word = sum(bit << j for j, bit in enumerate(row))
-            while word:
-                low = word & -word
-                other = basis.get(low)
-                if other is None:
-                    basis[low] = word
-                    break
-                word ^= other
-        return len(basis)
     if fld.e == 1:
         p = fld.p
         for c in range(ncols):
@@ -403,6 +442,33 @@ def inner_subspaces(block: Subspace, i: int):
     for w in grassmannian(block.dim, i, block.q):
         yield (tuple(map(tuple, gf_matmul(w.basis, block.basis, fld))),
                tuple(block.pivots[p] for p in w.pivots))
+
+
+@cache
+def _f2_coefficients(k: int, i: int) -> tuple[tuple[int, ...], ...]:
+    """The packed rows of each i-subspace of F_2^k, in canonical order."""
+    return tuple(tuple(map(_pack, w.basis)) for w in grassmannian(k, i, 2))
+
+
+def _coverage_keys(block: Subspace, i: int):
+    """One hashable key per i-subspace of the block, in ``inner_subspaces``
+    order; ``_coverage_key`` gives the same key for the same subspace.
+
+    F_2 keys are the packed rows of W.B: row r is the xor of the block rows
+    that row r of W selects, read off a table of all 2^k such xors.  Other
+    fields key by the RREF basis.
+    """
+    if block.q != 2:
+        return (basis for basis, _ in inner_subspaces(block, i))
+    span = [0]
+    for row in block.basis:
+        word = _pack(row)
+        span += [s ^ word for s in span]
+    return (tuple([span[c] for c in coeffs]) for coeffs in _f2_coefficients(block.dim, i))
+
+
+def _coverage_key(s: Subspace) -> tuple:
+    return tuple(map(_pack, s.basis)) if s.q == 2 else s.basis
 
 
 def canonical_index(s: Subspace) -> int:

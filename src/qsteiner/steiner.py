@@ -22,6 +22,8 @@ from typing import Sequence
 from .exactq import choose2, gauss_binom, is_prime_power, q_int, q_pow
 from .gfspaces import (
     Subspace,
+    _coverage_key,
+    _coverage_keys,
     field as gf_field,
     grassmannian,
     inner_subspaces,
@@ -177,19 +179,18 @@ def verify_design(blocks: Sequence[Subspace], params: ParamSet,
             raise ValueError(f"block ambient/order mismatch: {b.ambient}, q={b.q}")
         if b.dim != k:
             raise ValueError(f"block of dimension {b.dim}, expected {k}")
-        if b.basis in seen:
+        if b in seen:
             raise ValueError("duplicate block")
-        seen.add(b.basis)
+        seen.add(b)
     coverage: dict[tuple, int] = {}
     for b in blocks:
-        for basis, _ in inner_subspaces(b, t):
-            coverage[basis] = coverage.get(basis, 0) + 1
+        for key in _coverage_keys(b, t):
+            coverage[key] = coverage.get(key, 0) + 1
     total_t = gauss_binom(n, t, q)
-    over = [basis for basis, c in coverage.items() if c != lam]
-    if not over and Fraction(len(coverage)) == total_t:
+    if all(c == lam for c in coverage.values()) and Fraction(len(coverage)) == total_t:
         return VerificationResult(True)
     return _first_miss(
-        ((s, coverage.get(s.basis, 0)) for s in iter_subspaces(n, t, q)), lam
+        ((s, coverage.get(_coverage_key(s), 0)) for s in iter_subspaces(n, t, q)), lam
     )
 
 

@@ -231,6 +231,26 @@ def test_verify_design_rejects_non_integers(tmp_path, capsys, edit, message):
     assert captured.err.count("\n") == 1 and message in captured.err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: _set_entry(obj, 2, 1), "block 0: entry outside 0..q-1"),
+    (lambda obj: _set_entry(obj, -1, 1), "block 0: entry outside 0..q-1"),
+    (lambda obj: _set_entry(obj, 256, 0), "block 0: entry outside 0..q-1"),
+    (lambda obj: obj["blocks"][0][0].pop(), "block 0: expected a 2x4 integer matrix"),
+], ids=["two", "minus-one", "256", "short-row"])
+def test_verify_design_rejects_bad_f2_rows(tmp_path, capsys, edit, message):
+    # F_2 rows are validated while they are packed, with the same messages
+    params = ParamSet(t=1, k=2, n=4, q=2)
+    path = tmp_path / "design.json"
+    save_design_file(path, params, enumerate_steiner(params)[0].block_subspaces())
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify-design", "--designs", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_verify_design_missing_file():
     assert main(["verify-design", "--designs", "/no/such/file.json"]) == 2
 

@@ -5,6 +5,8 @@ import pytest
 from qsteiner.exactq import gauss_binom, q_int
 from qsteiner.gfspaces import (
     FieldSpec,
+    _coverage_key,
+    _coverage_keys,
     canonical_index,
     count_fixed_intersection,
     count_fixed_intersection_bruteforce,
@@ -234,3 +236,83 @@ def test_inner_subspaces_need_no_elimination():
                         assert list(inner_subspaces(block, i)) == expected
                         cases += len(expected)
     assert cases == 7049
+
+
+def _random_spanning_set(basis, n, rng):
+    """A seeded spanning set of span(basis) over F_2, built without
+    elimination: an invertible mix of the rows (random row additions and
+    swaps), then xors of random subsets of them and zero rows, shuffled."""
+    rows = [list(r) for r in basis]
+    k = len(rows)
+    for _ in range(3 * k):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i != j:
+            rows[i] = [(x + y) % 2 for x, y in zip(rows[i], rows[j])]
+        rows[i], rows[j] = rows[j], rows[i]
+    extra = []
+    for _ in range(rng.randint(0, 3)):
+        picked = [r for r in rows if rng.random() < 0.5]
+        extra.append([sum(col) % 2 for col in zip(*picked)] if picked else [0] * n)
+    extra += [[0] * n for _ in range(rng.randint(0, 2))]
+    out = rows + extra
+    rng.shuffle(out)
+    return out
+
+
+def test_packed_f2_rref_recovers_every_subspace():
+    # the oracle is the enumeration itself: every spanning set of S must
+    # reduce to S's canonical basis and pivots, and have rank dim S
+    import random
+
+    rng = random.Random(2016)
+    fld = field(2)
+    cases = 0
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for s in grassmannian(n, k, 2):
+                for _ in range(3):
+                    rows = _random_spanning_set(s.basis, n, rng)
+                    assert rref(rows, fld) == (s.basis, s.pivots)
+                    assert rows_rank(rows, fld) == k
+                    assert subspace_from_rows(rows, n, 2) == s
+                    cases += 1
+    assert cases == 3 * 464
+
+
+def test_packed_coverage_keys_match_gf_matmul():
+    # an F_2 coverage key is W.B packed row by row, bit j for column j, and
+    # _coverage_key reads the same key off the subspace W.B spans
+    fld = field(2)
+    cases = 0
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for block in grassmannian(n, k, 2):
+                for i in range(k + 1):
+                    keys = list(_coverage_keys(block, i))
+                    subs = grassmannian(k, i, 2)
+                    assert len(keys) == len(subs)
+                    for key, w in zip(keys, subs):
+                        product = gf_matmul(w.basis, block.basis, fld)
+                        assert key == tuple(sum(bit << j for j, bit in enumerate(row))
+                                            for row in product)
+                        assert key == _coverage_key(subspace_from_rows(product, n, 2))
+                        cases += 1
+    assert cases == 6363
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 0, 1]], "row length 3 != ambient 4"),
+    ([[1, 0, 0, 0], [0, 1, 0]], "row length 3 != ambient 4"),
+    ([[1, 0, 2, 0]], "entry outside 0..q-1"),
+    ([[1, -1, 0, 0]], "entry outside 0..q-1"),
+    ([[256, 0, 0, 0]], "entry outside 0..q-1"),
+    ([[1, 0, 2, 1.0]], "entry outside 0..q-1"),
+    ([[1, 1.0, 2, 0]], "entry 1.0 is not an integer"),
+    ([[0, True, 0, 0]], "entry True is not an integer"),
+    ([[1, 0, 0, 0], [1, 0, 0, 0]], "expected dimension 2, got 1"),
+])
+def test_subspace_from_rows_f2_messages(rows, message):
+    # the first failing check, row by row and entry by entry, names the error
+    with pytest.raises(ValueError) as err:
+        subspace_from_rows(rows, 4, 2, expect_dim=2)
+    assert str(err.value) == message

@@ -146,6 +146,42 @@ def test_both_verifiers_give_the_same_verdict_and_witness():
     assert failures == 3
 
 
+def _verdict_by_containment(blocks, params, lam):
+    """verify_design's contract from Subspace.contains counts alone: the
+    first t-subspace in canonical order whose coverage is not lam."""
+    for s in enumerate_subspaces(params.n, params.t, params.q):
+        c = sum(b.contains(s) for b in blocks)
+        if c != lam:
+            return False, s, c
+    return True, None, None
+
+
+@pytest.mark.parametrize("n, q", [(5, 2), (4, 3)])
+def test_verify_design_multi_row_keys_match_containment(n, q):
+    # t = 2: each coverage key holds two packed rows over F_2
+    params = ParamSet(t=2, k=3, n=n, q=q)
+    planes = enumerate_subspaces(n, 2, q)
+    solids = enumerate_subspaces(n, 3, q)
+    lam = int(gauss_binom(n - 2, 1, q))  # solids through a plane
+    doubled = [b for b in solids if b.contains(planes[0])][:2]
+    rng = random.Random(n * q)
+    cases = [
+        (solids, lam, (True, None)),
+        (solids[:-1], lam, (False, lam - 1)),
+        (doubled, 1, (False, 2)),
+    ] + [(rng.sample(solids, rng.randint(1, len(solids))), rng.choice((1, 2)), None)
+         for _ in range(4)]
+    for blocks, lam_case, expected in cases:
+        result = verify_design(blocks, params, lam=lam_case)
+        ok, witness, coverage = _verdict_by_containment(blocks, params, lam_case)
+        assert (result.ok, result.witness, result.coverage) == (ok, witness, coverage)
+        if expected is not None:
+            assert (result.ok, result.coverage) == expected
+        if not ok:
+            assert result.message == f"t-subspace covered {coverage} times, expected {lam_case}"
+    assert verify_design(doubled, params, lam=1).witness == planes[0]
+
+
 def test_verify_design_rejects_malformed():
     blocks = enumerate_steiner(PG32)[0].block_subspaces()
     with pytest.raises(ValueError):
