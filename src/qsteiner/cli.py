@@ -424,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--n", "--k", "--q"):
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("enumerate", help="enumerate all designs")
     for flag in ("--t", "--k", "--n", "--q"):
@@ -442,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of designs to sample (default adaptive); "
                         "needs --sample")
     p.add_argument("--out")
-    p.add_argument("--format", choices=("json",), default="json")
 
     p = sub.add_parser("verify-design", help="verify a design file")
     p.add_argument("--designs", required=True, help="JSON design file")

@@ -12,9 +12,13 @@ as base-q digits.  ``grassmannian`` holds each Grassmannian in exactly that
 order, ``canonical_index`` inverts it without materializing the enumeration,
 and ``inner_subspaces`` walks the subspaces of one block in the same order.
 
-Over F_2 a row is also held packed into an int, bit j holding column j:
-elimination and the design coverage keys then run on xor, and the tuple
-bases are built from the packed rows once.
+Elimination has one kernel per field kind, and ``rref``, ``rows_rank``,
+``Subspace.contains`` and ``intersection_dim`` all reduce through it.  Over
+F_2 a row is held packed into an int, bit j holding column j, and
+``_f2_eliminate`` runs on xor, as do the design coverage keys; the tuple
+bases are built from the packed rows once.  Every other field goes through
+``_fq_eliminate``, which works on whole rows with the field's ``row_sub``
+and ``row_scale``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,10 @@ class FieldSpec:
     """Arithmetic for F_q with the fixed element encoding.
 
     Prime fields use modular arithmetic directly; the supported extension
-    fields use multiplication tables built from the fixed polynomial.
+    fields use multiplication tables built from the fixed polynomial.  The
+    elimination kernel works on whole rows through ``row_sub(v, c, b)``,
+    which is v - c*b, and ``row_scale(c, v)``, which is c*v: modular list
+    comprehensions for prime fields, table lookups otherwise.
     """
 
     def __init__(self, q: int):
@@ -51,12 +58,28 @@ class FieldSpec:
         if e == 1:
             self._mul_table = None
             self._inv_table = None
+            self.row_sub = lambda v, c, b: [(x - c * y) % q for x, y in zip(v, b)]
+            self.row_scale = lambda c, v: [c * x % q for x in v]
         else:
             if q not in _IRREDUCIBLE:
                 raise ValueError(f"unsupported extension field order {q}")
             self.modulus = _IRREDUCIBLE[q]
-            self._mul_table = self._build_mul_table()
+            self._mul_table = mul = self._build_mul_table()
             self._inv_table = self._build_inv_table()
+            # axpy[c][x][y] = x - c*y
+            axpy = [[[self.sub(x, mul[c][y]) for y in range(q)] for x in range(q)]
+                    for c in range(q)]
+
+            def row_sub(v, c, b):
+                t = axpy[c]
+                return [t[x][y] for x, y in zip(v, b)]
+
+            def row_scale(c, v):
+                t = mul[c]
+                return [t[x] for x in v]
+
+            self.row_sub = row_sub
+            self.row_scale = row_scale
         if q <= 9:
             self._check_axioms()
 
@@ -184,12 +207,37 @@ def _f2_eliminate(words) -> dict[int, int]:
     return basis
 
 
+def _fq_eliminate(rows, fld: FieldSpec) -> dict[int, list[int]]:
+    """Forward elimination over F_q, the one kernel for every field but F_2.
+
+    Returns {pivot column: tail}: the tail is a row of the echelon form from
+    its pivot column on, led by a 1, so the padded tails sorted by pivot are
+    a row echelon form of the input and their number is its rank.  A row is
+    held from its first nonzero column on, so each ``row_sub`` skips the
+    columns that are already zero.
+    """
+    sub, scale, inv = fld.row_sub, fld.row_scale, fld.inv
+    basis: dict[int, list[int]] = {}
+    for v in rows:
+        j = 0  # v holds the row's columns j, j+1, ...
+        while (k := next((i for i, x in enumerate(v) if x), None)) is not None:
+            j += k
+            tail = basis.get(j)
+            if tail is None:
+                basis[j] = v[k:] if v[k] == 1 else scale(inv(v[k]), v[k:])
+                break
+            v = sub(v[k:], v[k], tail)
+    return basis
+
+
 def rref(rows, fld: FieldSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over F_q.
 
     Returns (nonzero rows as tuples, pivot columns).  Idempotent on its own
     output; the zero space comes back as an empty row tuple.  F_2 rows are
-    packed into ints and reduced by ``_f2_eliminate``.
+    packed into ints and reduced by ``_f2_eliminate``; other fields go
+    through ``_fq_eliminate``, whose padded rows then have the entries above
+    each pivot cleared, last pivot first.
     """
     if fld.q == 2:
         rows = list(rows)
@@ -200,83 +248,24 @@ def rref(rows, fld: FieldSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
         pivots = sorted(reduced)
         return (tuple([_unpack(reduced[piv], n) for piv in pivots]),
                 tuple([piv.bit_length() - 1 for piv in pivots]))
-    m = [list(r) for r in rows]
-    if not m:
-        return (), ()
-    n = len(m[0])
-    piv_r = 0
-    pivots = []
-    for c in range(n):
-        hit = next((i for i in range(piv_r, len(m)) if m[i][c] != 0), None)
-        if hit is None:
-            continue
-        m[piv_r], m[hit] = m[hit], m[piv_r]
-        inv = fld.inv(m[piv_r][c])
-        if inv != 1:
-            m[piv_r] = [fld.mul(inv, x) for x in m[piv_r]]
-        prow = m[piv_r]
-        for i in range(len(m)):
-            if i != piv_r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(m[i], prow)]
-        pivots.append(c)
-        piv_r += 1
-        if piv_r == len(m):
-            break
-    return tuple(tuple(r) for r in m[:piv_r]), tuple(pivots)
+    tails = _fq_eliminate(rows, fld)
+    pivots = sorted(tails)
+    reduced = {piv: [0] * piv + list(tails[piv]) for piv in pivots}
+    for i in range(len(pivots) - 2, -1, -1):
+        row = reduced[pivots[i]]
+        for piv in pivots[i + 1:]:
+            if row[piv]:
+                row = fld.row_sub(row, row[piv], reduced[piv])
+        reduced[pivots[i]] = row
+    return tuple([tuple(reduced[piv]) for piv in pivots]), tuple(pivots)
 
 
 def rows_rank(rows, fld: FieldSpec) -> int:
-    """Rank of a coefficient matrix over F_q.
-
-    F_2 rows go packed through ``_f2_eliminate``; other fields use forward
-    elimination, modular for prime fields and through the tables otherwise.
-    """
+    """Rank of a coefficient matrix over F_q: the number of pivots that
+    ``_f2_eliminate`` (rows packed into ints) or ``_fq_eliminate`` finds."""
     if fld.q == 2:
         return len(_f2_eliminate(map(_pack, rows)))
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    nrows = len(m)
-    rank = 0
-    if fld.e == 1:
-        p = fld.p
-        for c in range(ncols):
-            piv = next((i for i in range(rank, nrows) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            prow = m[rank]
-            inv = pow(prow[c], -1, p)
-            for i in range(rank + 1, nrows):
-                f = m[i][c]
-                if f:
-                    mult = f * inv % p
-                    ri = m[i]
-                    for j in range(c, ncols):
-                        ri[j] = (ri[j] - mult * prow[j]) % p
-            rank += 1
-            if rank == nrows:
-                break
-        return rank
-    for c in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        for i in range(rank + 1, nrows):
-            f = m[i][c]
-            if f:
-                mult = fld.mul(f, fld.inv(prow[c]))
-                ri = m[i]
-                for j in range(c, ncols):
-                    ri[j] = fld.sub(ri[j], fld.mul(mult, prow[j]))
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return len(_fq_eliminate(rows, fld))
 
 
 class Subspace:
@@ -319,25 +308,10 @@ class Subspace:
         """True iff other is a subspace of self."""
         if other.ambient != self.ambient or other.q != self.q:
             raise ValueError("ambient mismatch")
-        fld = field(self.q)
-        for row in other.basis:
-            if not _reduces_to_zero(row, self.basis, self.pivots, fld):
-                return False
-        return True
+        return rows_rank(self.basis + other.basis, field(self.q)) == self.dim
 
     def to_lists(self) -> list[list[int]]:
         return [list(r) for r in self.basis]
-
-
-def _reduces_to_zero(vec, basis, pivots, fld: FieldSpec) -> bool:
-    v = list(vec)
-    for row, p in zip(basis, pivots):
-        c = v[p]
-        if c:
-            for j in range(p, len(v)):
-                if row[j]:
-                    v[j] = fld.sub(v[j], fld.mul(c, row[j]))
-    return not any(v)
 
 
 def subspace_from_rows(rows, n: int, q: int, expect_dim: int | None = None) -> Subspace:
@@ -637,7 +611,7 @@ def _fixed_intersection_profile(b: int, u: int, n: int, q: int) -> tuple[tuple[i
         prefix = 0
         for i in range(min(d, b)):
             e_i = tuple(1 if j == i else 0 for j in range(n))
-            if _reduces_to_zero(e_i, uspace.basis, uspace.pivots, fld):
+            if rows_rank(uspace.basis + (e_i,), fld) == uspace.dim:
                 prefix += 1
             else:
                 break

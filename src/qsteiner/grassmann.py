@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .exactq import choose2, gauss_binom, q_pow
-from .gfspaces import Subspace, field as gf_field, grassmannian, intersection_dim
+from .exactq import choose2, gauss_binom, prime_power_parts, q_pow
+from .gfspaces import Subspace, grassmannian, intersection_dim
 from .linalg import ExactMatrix, rank_exact
 
 _DENSE_GUARD = 2000
@@ -68,6 +68,7 @@ class SchemeInstance:
     def __init__(self, n: int, k: int, q: int):
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
+        prime_power_parts(q)  # before gauss_binom, which divides by zero at q = 1
         size = gauss_binom(n, k, q)
         if size > _DENSE_GUARD:
             raise ValueError(
@@ -76,7 +77,6 @@ class SchemeInstance:
         self.n = n
         self.k = k
         self.q = q
-        self.field = gf_field(q)
         self.subspaces: tuple[Subspace, ...] = grassmannian(n, k, q)
         self.size = len(self.subspaces)
         self._adjacency: dict[int, ExactMatrix] = {}

@@ -24,7 +24,6 @@ from .gfspaces import (
     Subspace,
     _coverage_key,
     _coverage_keys,
-    field as gf_field,
     grassmannian,
     inner_subspaces,
     intersection_dim,
@@ -71,10 +70,6 @@ class ParamSet:
         if v.denominator != 1:
             raise ValueError(f"{self} is inadmissible; block count undefined")
         return int(v)
-
-    @property
-    def field(self):
-        return gf_field(self.q)
 
 
 def lambda_i(params: ParamSet, i: int, lam: int = 1) -> Fraction:

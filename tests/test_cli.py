@@ -170,6 +170,31 @@ def test_scheme_guard_rejected():
     assert main(["scheme", "--n", "8", "--k", "4", "--q", "2"]) == 2
 
 
+@pytest.mark.parametrize("n, k, q, message", [
+    (4, 2, 0, "0 is not a prime power"),
+    (4, 2, -3, "-3 is not a prime power"),
+    (4, 2, 1, "1 is not a prime power"),
+    (2, 1, 1, "1 is not a prime power"),
+    (4, 2, 16, "[4 2]_16 = 70161 exceeds the dense-matrix guard 2000"),
+])
+def test_scheme_rejects_bad_q_in_one_line(n, k, q, message, capsys):
+    assert main(["scheme", "--n", str(n), "--k", str(k), "--q", str(q)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["scheme", "--n", "4", "--k", "2", "--q", "2"],
+    ["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "2"],
+])
+def test_json_only_commands_take_no_format(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_enumerate_and_verify_round_trip(tmp_path, capsys):
     out = tmp_path / "designs.json"
     code = main(["enumerate", "--t", "1", "--k", "2", "--n", "4", "--q", "2",

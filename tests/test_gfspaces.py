@@ -132,6 +132,53 @@ def test_rows_rank_matches_rref():
             assert rows_rank(m, fld) == len(rref(m, fld)[0])
 
 
+def _span(rows, n, fld):
+    """Every F_q combination of rows, summed entry by entry: no elimination."""
+    out = set()
+    for coeffs in itertools.product(range(fld.q), repeat=len(rows)):
+        v = [0] * n
+        for c, row in zip(coeffs, rows):
+            v = [fld.add(x, fld.mul(c, y)) for x, y in zip(v, row)]
+        out.add(tuple(v))
+    return out
+
+
+def test_rref_and_rows_rank_match_the_span_oracle():
+    import random
+
+    rng = random.Random(7)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        fld = field(q)
+        for _ in range(25):
+            nr, nc = rng.randint(0, 4), rng.randint(1, 5)
+            m = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(nc)]
+                 for _ in range(nr)]
+            basis, pivots = rref(m, fld)
+            span = _span(m, nc, fld)
+            assert _span(basis, nc, fld) == span
+            assert len(span) == q ** rows_rank(m, fld)
+            assert len(basis) == len(pivots)
+            assert list(pivots) == sorted(set(pivots))
+            for row, piv in zip(basis, pivots):
+                assert not any(row[:piv]) and row[piv] == 1
+                assert [r[piv] for r in basis].count(0) == len(basis) - 1
+
+
+def test_contains_matches_inner_subspaces():
+    # S <= block exactly when S is one of the block's walked i-subspaces
+    cases = 0
+    for q in (2, 3, 4):
+        for block in grassmannian(4, 2, q):
+            for i in range(5):
+                subs = grassmannian(4, i, q)
+                inside = ({basis for basis, _ in inner_subspaces(block, i)}
+                          if i <= block.dim else set())
+                for s in subs:
+                    assert block.contains(s) == (s.basis in inside)
+                    cases += 1
+    assert cases == 35 * 67 + 130 * 212 + 357 * 529
+
+
 def test_mobius_values():
     assert mobius_interval(0, 5) == 1
     assert mobius_interval(1, 3) == -1
