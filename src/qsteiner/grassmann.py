@@ -4,7 +4,9 @@ Eigenvalues come in two independently coded forms, a generalized Eberlein
 polynomial and an explicit double-index sum; the suite requires them to
 agree.  Spectrum verification never computes an eigenvector: for each
 relation the shifted matrix A_i - v*I must lose exactly the predicted
-multiplicity of rank, with exactly-equal eigenvalues grouped first.
+multiplicity of rank, with exactly-equal eigenvalues grouped first.  Those
+ranks are proven by the annihilating polynomial of the candidate values,
+with Bareiss elimination as the fallback (``rank_checks``).
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import prod
+from operator import mul
 
 from .exactq import choose2, gauss_binom, prime_power_parts, q_pow
-from .gfspaces import Subspace, grassmannian, intersection_dim
-from .linalg import ExactMatrix, rank_exact
+from .gfspaces import Subspace, grassmannian, inner_subspaces
+from .linalg import ExactMatrix, mat_mul, rank_exact
 
 _DENSE_GUARD = 2000
 
@@ -83,16 +87,22 @@ class SchemeInstance:
 
     @cached_property
     def _relation(self) -> list[list[int]]:
-        """relation[x][y] = k - dim(X ^ Y) for the canonical enumeration."""
-        subs = self.subspaces
-        size = self.size
-        rel = [[0] * size for _ in range(size)]
-        for x in range(size):
-            for y in range(x + 1, size):
-                r = self.k - intersection_dim(subs[x], subs[y])
-                rel[x][y] = r
-                rel[y][x] = r
-        return rel
+        """relation[x][y] = k - dim(X ^ Y) for the canonical enumeration.
+
+        X ^ Y of dimension i has (q^i - 1)/(q - 1) points, so the dimension
+        is read off the shared points of X and Y, each subspace's points
+        held as a bit mask over the canonical points of F_q^n.
+        """
+        n, k, q = self.n, self.k, self.q
+        if k == 0:  # the zero subspace alone, which has no points
+            return [[0]]
+        point_index = {p.basis: j for j, p in enumerate(grassmannian(n, 1, q))}
+        masks = [
+            sum(1 << point_index[basis] for basis, _ in inner_subspaces(s, 1))
+            for s in self.subspaces
+        ]
+        relation_of = {(q**i - 1) // (q - 1): k - i for i in range(k + 1)}
+        return [[relation_of[(mx & my).bit_count()] for my in masks] for mx in masks]
 
     def adjacency_matrix(self, i: int) -> ExactMatrix:
         if not 0 <= i <= self.k:
@@ -194,19 +204,68 @@ class SpectrumReport:
 
 def rank_checks(matrix: ExactMatrix,
                 values: list[tuple[int, Fraction, int]]) -> list[RankCheck]:
-    """One rank test of matrix - v*I per distinct exact eigenvalue v.
+    """One rank of matrix - v*I per distinct exact eigenvalue v.
 
     The (r, value, multiplicity) triples are grouped by value in order of
     first appearance; each group predicts rank = size - summed multiplicity.
+    The ranks are size minus the multiplicities that
+    ``_annihilator_multiplicities`` proves; when that proof fails, each
+    shifted matrix is ranked by Bareiss elimination instead.
     """
     groups: dict[Fraction, int] = {}
     for _, v, m in values:
         groups[v] = groups.get(v, 0) + m
     size = matrix.rows
+    mults = _annihilator_multiplicities(matrix, list(groups))
+    if mults is None:
+        ranks = [rank_exact(matrix.shifted(v)) for v in groups]
+    else:
+        ranks = [size - m for m in mults]
     return [
-        RankCheck(v, grouped, size - grouped, rank_exact(matrix.shifted(v)))
-        for v, grouped in groups.items()
+        RankCheck(v, grouped, size - grouped, rank)
+        for (v, grouped), rank in zip(groups.items(), ranks)
     ]
+
+
+def _annihilator_multiplicities(matrix: ExactMatrix,
+                                values: list[Fraction]) -> list[int] | None:
+    """The multiplicity of each distinct value as an eigenvalue of matrix,
+    proven without elimination; None when the proof does not go through.
+
+    The matrix must be integral and symmetric, hence diagonalizable, and the
+    values integral.  With Q_j = (M - v_0 I)...(M - v_(j-1) I), Q_s(M) = 0
+    puts the spectrum inside the values.  The multiplicities m_i then solve
+    trace Q_j(M) = sum_i m_i Q_j(v_i) for j < s: the Vandermonde system of
+    the power traces written in Newton's basis, which is triangular because
+    Q_j(v_i) = 0 for i < j.  Each must come out a non-negative integer.
+    """
+    data = matrix.data
+    size = matrix.rows
+    if (
+        not values
+        or matrix.cols != size
+        or any(v.denominator != 1 for v in values)
+        or any(set(map(type, row)) - {int} for row in data)
+        or any(data[x][y] != data[y][x] for x in range(size) for y in range(x))
+    ):
+        return None
+    points = [int(v) for v in values]
+    traces = [size]
+    q_j = matrix.shifted(points[0])
+    for v in points[1:]:
+        traces.append(q_j.trace())
+        q_j = mat_mul(matrix.shifted(v), q_j)
+    if any(any(row) for row in q_j.data):
+        return None
+    mults = [0] * len(points)
+    for j in reversed(range(len(points))):
+        newton = [prod(x - v for v in points[:j]) for x in points]
+        rest = traces[j] - sum(map(mul, mults[j + 1:], newton[j + 1:]))
+        m, remainder = divmod(rest, newton[j])
+        if remainder or m < 0:
+            return None
+        mults[j] = m
+    return mults
 
 
 def verify_spectrum(scheme: SchemeInstance) -> SpectrumReport:

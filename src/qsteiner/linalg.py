@@ -1,6 +1,7 @@
 """Dense exact linear algebra over the rationals.
 
-Entries are ints or Fractions (mixing is fine).  Rank is computed by
+Entries are ints or Fractions (mixing is fine; any other type raises
+TypeError).  Rank is computed by
 fraction-free Bareiss elimination after clearing denominators row by row,
 with the pivot chosen as the nonzero entry of smallest bit length in the
 remaining submatrix (ties broken by lowest row, then lowest column).  This
@@ -11,21 +12,33 @@ the computation deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .gfspaces import field, rows_rank
 
 Scalar = int | Fraction
+_EXACT_TYPES = {int, Fraction}
 
 
 class ExactMatrix:
-    """Immutable-by-convention dense matrix of exact scalars."""
+    """Immutable-by-convention dense matrix of exact scalars.
+
+    Every entry must be an int or a Fraction; anything else (float, bool,
+    numpy scalars) raises TypeError, so no inexact value enters a check.
+    """
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence[Scalar]], cols: int | None = None):
         self.data = [list(row) for row in data]
+        for row in self.data:
+            bad = set(map(type, row)) - _EXACT_TYPES
+            if bad:
+                names = ", ".join(sorted(t.__name__ for t in bad))
+                raise TypeError(f"entries must be int or Fraction, got {names}")
         self.rows = len(self.data)
         if self.rows:
             self.cols = len(self.data[0])
@@ -110,7 +123,9 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     bt = [[b.data[i][j] for i in range(b.rows)] for j in range(b.cols)]
     out = []
     for ra in a.data:
-        out.append([sum(x * y for x, y in zip(ra, cb) if x) for cb in bt])
+        # multiply only where ra is nonzero: compress picks those entries of cb
+        nonzero = [x for x in ra if x]
+        out.append([sum(map(mul, nonzero, compress(cb, ra))) for cb in bt])
     return ExactMatrix(out, cols=b.cols)
 
 

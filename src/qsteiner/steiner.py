@@ -607,6 +607,22 @@ def dimension_formula(params: ParamSet) -> int:
 # rank certificate
 # ---------------------------------------------------------------------------
 
+@cache
+def _inclusion_ranks(params: ParamSet) -> tuple[int, int]:
+    """(rank W, rank of the row differences W_i - W_0) of the inclusion
+    matrix, computed once per parameter set."""
+    w = inclusion_matrix(params)
+    w_rank = rank_exact(w)
+    diffs = ExactMatrix(
+        [
+            [w.data[i][j] - w.data[0][j] for j in range(w.cols)]
+            for i in range(1, w.rows)
+        ],
+        cols=w.cols,
+    )
+    return w_rank, rank_exact(diffs)
+
+
 @dataclass
 class RankCertificate:
     n_designs: int
@@ -654,20 +670,12 @@ def rank_certificate(params: ParamSet, designs: Sequence[Design]) -> RankCertifi
     """
     size_k = int(gauss_binom(params.n, params.k, params.q))
     gram = gram_matrix(params, designs)
-    w = inclusion_matrix(params)
     annihilation_ok = all(verify_design_ids(d).ok for d in designs)
-    w_rank = rank_exact(w)
-    diffs = ExactMatrix(
-        [
-            [w.data[i][j] - w.data[0][j] for j in range(w.cols)]
-            for i in range(1, w.rows)
-        ],
-        cols=w.cols,
-    )
+    w_rank, row_diff_rank = _inclusion_ranks(params)
     return RankCertificate(
         n_designs=len(designs),
         w_rank=w_rank,
-        row_diff_rank=rank_exact(diffs),
+        row_diff_rank=row_diff_rank,
         annihilation_ok=annihilation_ok,
         upper_bound=size_k - w_rank + 1,
         lower_bound=rank_exact(gram),

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import qsteiner
-from qsteiner import steiner
+from qsteiner import cli, steiner
 from qsteiner.cli import main
 from qsteiner.steiner import ParamSet, enumerate_steiner, save_design_file
 
@@ -148,6 +148,29 @@ def test_dimension_sampling_certificate(tmp_path):
     assert report["certificate"]["upper_bound"] == 91
     assert report["certificate"]["lower_bound"] == 91
     assert report["dimension_formula"] == 91
+
+
+def test_adaptive_sampling_builds_w_once(tmp_path, monkeypatch):
+    """W and its two ranks depend only on the parameters, so the adaptive
+    steps share one inclusion matrix."""
+    steiner._inclusion_ranks.cache_clear()
+    calls = {"inclusion_matrix": 0, "rank_certificate": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(steiner, "inclusion_matrix")
+    counted(cli, "rank_certificate")
+    code = main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3",
+                 "--sample", "--seed", "7", "--out", str(tmp_path / "d.json")])
+    assert code == 0
+    assert calls["rank_certificate"] >= 2
+    assert calls["inclusion_matrix"] == 1
 
 
 @pytest.mark.parametrize("qs", ["1", "2,0"])

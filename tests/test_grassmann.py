@@ -4,14 +4,25 @@ from fractions import Fraction
 import pytest
 
 from qsteiner.exactq import gauss_binom, q_pow
+from qsteiner.gfspaces import intersection_dim
 from qsteiner.grassmann import (
     SchemeInstance,
+    _annihilator_multiplicities,
     eberlein_eigenvalue,
     eigenspace_multiplicity,
     eisfeld_eigenvalue,
+    rank_checks,
     verify_spectrum,
 )
-from qsteiner.linalg import ExactMatrix, mat_mul
+from qsteiner.linalg import ExactMatrix, mat_mul, rank_exact
+
+CRITERION_2_GRID = [(4, 2, 2), (5, 2, 2), (4, 2, 3)]
+
+
+def _bareiss_ranks(matrix, values):
+    """rank(matrix - v*I) by elimination, per distinct v in first-appearance order."""
+    distinct = dict.fromkeys(v for _, v, _ in values)
+    return [rank_exact(matrix.shifted(v)) for v in distinct]
 
 
 def test_eberlein_examples():
@@ -118,3 +129,62 @@ def test_spectrum_report_serialization():
         "value": "18",
         "multiplicity": 1,
     }
+
+
+@pytest.mark.parametrize("nkq", CRITERION_2_GRID)
+def test_relation_table_reads_shared_points(nkq):
+    scheme = SchemeInstance(*nkq)
+    subs = scheme.subspaces
+    for x in range(scheme.size):
+        for y in range(scheme.size):
+            assert scheme.relation_index(x, y) == scheme.k - intersection_dim(
+                subs[x], subs[y]
+            ), (nkq, x, y)
+
+
+@pytest.mark.parametrize("nkq", CRITERION_2_GRID)
+def test_annihilator_ranks_match_bareiss_on_every_relation(nkq):
+    scheme = SchemeInstance(*nkq)
+    for rel in verify_spectrum(scheme).relations:
+        a_i = scheme.adjacency_matrix(rel.i)
+        distinct = list(dict.fromkeys(v for _, v, _ in rel.eigenvalues))
+        assert _annihilator_multiplicities(a_i, distinct) is not None, (nkq, rel.i)
+        assert [c.rank for c in rel.rank_checks] == _bareiss_ranks(a_i, rel.eigenvalues)
+
+
+A2_SPECTRUM = [(0, Fraction(16), 1), (1, Fraction(-4), 14), (2, Fraction(2), 20)]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        # a perturbed candidate: 3 is not an eigenvalue and 2 is missing
+        [(0, Fraction(16), 1), (1, Fraction(-4), 14), (2, Fraction(3), 20)],
+        # a candidate set that omits the true eigenvalue 2
+        A2_SPECTRUM[:2],
+        # a non-integral candidate
+        A2_SPECTRUM + [(3, Fraction(1, 2), 0)],
+    ],
+)
+def test_rank_checks_fall_back_to_bareiss(values):
+    a_2 = SchemeInstance(4, 2, 2).adjacency_matrix(2)
+    distinct = list(dict.fromkeys(v for _, v, _ in values))
+    assert _annihilator_multiplicities(a_2, distinct) is None
+    assert [c.rank for c in rank_checks(a_2, values)] == _bareiss_ranks(a_2, values)
+
+
+def test_rank_checks_fall_back_on_a_non_symmetric_matrix():
+    # diagonalizable with eigenvalues 1 and 2, but not symmetric
+    m = ExactMatrix([[1, 1], [0, 2]])
+    values = [(0, Fraction(1), 1), (1, Fraction(2), 1)]
+    assert _annihilator_multiplicities(m, [Fraction(1), Fraction(2)]) is None
+    assert [c.rank for c in rank_checks(m, values)] == _bareiss_ranks(m, values) == [1, 1]
+
+
+def test_annihilator_multiplicities_of_the_true_spectrum():
+    a_2 = SchemeInstance(4, 2, 2).adjacency_matrix(2)
+    assert _annihilator_multiplicities(a_2, [v for _, v, _ in A2_SPECTRUM]) == [1, 14, 20]
+    # a candidate that is not an eigenvalue gets multiplicity 0 and full rank
+    values = A2_SPECTRUM + [(3, Fraction(7), 0)]
+    assert _annihilator_multiplicities(a_2, [v for _, v, _ in values]) == [1, 14, 20, 0]
+    assert [c.rank for c in rank_checks(a_2, values)] == [34, 21, 15, 35]

@@ -117,3 +117,11 @@ def test_shifted_and_trace():
     assert m.trace() == 4
     with pytest.raises(ValueError):
         ExactMatrix.zeros(2, 3).trace()
+
+
+@pytest.mark.parametrize(
+    "data", [[[1.0]], [[True]], [[1, Fraction(1, 2), 0.5]], [[0, 1], [2, False]]]
+)
+def test_exact_matrix_rejects_inexact_entries(data):
+    with pytest.raises(TypeError):
+        ExactMatrix(data)

@@ -6,7 +6,12 @@ import pytest
 
 from qsteiner.exactq import gauss_binom
 from qsteiner.gfspaces import enumerate_subspaces, subspace_from_rows
-from qsteiner.grassmann import SchemeInstance, eisfeld_eigenvalue
+from qsteiner.grassmann import (
+    SchemeInstance,
+    _annihilator_multiplicities,
+    eisfeld_eigenvalue,
+    rank_checks,
+)
 from qsteiner.linalg import ExactMatrix, mat_mul, rank_exact, transpose
 from qsteiner.steiner import (
     Design,
@@ -444,6 +449,18 @@ def test_full_pipeline_pg33_enumeration():
     # independent check on U itself, 130 x 8424
     u = incidence_matrix(designs)
     assert rank_exact(u) == 91
+
+
+@pytest.mark.parametrize("params", [PG32, PG33], ids=["PG32", "PG33"])
+def test_gram_spectrum_ranks_match_bareiss(params):
+    designs = enumerate_steiner(params)
+    gram = gram_matrix(params, designs)
+    spec = mu_spectrum(params, gram_coefficients(len(designs), params).kappa)
+    values = list(dict.fromkeys(v for _, v, _ in spec))
+    assert _annihilator_multiplicities(gram, values) is not None
+    assert [c.rank for c in rank_checks(gram, spec)] == [
+        rank_exact(gram.shifted(v)) for v in values
+    ]
 
 
 def test_design_file_round_trip(tmp_path):
