@@ -210,13 +210,18 @@ def rank_checks(matrix: ExactMatrix,
     first appearance; each group predicts rank = size - summed multiplicity.
     The ranks are size minus the multiplicities that
     ``_annihilator_multiplicities`` proves; when that proof fails, each
-    shifted matrix is ranked by Bareiss elimination instead.
+    shifted matrix is ranked by Bareiss elimination instead.  A single value
+    goes straight to Bareiss: its annihilator takes no product and proves
+    only M - vI = 0, which the first pivot scan of M - vI decides at the
+    same cost, and any other outcome needs the elimination anyway.
     """
     groups: dict[Fraction, int] = {}
     for _, v, m in values:
         groups[v] = groups.get(v, 0) + m
     size = matrix.rows
-    mults = _annihilator_multiplicities(matrix, list(groups))
+    mults = None
+    if len(groups) > 1:
+        mults = _annihilator_multiplicities(matrix, list(groups))
     if mults is None:
         ranks = [rank_exact(matrix.shifted(v)) for v in groups]
     else:

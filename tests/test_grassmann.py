@@ -188,3 +188,17 @@ def test_annihilator_multiplicities_of_the_true_spectrum():
     values = A2_SPECTRUM + [(3, Fraction(7), 0)]
     assert _annihilator_multiplicities(a_2, [v for _, v, _ in values]) == [1, 14, 20, 0]
     assert [c.rank for c in rank_checks(a_2, values)] == [34, 21, 15, 35]
+
+
+@pytest.mark.parametrize(
+    "matrix, value, rank",
+    [
+        (SchemeInstance(4, 2, 2).adjacency_matrix(0), Fraction(1), 0),
+        (SchemeInstance(4, 2, 2).adjacency_matrix(2), Fraction(2), 15),
+    ],
+    ids=["scalar", "not-scalar"],
+)
+def test_rank_checks_rank_a_single_value_by_bareiss(matrix, value, rank):
+    values = [(0, value, 1), (1, value, 2)]
+    [check] = rank_checks(matrix, values)
+    assert check.rank == rank_exact(matrix.shifted(value)) == rank
