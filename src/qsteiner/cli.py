@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,23 +49,6 @@ class CLIError(Exception):
     """Invalid configuration or I/O failure; maps to exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    t: int | None = None
-    k: int | None = None
-    n: int | None = None
-    q: int | None = None
-    qs: tuple[int, ...] = ()
-    max_n: int = 6
-    seed: int | None = None
-    sample: bool = False
-    count: int | None = None
-    out: str | None = None
-    format: str = "json"
-    designs: str | None = None
-
-
 def _frac(x) -> str:
     return str(Fraction(x))
 
@@ -82,14 +64,7 @@ def _write_text(path: str, text: str) -> None:
         raise CLIError(f"cannot write {path}: {exc}") from exc
 
 
-def _require(config: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(config, name) is None:
-            raise CLIError(f"--{name} is required for '{config.command}'")
-
-
-def _params(config: RunConfig) -> ParamSet:
-    _require(config, "t", "k", "n", "q")
+def _params(config: argparse.Namespace) -> ParamSet:
     try:
         return ParamSet(t=config.t, k=config.k, n=config.n, q=config.q)
     except ValueError as exc:
@@ -104,10 +79,10 @@ def _row_params(parameters: dict) -> str:
     return ";".join(f"{k}={v}" for k, v in parameters.items())
 
 
-def run_identities(config: RunConfig) -> int:
+def run_identities(config: argparse.Namespace) -> int:
     if config.max_n < 0:
         raise CLIError("--max-n must be nonnegative")
-    qs = config.qs or (2, 3)
+    qs = config.qs
     rows_out = None
     csv_writer = None
     first_row = True
@@ -197,8 +172,7 @@ def run_identities(config: RunConfig) -> int:
 # scheme
 # ---------------------------------------------------------------------------
 
-def run_scheme(config: RunConfig) -> int:
-    _require(config, "n", "k", "q")
+def run_scheme(config: argparse.Namespace) -> int:
     try:
         scheme = SchemeInstance(config.n, config.k, config.q)
     except ValueError as exc:
@@ -218,7 +192,7 @@ def run_scheme(config: RunConfig) -> int:
 # enumerate
 # ---------------------------------------------------------------------------
 
-def run_enumerate(config: RunConfig) -> int:
+def run_enumerate(config: argparse.Namespace) -> int:
     params = _params(config)
     try:
         designs = enumerate_steiner(params)
@@ -294,7 +268,8 @@ def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
     )
 
 
-def _dimension_sample(params: ParamSet, config: RunConfig, report: dict) -> bool:
+def _dimension_sample(params: ParamSet, config: argparse.Namespace,
+                      report: dict) -> bool:
     report["mode"] = "sample"
     seed = config.seed or 0
     report["seed"] = seed
@@ -321,7 +296,7 @@ def _dimension_sample(params: ParamSet, config: RunConfig, report: dict) -> bool
     return designs_ok and cert.meets
 
 
-def run_dimension(config: RunConfig) -> int:
+def run_dimension(config: argparse.Namespace) -> int:
     params = _params(config)
     if not config.sample:
         for flag in ("count", "seed"):
@@ -367,7 +342,7 @@ def run_dimension(config: RunConfig) -> int:
 # verify-design
 # ---------------------------------------------------------------------------
 
-def run_verify_design(config: RunConfig) -> int:
+def run_verify_design(config: argparse.Namespace) -> int:
     if not config.designs:
         raise CLIError("--designs <file> is required for 'verify-design'")
     try:
@@ -458,7 +433,7 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = RunConfig(**vars(build_parser().parse_args(argv)))
+    config = build_parser().parse_args(argv)
     try:
         return _RUNNERS[config.command](config)
     except CLIError as exc:

@@ -419,6 +419,17 @@ def inner_subspaces(block: Subspace, i: int):
 
 
 @cache
+def _inner_indices(n: int, k: int, i: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """For each k-subspace of F_q^n in canonical order, the canonical
+    indices of its i-subspaces, built once."""
+    index = {s.basis: j for j, s in enumerate(grassmannian(n, i, q))}
+    return tuple(
+        tuple(index[basis] for basis, _ in inner_subspaces(block, i))
+        for block in grassmannian(n, k, q)
+    )
+
+
+@cache
 def _f2_coefficients(k: int, i: int) -> tuple[tuple[int, ...], ...]:
     """The packed rows of each i-subspace of F_2^k, in canonical order."""
     return tuple(tuple(map(_pack, w.basis)) for w in grassmannian(k, i, 2))

@@ -18,7 +18,7 @@ from math import prod
 from operator import mul
 
 from .exactq import choose2, gauss_binom, prime_power_parts, q_pow
-from .gfspaces import Subspace, grassmannian, inner_subspaces
+from .gfspaces import Subspace, _inner_indices, grassmannian
 from .linalg import ExactMatrix, mat_mul, rank_exact
 
 _DENSE_GUARD = 2000
@@ -96,11 +96,7 @@ class SchemeInstance:
         n, k, q = self.n, self.k, self.q
         if k == 0:  # the zero subspace alone, which has no points
             return [[0]]
-        point_index = {p.basis: j for j, p in enumerate(grassmannian(n, 1, q))}
-        masks = [
-            sum(1 << point_index[basis] for basis, _ in inner_subspaces(s, 1))
-            for s in self.subspaces
-        ]
+        masks = [sum(1 << p for p in points) for points in _inner_indices(n, k, 1, q)]
         relation_of = {(q**i - 1) // (q - 1): k - i for i in range(k + 1)}
         return [[relation_of[(mx & my).bit_count()] for my in masks] for mx in masks]
 

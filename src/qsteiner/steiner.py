@@ -24,6 +24,7 @@ from .gfspaces import (
     Subspace,
     _coverage_key,
     _coverage_keys,
+    _inner_indices,
     grassmannian,
     inner_subspaces,
     intersection_dim,
@@ -36,6 +37,8 @@ from .linalg import ExactMatrix, rank_exact
 
 _UNIVERSE_GUARD = 200
 _BLOCK_GUARD = 2000
+# PG(3,3), all 8424 spreads, takes about 48,000 nodes
+_ENUMERATION_NODE_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -88,18 +91,15 @@ def lambda_i(params: ParamSet, i: int, lam: int = 1) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class _DesignContext:
-    """Canonical k- and t-subspace enumerations plus per-block cover sets."""
+    """Canonical k- and t-subspace enumerations plus, for each block, the
+    indices of the t-subspaces it covers."""
 
     def __init__(self, params: ParamSet):
         t, k, n, q = params.t, params.k, params.n, params.q
         self.params = params
         self.t_subspaces = grassmannian(n, t, q)
         self.k_subspaces = grassmannian(n, k, q)
-        self.t_index = {s.basis: i for i, s in enumerate(self.t_subspaces)}
-        self.cover = [
-            frozenset(self.t_index[basis] for basis, _ in inner_subspaces(block, t))
-            for block in self.k_subspaces
-        ]
+        self.cover = _inner_indices(n, k, t, q)
 
 
 @cache
@@ -204,96 +204,73 @@ def verify_design_ids(design: Design) -> VerificationResult:
 # ---------------------------------------------------------------------------
 
 class _ExactCover:
-    """Backtracking exact cover with most-constrained-column selection.
+    """Exact cover by depth-first search on bit masks.
 
-    col_live counts active candidate rows per column, updated symmetrically
-    on cover/uncover, which keeps the search state cheap to maintain and
-    fully reversible via the trail returned by _cover.
+    A search node is the pair (free rows, open columns), each an int: row r
+    is free when it shares no column with a chosen row, and choosing it
+    leaves (free & ~clash[r], open & ~row_cols[r]).  Nothing is mutated, so
+    nothing is undone, and one instance serves any number of searches.
     """
 
-    def __init__(self, n_cols: int, rows: list[frozenset[int]]):
-        self.rows = rows
-        self.col_rows: list[list[int]] = [[] for _ in range(n_cols)]
-        for rid, s in enumerate(rows):
-            for c in s:
-                self.col_rows[c].append(rid)
-        self.row_active = [True] * len(rows)
-        self.col_covered = [False] * n_cols
-        self.col_live = [len(r) for r in self.col_rows]
-        self.uncovered = n_cols
-
-    def _deactivate(self, rid: int) -> None:
-        self.row_active[rid] = False
-        for c in self.rows[rid]:
-            self.col_live[c] -= 1
-
-    def _activate(self, rid: int) -> None:
-        self.row_active[rid] = True
-        for c in self.rows[rid]:
-            self.col_live[c] += 1
-
-    def _cover(self, rid: int) -> list[int]:
-        killed = []
-        for c in self.rows[rid]:
-            self.col_covered[c] = True
-            self.uncovered -= 1
-        for c in self.rows[rid]:
-            for r2 in self.col_rows[c]:
-                if self.row_active[r2]:
-                    self._deactivate(r2)
-                    killed.append(r2)
-        return killed
-
-    def _uncover(self, rid: int, killed: list[int]) -> None:
-        for r2 in reversed(killed):
-            self._activate(r2)
-        for c in self.rows[rid]:
-            self.col_covered[c] = False
-            self.uncovered += 1
-
-    def _choose_column(self) -> int:
-        best = -1
-        best_live = None
-        for c in range(len(self.col_rows)):
-            if not self.col_covered[c]:
-                live = self.col_live[c]
-                if best_live is None or live < best_live:
-                    best, best_live = c, live
-                    if live == 0:
-                        break
-        return best
+    def __init__(self, n_cols: int, rows: Sequence[Sequence[int]]):
+        self.n_rows = len(rows)
+        self.n_cols = n_cols
+        self.row_cols = [sum(1 << c for c in cols) for cols in rows]
+        self.col_rows = [0] * n_cols
+        for r, cols in enumerate(rows):
+            for c in cols:
+                self.col_rows[c] |= 1 << r
+        self.clash = [0] * self.n_rows
+        for r, cols in enumerate(rows):
+            for c in cols:
+                self.clash[r] |= self.col_rows[c]
 
     def search(self, rng: random.Random | None = None, limit: int | None = None,
-               node_budget: int | None = None) -> list[tuple[int, ...]]:
+               node_budget: int | None = None) -> list[tuple[int, ...]] | None:
+        """Every exact cover (sorted row tuples) in search order, or the
+        first ``limit`` of them; None when more than ``node_budget`` rows
+        were tried first.  The branch column is the lowest-index open
+        column with the fewest free rows, its free rows are tried in
+        ascending order (shuffled by ``rng`` if given), and each tried row
+        counts one node."""
+        col_rows, row_cols, clash = self.col_rows, self.row_cols, self.clash
         solutions: list[tuple[int, ...]] = []
-        chosen: list[int] = []
         nodes = 0
 
-        def dfs() -> bool:
+        def dfs(free: int, open_cols: int, chosen: tuple[int, ...]) -> bool:
             nonlocal nodes
-            if self.uncovered == 0:
+            if not open_cols:
                 solutions.append(tuple(sorted(chosen)))
                 return limit is not None and len(solutions) >= limit
-            col = self._choose_column()
-            if self.col_live[col] == 0:
-                return False
-            cands = [r for r in self.col_rows[col] if self.row_active[r]]
+            best_rows, best_count = 0, None
+            cols = open_cols
+            while cols:
+                low = cols & -cols
+                cols ^= low
+                live = col_rows[low.bit_length() - 1] & free
+                count = live.bit_count()
+                if best_count is None or count < best_count:
+                    best_rows, best_count = live, count
+                    if count == 0:
+                        return False
+            cands = []
+            while best_rows:
+                low = best_rows & -best_rows
+                best_rows ^= low
+                cands.append(low.bit_length() - 1)
             if rng is not None:
                 rng.shuffle(cands)
-            for rid in cands:
+            for r in cands:
                 nodes += 1
                 if node_budget is not None and nodes > node_budget:
                     return True
-                killed = self._cover(rid)
-                chosen.append(rid)
-                done = dfs()
-                chosen.pop()
-                self._uncover(rid, killed)
-                if done:
+                if dfs(free & ~clash[r], open_cols & ~row_cols[r], chosen + (r,)):
                     return True
             return False
 
-        dfs()
+        dfs((1 << self.n_rows) - 1, (1 << self.n_cols) - 1, ())
+        if node_budget is not None and nodes > node_budget:
+            return None
         return solutions
 
 
@@ -302,16 +279,24 @@ def enumerate_steiner(params: ParamSet) -> list[Design]:
 
     Output is sorted lexicographically on the sorted block-index tuples, so
     repeated runs are identical.  Inadmissible parameter sets come back
-    empty without searching (no exact cover can exist).
+    empty without searching (no exact cover can exist).  A search that
+    tries more than _ENUMERATION_NODE_BUDGET blocks raises ValueError
+    rather than run on for hours.
     """
     if params.n < 2 * params.k:
         raise ValueError("nontrivial enumeration needs n >= 2k")
     ctx = design_context(params)
     if not params.admissible:
         return []
-    cover = _ExactCover(len(ctx.t_subspaces), ctx.cover)
-    solutions = sorted(cover.search())
-    return [Design(params, s) for s in solutions]
+    solutions = _ExactCover(len(ctx.t_subspaces), ctx.cover).search(
+        node_budget=_ENUMERATION_NODE_BUDGET
+    )
+    if solutions is None:
+        raise ValueError(
+            f"enumeration gave up after {_ENUMERATION_NODE_BUDGET} exact-cover "
+            "nodes; use dimension --sample instead"
+        )
+    return [Design(params, s) for s in sorted(solutions)]
 
 
 @dataclass
@@ -340,11 +325,10 @@ def sample_steiner(params: ParamSet, seed: int, count: int) -> SampleResult:
         return SampleResult([], params.admissible, 0)
     budget = 200 + 50 * count
     attempts = 0
-    # search() undoes every cover before it returns, so one instance serves
-    # every attempt
     cover = _ExactCover(len(ctx.t_subspaces), ctx.cover)
     while len(found) < count and attempts < budget:
         attempts += 1
+        # None (node budget spent) is a failed attempt, like no solution
         sols = cover.search(rng=rng, limit=1, node_budget=20000)
         if sols and sols[0] not in seen:
             seen.add(sols[0])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,25 @@ def test_json_only_commands_take_no_format(command, capsys):
         main(command + ["--format", "json"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, n, q", [
+    ("enumerate", 6, 2), ("dimension", 6, 2), ("enumerate", 4, 4),
+])
+def test_enumeration_over_its_node_budget_exits_two(command, n, q, capsys):
+    """(1,2,6,2) and (1,2,4,4) pass the size guards but have far too many
+    designs to enumerate; the search refuses at its node budget instead of
+    running on without output."""
+    start = time.perf_counter()
+    code = main([command, "--t", "1", "--k", "2", "--n", str(n), "--q", str(q)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: enumeration gave up after ")
+    assert "--sample" in captured.err
+    assert elapsed < 10
 
 
 def test_enumerate_and_verify_round_trip(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -218,22 +219,46 @@ def test_sampling_prefix_property_and_empty():
 
 def test_exact_cover_search_restores_its_state():
     """sample_steiner reuses one _ExactCover for every attempt, which is
-    sound only if search() leaves it as it found it after every kind of stop."""
+    sound only if no kind of stop leaves anything behind: after a limit
+    stop, a node-budget stop and exhaustion, the reused instance answers
+    exactly as a fresh one does."""
     ctx = design_context(PG33)
-    cover = _ExactCover(len(ctx.t_subspaces), ctx.cover)
+    calls = [
+        lambda c: c.search(rng=random.Random(1), limit=1),  # limit stop
+        lambda c: c.search(rng=random.Random(1), node_budget=3),  # budget stop
+        lambda c: c.search(),  # exhaustion
+        lambda c: c.search(rng=random.Random(5), limit=3),
+    ]
+    reused = _ExactCover(len(ctx.t_subspaces), ctx.cover)
+    got = [call(reused) for call in calls]
+    assert len(got[0]) == 1 and got[1] is None and len(got[2]) == 8424
+    assert got == [call(_ExactCover(len(ctx.t_subspaces), ctx.cover)) for call in calls]
 
-    def state():
-        return (list(cover.row_active), list(cover.col_live),
-                list(cover.col_covered), cover.uncovered)
 
-    initial = state()
-    rng = random.Random(1)
-    assert len(cover.search(rng=rng, limit=1)) == 1  # limit stop
-    assert state() == initial
-    assert cover.search(rng=rng, node_budget=3) == []  # node-budget cut-off
-    assert state() == initial
-    assert len(cover.search()) == 8424  # search exhausted
-    assert state() == initial
+def test_exact_cover_edge_cases():
+    assert _ExactCover(0, []).search() == [()]  # nothing to cover: one empty cover
+    assert _ExactCover(2, [(0,)]).search() == []  # column 1 has no rows
+    two = _ExactCover(2, [(0,), (1,)])
+    assert two.search(node_budget=1) is None  # each tried row is one node
+    assert two.search(node_budget=2) == [(0, 1)]
+
+
+@pytest.mark.parametrize("params, seed, count, attempts, digest", [
+    (PG33, 1, 3000, 3867,
+     "8e684cfb8a0a4307d4e45b7df4996c447a635555db5235f204f2baeebc5bff34"),
+    (PG33, 7, 300, 307,
+     "6a9ba07bc0cea3f31e4a5ebc87c9d72e196d6638113cd85e9ca455ce1fa3f2ce"),
+    (ParamSet(t=1, k=2, n=6, q=2), 1, 300, 300,
+     "4d53982d3d12350d008c5440afba675040f94e6d9f1382863154c2dd5929208a"),
+])
+def test_sampled_designs_are_pinned(params, seed, count, attempts, digest):
+    """The exact-cover traversal (branch column, candidate order, shuffles,
+    node budget) fixes which designs a seed draws; these are the pinned
+    draws, as sha256 of the repr of the list of block tuples."""
+    res = sample_steiner(params, seed, count)
+    blocks = repr([d.blocks for d in res.designs]).encode()
+    assert res.complete and res.attempts == attempts
+    assert hashlib.sha256(blocks).hexdigest() == digest
 
 
 def test_incidence_matrix_shapes_and_sums():
