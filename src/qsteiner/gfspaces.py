@@ -351,25 +351,61 @@ def _free_positions(pivots: tuple[int, ...], n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _subspace_for(pivots: tuple[int, ...], digits, n: int, q: int,
-                  free: list[tuple[int, int]]) -> Subspace:
+def _basis_for(pivots: tuple[int, ...], digits, n: int,
+               free: list[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
     rows = [[0] * n for _ in pivots]
     for i, p in enumerate(pivots):
         rows[i][p] = 1
     for (i, j), d in zip(free, digits):
         rows[i][j] = d
-    return Subspace(n, q, tuple(tuple(r) for r in rows), pivots)
+    return tuple(tuple(r) for r in rows)
 
 
 def iter_subspaces(n: int, k: int, q: int):
     """Lazily yield the k-dim subspaces of F_q^n in canonical order."""
+    for pivots, basis in _canonical_bases(n, k, q):
+        yield Subspace(n, q, basis, pivots)
+
+
+def _canonical_bases(n: int, k: int, q: int):
+    """(pivots, RREF basis) of each k-subspace of F_q^n in canonical order."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     field(q)  # validates q
     for pivots in _pivot_sets_colex(n, k):
         free = _free_positions(pivots, n)
         for digits in itertools.product(range(q), repeat=len(free)):
-            yield _subspace_for(pivots, digits, n, q, free)
+            yield pivots, _basis_for(pivots, digits, n, free)
+
+
+def _canonical_keys(n: int, k: int, q: int):
+    """(pivots, coverage key) of each k-subspace of F_q^n in canonical
+    order, the key being what ``_coverage_key`` gives; no Subspace is built.
+
+    Over F_2 the key's packed rows are read straight off (pivots, digits):
+    row i of the RREF is bits i*n .. i*n+n-1 of one word, the sum of the
+    pivot bits and of one bit per free slot whose digit is 1, and
+    ``itertools.product`` over the slots' (0, bit) choices walks the digits
+    in canonical order.  Other fields key by the RREF basis.
+    """
+    if q != 2:
+        yield from _canonical_bases(n, k, q)
+        return
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    mask = (1 << n) - 1
+    shifts = [i * n for i in range(k)]
+    for pivots in _pivot_sets_colex(n, k):
+        base = sum(1 << (i * n + p) for i, p in enumerate(pivots))
+        choices = [(0, 1 << (i * n + j)) for i, j in _free_positions(pivots, n)]
+        for word in map(sum, itertools.product((base,), *choices)):
+            yield pivots, tuple([word >> s & mask for s in shifts])
+
+
+def _key_subspace(pivots: tuple[int, ...], key: tuple, n: int, q: int) -> Subspace:
+    """The Subspace that ``_canonical_keys`` yields (pivots, key) for."""
+    basis = tuple(_unpack(word, n) for word in key) if q == 2 else key
+    return Subspace(n, q, basis, pivots)
 
 
 @cache

@@ -3,7 +3,14 @@
 Each ``check_*`` function evaluates the two sides of one identity literally,
 term by term, sharing no intermediate values between sides, and returns an
 IdentityReport carrying both exact rationals.  A report is never "close":
-``equal`` is exact Fraction equality.
+``equal`` is exact Fraction equality, and a side that is not an int or a
+Fraction (a float, a bool) raises TypeError.
+
+The sums are accumulated in integers: ``_term`` writes each term as an
+unreduced (numerator, denominator) pair of Python ints, read off the cached
+``gauss_binom`` Fractions and powers of q, and ``_pair_sum`` adds the pairs
+without reducing them, so each side is normalised by one gcd, when its
+single Fraction is built at the end.
 
 Parameter tuples that violate an identity's validity range (a vanishing
 denominator binomial, a non-terminating series) raise PreconditionError;
@@ -38,12 +45,32 @@ class VanishingDenominator(PreconditionError):
     pass
 
 
+def _require_exact(**values) -> None:
+    """Raise TypeError unless every value is exactly an int or a Fraction.
+
+    float, bool (an int subclass) and every other type are refused, so no
+    inexact value reaches an identity or a comparison.
+    """
+    for name, v in values.items():
+        if type(v) not in (int, Fraction):
+            raise TypeError(f"{name} must be an int or a Fraction, got {type(v).__name__}")
+
+
 @dataclass(frozen=True)
 class IdentityReport:
+    """Both sides of one identity as exact rationals; an int side is stored
+    as the equal Fraction, and any other type raises TypeError."""
+
     identity_name: str
     parameters: dict[str, int | str]
     lhs: Fraction
     rhs: Fraction
+
+    def __post_init__(self) -> None:
+        _require_exact(lhs=self.lhs, rhs=self.rhs)
+        for side in ("lhs", "rhs"):
+            if type(getattr(self, side)) is int:
+                object.__setattr__(self, side, Fraction(getattr(self, side)))
 
     @property
     def equal(self) -> bool:
@@ -59,13 +86,51 @@ class SkipRecord:
 
 def _report(name: str, params: Mapping[str, int | str], lhs: Fraction,
             rhs: Fraction) -> IdentityReport:
-    return IdentityReport(name, dict(params), Fraction(lhs), Fraction(rhs))
+    return IdentityReport(name, dict(params), lhs, rhs)
+
+
+def _term(sign: int, e: int, q: int, nums=(), dens=()) -> tuple[int, int]:
+    """sign * q^e * prod(nums) / prod(dens) as an unreduced (numerator,
+    denominator) pair of ints.
+
+    nums and dens hold ints or Fractions (the cached ``gauss_binom``
+    values), read through ``.numerator`` and ``.denominator``; e may be
+    negative.  Nothing is reduced, so no gcd is taken.
+    """
+    num, den = (sign * q**e, 1) if e >= 0 else (sign, q**-e)
+    for x in nums:
+        num *= x.numerator
+        den *= x.denominator
+    for x in dens:
+        num *= x.denominator
+        den *= x.numerator
+    return num, den
+
+
+def _pair_sum(terms) -> Fraction:
+    """The sum of (numerator, denominator) pairs as one normalised Fraction.
+
+    Pairs are added unreduced: numerators add when the denominators agree,
+    and cross-multiply otherwise; the one gcd is taken at the end.
+    """
+    num, den = 0, 1
+    for a, b in terms:
+        if b == den:
+            num += a
+        else:
+            num, den = num * b + a * den, den * b
+    return Fraction(num, den)
+
+
+def _one_minus_q_pow(e: int, q: int) -> tuple[int, int]:
+    """1 - q^e as an unreduced (numerator, denominator) pair."""
+    return (1 - q**e, 1) if e >= 0 else (q**-e - 1, q**-e)
 
 
 def _qbin_den(n: int, k: int, q: int) -> Fraction:
     """Gaussian binomial destined for a denominator; raises if it vanishes."""
     v = gauss_binom(n, k, q)
-    if v == 0:
+    if not v:
         raise VanishingDenominator(f"[{n} {k}]_{q} = 0 in a denominator")
     return v
 
@@ -93,20 +158,20 @@ def eval_3phi2(upper: tuple[int, int, int], lower: tuple[int, int], z: int,
             raise VanishingDenominator(
                 f"lower parameter q^{e} vanishes before term {m}"
             )
-    total = Fraction(0)
-    term = Fraction(1)
-    for ell in range(m + 1):
-        total += term
-        if ell == m:
-            break
-        ratio = q_pow(z, q)
+    # term ell+1 is term ell times q^z prod_upper (1 - q^(e+ell)) over
+    # prod_lower (1 - q^(e+ell)) and (1 - q^(ell+1))
+    num, den = 1, 1
+    terms = [(num, den)]
+    for ell in range(m):
+        num, den = _term(1, z, q, (num,), (den,))
         for e in upper:
-            ratio *= 1 - q_pow(e + ell, q)
-        for e in lower:
-            ratio /= 1 - q_pow(e + ell, q)
-        ratio /= 1 - q_pow(ell + 1, q)
-        term *= ratio
-    return total
+            a, b = _one_minus_q_pow(e + ell, q)
+            num, den = num * a, den * b
+        for e in (*lower, 1):
+            a, b = _one_minus_q_pow(e + ell, q)
+            num, den = num * b, den * a
+        terms.append((num, den))
+    return _pair_sum(terms)
 
 
 def check_3phi2_transformation(n: int, a: int, b: int, c: int, d: int,
@@ -211,11 +276,13 @@ def check_q_binomial_theorem(n: int, x: Fraction, y: Fraction,
     """sum_k [n k] q^C(k,2) x^k y^(n-k) against prod_i (x q^i + y)."""
     if n < 0:
         raise PreconditionError("n must be nonnegative")
+    _require_exact(x=x, y=y)
     x = Fraction(x)
     y = Fraction(y)
-    lhs = Fraction(0)
-    for k in range(n + 1):
-        lhs += gauss_binom(n, k, q) * q ** choose2(k) * x**k * y ** (n - k)
+    lhs = _pair_sum(
+        _term(1, choose2(k), q, (gauss_binom(n, k, q), x**k, y ** (n - k)))
+        for k in range(n + 1)
+    )
     rhs = Fraction(1)
     for i in range(n):
         rhs *= x * q**i + y
@@ -243,17 +310,16 @@ def check_product_expansion(x: int, y: int, h: int, p: int,
         raise PreconditionError("need 0 <= h <= p")
     params = {"x": x, "y": y, "h": h, "p": p, "q": q}
     lhs = gauss_binom(x, h, q) * gauss_binom(y - x, p - h, q)
-    rhs1 = Fraction(0)
-    rhs2 = Fraction(0)
-    for v in range(h, p + 1):
-        core = (
-            (-1) ** (v - h)
-            * gauss_binom(v, h, q)
-            * gauss_binom(y - v, p - v, q)
-            * gauss_binom(x, v, q)
-        )
-        rhs1 += core * q_pow(-(p - h) * (x - h) + choose2(v - h), q)
-        rhs2 += core * q_pow((v - h) * (y - x - p + h) + choose2(v - h + 1), q)
+    rhs1 = _pair_sum(
+        _term((-1) ** (v - h), -(p - h) * (x - h) + choose2(v - h), q,
+              (gauss_binom(v, h, q), gauss_binom(y - v, p - v, q), gauss_binom(x, v, q)))
+        for v in range(h, p + 1)
+    )
+    rhs2 = _pair_sum(
+        _term((-1) ** (v - h), (v - h) * (y - x - p + h) + choose2(v - h + 1), q,
+              (gauss_binom(v, h, q), gauss_binom(y - v, p - v, q), gauss_binom(x, v, q)))
+        for v in range(h, p + 1)
+    )
     return [
         _report("product_expansion_descending", params, lhs, rhs1),
         _report("product_expansion_ascending", params, lhs, rhs2),
@@ -264,9 +330,8 @@ def check_alternating_column_sum(x: int, a: int, q: int) -> IdentityReport:
     """sum_v (-1)^v [x v] q^C(v,2) for v <= a against q^(xa) [a-x a]."""
     if a < 0:
         raise PreconditionError("a must be nonnegative")
-    lhs = Fraction(0)
-    for v in range(a + 1):
-        lhs += (-1) ** v * gauss_binom(x, v, q) * q ** choose2(v)
+    lhs = _pair_sum(_term((-1) ** v, choose2(v), q, (gauss_binom(x, v, q),))
+                    for v in range(a + 1))
     rhs = q_pow(x * a, q) * gauss_binom(a - x, a, q)
     return _report("alternating_column_sum", {"x": x, "a": a, "q": q}, lhs, rhs)
 
@@ -283,25 +348,22 @@ def check_shifted_sum_transform(n: int, r: int, k: int, u: int, i: int,
     if u < 0:
         raise PreconditionError("u must be nonnegative")
     params = {"n": n, "r": r, "k": k, "u": u, "i": i, "q": q}
-    lhs = Fraction(0)
-    for s in range(u + 1):
-        lhs += (
-            (-1) ** s
-            * q ** choose2(u - s)
-            * gauss_binom(n - r + 1, u - s, q)
-            * gauss_binom(k - i + s, s, q) ** 2
-            / _qbin_den(r - i + s, s, q)
-        )
-    rhs = Fraction(0)
-    for s in range(u + 1):
-        rhs += (
-            (-1) ** s
-            * q_pow(choose2(u - s) + s * (2 * r - 2 * k + s - 1), q)
-            * gauss_binom(n - 2 * k + i, u - s, q)
-            * gauss_binom(k - r, s, q) ** 2
-            / _qbin_den(r - i + s, s, q)
-        )
-    rhs *= q_pow(u * (2 * k - i - r + 1), q)
+    lhs = _pair_sum(
+        _term((-1) ** s, choose2(u - s), q,
+              (gauss_binom(n - r + 1, u - s, q), gauss_binom(k - i + s, s, q),
+               gauss_binom(k - i + s, s, q)),
+              (_qbin_den(r - i + s, s, q),))
+        for s in range(u + 1)
+    )
+    # the outer q^(u(2k-i-r+1)) is folded into every term's exponent
+    rhs = _pair_sum(
+        _term((-1) ** s,
+              choose2(u - s) + s * (2 * r - 2 * k + s - 1) + u * (2 * k - i - r + 1), q,
+              (gauss_binom(n - 2 * k + i, u - s, q), gauss_binom(k - r, s, q),
+               gauss_binom(k - r, s, q)),
+              (_qbin_den(r - i + s, s, q),))
+        for s in range(u + 1)
+    )
     return _report("shifted_sum_transform", params, lhs, rhs)
 
 
@@ -313,26 +375,22 @@ def check_shifted_sum_transform_diagonal(n: int, r: int, k: int, i: int,
     if i < 0:
         raise PreconditionError("i must be nonnegative")
     params = {"n": n, "r": r, "k": k, "i": i, "q": q}
-    lhs = Fraction(0)
-    for s in range(i + 1):
-        lhs += (
-            (-1) ** s
-            * q ** choose2(i - s)
-            * gauss_binom(r, i - s, q)
-            * gauss_binom(k - i + s, s, q) ** 2
-            / _qbin_den(n - r - i + s + 1, s, q)
-        )
-    lhs *= gauss_binom(n - r + 1, i, q)
-    rhs = Fraction(0)
-    for s in range(i + 1):
-        rhs += (
-            (-1) ** s
-            * q_pow(choose2(i - s) + s * (2 * r - 2 * k + s - 1), q)
-            * gauss_binom(r, i - s, q)
-            * gauss_binom(k - r, s, q) ** 2
-            / _qbin_den(n - 2 * k + s, s, q)
-        )
-    rhs *= q_pow(i * (2 * k - r - i + 1), q) * gauss_binom(n - 2 * k + i, i, q)
+    # the outer factors are folded into every term
+    lhs = _pair_sum(
+        _term((-1) ** s, choose2(i - s), q,
+              (gauss_binom(r, i - s, q), gauss_binom(k - i + s, s, q),
+               gauss_binom(k - i + s, s, q), gauss_binom(n - r + 1, i, q)),
+              (_qbin_den(n - r - i + s + 1, s, q),))
+        for s in range(i + 1)
+    )
+    rhs = _pair_sum(
+        _term((-1) ** s,
+              choose2(i - s) + s * (2 * r - 2 * k + s - 1) + i * (2 * k - r - i + 1), q,
+              (gauss_binom(r, i - s, q), gauss_binom(k - r, s, q),
+               gauss_binom(k - r, s, q), gauss_binom(n - 2 * k + i, i, q)),
+              (_qbin_den(n - 2 * k + s, s, q),))
+        for s in range(i + 1)
+    )
     return _report("shifted_sum_transform_diagonal", params, lhs, rhs)
 
 
@@ -344,50 +402,40 @@ def check_double_sum_reduction(n: int, r: int, k: int, t: int,
     if r > n + 1:
         raise PreconditionError("need r <= n + 1")
     params = {"n": n, "r": r, "k": k, "t": t, "q": q}
-    lhs = Fraction(0)
-    for i in range(t + 1):
-        den_i = _qbin_den(k, i, q)
-        for s in range(i + 1):
-            lhs += (
-                (-1) ** s
-                * q_pow(
-                    i * (2 * k - t - r + 1)
-                    + choose2(s)
-                    + s * (2 * r - 2 * k + s - i),
-                    q,
-                )
-                * gauss_binom(n - 2 * k + i, i, q)
-                * gauss_binom(k - i, t - i, q)
-                * gauss_binom(r, i - s, q)
-                * gauss_binom(k - r, s, q) ** 2
-                / (den_i * _qbin_den(n - 2 * k + s, s, q))
-            )
-    rhs = gauss_binom(r, t, q) * gauss_binom(n - r + 1, t, q) / _qbin_den(k, t, q)
+    lhs = _pair_sum(
+        _term((-1) ** s,
+              i * (2 * k - t - r + 1) + choose2(s) + s * (2 * r - 2 * k + s - i), q,
+              (gauss_binom(n - 2 * k + i, i, q), gauss_binom(k - i, t - i, q),
+               gauss_binom(r, i - s, q), gauss_binom(k - r, s, q), gauss_binom(k - r, s, q)),
+              (_qbin_den(k, i, q), _qbin_den(n - 2 * k + s, s, q)))
+        for i in range(t + 1)
+        for s in range(i + 1)
+    )
+    rhs = Fraction(*_term(1, 0, q, (gauss_binom(r, t, q), gauss_binom(n - r + 1, t, q)),
+                          (_qbin_den(k, t, q),)))
     return _report("double_sum_reduction", params, lhs, rhs)
 
 
-def _triple_summand(n: int, k: int, r: int, t: int, i: int, j: int, s: int,
-                    q: int, with_ratio: bool) -> Fraction:
-    """One term of the triple alternating sum; with_ratio adds the
+def _triple_terms(n: int, k: int, r: int, t: int, q: int, e0: int,
+                  with_ratio: bool):
+    """The terms of the triple alternating sum over i, j, s as unreduced
+    pairs, each times q^e0; with_ratio adds the
     [n-i-j t-i-j]/[k-i-j t-i-j] factor."""
-    val = (
-        (-1) ** (i + j + s)
-        * q_pow(
-            -((k - i) ** 2)
-            + choose2(j)
-            + choose2(s + r - i)
-            + (k - s - r) * (k - s),
-            q,
-        )
-        * gauss_binom(n - 2 * k + i, i, q)
-        * gauss_binom(k - i, j, q)
-        * gauss_binom(r, i - s, q)
-        * gauss_binom(k - r, s, q) ** 2
-        / (_qbin_den(k, i, q) * _qbin_den(n - 2 * k + s, s, q))
-    )
-    if with_ratio:
-        val *= gauss_binom(n - i - j, t - i - j, q) / _qbin_den(k - i - j, t - i - j, q)
-    return val
+    for i in range(t + 1):
+        for j in range(t - i + 1):
+            for s in range(i + 1):
+                nums = (gauss_binom(n - 2 * k + i, i, q), gauss_binom(k - i, j, q),
+                        gauss_binom(r, i - s, q), gauss_binom(k - r, s, q),
+                        gauss_binom(k - r, s, q))
+                dens = (_qbin_den(k, i, q), _qbin_den(n - 2 * k + s, s, q))
+                if with_ratio:
+                    nums += (gauss_binom(n - i - j, t - i - j, q),)
+                    dens += (_qbin_den(k - i - j, t - i - j, q),)
+                yield _term(
+                    (-1) ** (i + j + s),
+                    e0 - (k - i) ** 2 + choose2(j) + choose2(s + r - i) + (k - s - r) * (k - s),
+                    q, nums, dens,
+                )
 
 
 def check_triple_sum_closed_form(n: int, k: int, r: int, t: int,
@@ -398,19 +446,27 @@ def check_triple_sum_closed_form(n: int, k: int, r: int, t: int,
     if r > n + 1:
         raise PreconditionError("need r <= n + 1")
     params = {"n": n, "k": k, "r": r, "t": t, "q": q}
-    lhs = Fraction(0)
-    for i in range(t + 1):
-        for j in range(t - i + 1):
-            for s in range(i + 1):
-                lhs += _triple_summand(n, k, r, t, i, j, s, q, with_ratio=True)
-    rhs = (
-        (-1) ** t
-        * q_pow(choose2(r) - k * r + choose2(t + 1), q)
-        * gauss_binom(r - 1, t, q)
-        * gauss_binom(n - r, t, q)
-        / _qbin_den(k, t, q)
-    )
+    lhs = _pair_sum(_triple_terms(n, k, r, t, q, 0, with_ratio=True))
+    rhs = Fraction(*_term((-1) ** t, choose2(r) - k * r + choose2(t + 1), q,
+                          (gauss_binom(r - 1, t, q), gauss_binom(n - r, t, q)),
+                          (_qbin_den(k, t, q),)))
     return _report("triple_sum_closed_form", params, lhs, rhs)
+
+
+def _weighted_terms(n: int, k: int, r: int, t: int, q: int):
+    """The terms (-1)^a c_a [r-1 a][n-r a]/[k a] as unreduced pairs, with
+    c_t = q^C(t+1,2) and c_a = q^(C(a+1,2)+n-a) [k-n]/[k-a] for a < t."""
+    for a in range(t + 1):
+        if a == t:
+            e, nums, dens = choose2(t + 1), (), ()
+        else:
+            den = q_int(k - a, q)
+            if den == 0:
+                raise VanishingDenominator(f"[{k - a}]_{q} = 0 in c_{a}")
+            e, nums, dens = choose2(a + 1) + n - a, (q_int(k - n, q),), (den,)
+        yield _term((-1) ** a, e, q,
+                    nums + (gauss_binom(r - 1, a, q), gauss_binom(n - r, a, q)),
+                    dens + (_qbin_den(k, a, q),))
 
 
 def check_triple_sum_weighted_form(n: int, k: int, r: int, t: int,
@@ -421,42 +477,19 @@ def check_triple_sum_weighted_form(n: int, k: int, r: int, t: int,
     if r > n + 1:
         raise PreconditionError("need r <= n + 1")
     params = {"n": n, "k": k, "r": r, "t": t, "q": q}
-    lhs = Fraction(0)
-    for a in range(t + 1):
-        if a == t:
-            c_a = q_pow(choose2(t + 1), q)
-        else:
-            den = q_int(k - a, q)
-            if den == 0:
-                raise VanishingDenominator(f"[{k - a}]_{q} = 0 in c_{a}")
-            c_a = q_pow(choose2(a + 1) + n - a, q) * q_int(k - n, q) / den
-        lhs += (
-            (-1) ** a
-            * c_a
-            * gauss_binom(r - 1, a, q)
-            * gauss_binom(n - r, a, q)
-            / _qbin_den(k, a, q)
-        )
-    rhs = Fraction(0)
-    for i in range(t + 1):
-        for j in range(t - i + 1):
-            for s in range(i + 1):
-                rhs += _triple_summand(n, k, r, t, i, j, s, q, with_ratio=False)
-    rhs *= q_pow(-choose2(r) + k * r, q)
+    lhs = _pair_sum(_weighted_terms(n, k, r, t, q))
+    # the outer q^(kr - C(r,2)) is folded into every term's exponent
+    rhs = _pair_sum(_triple_terms(n, k, r, t, q, k * r - choose2(r), with_ratio=False))
     return _report("triple_sum_weighted_form", params, lhs, rhs)
 
 
 def kernel_sum(n: int, k: int, t: int, r: int, q: int) -> Fraction:
     """The alternating sum whose vanishing kills the small Gram eigenvalues."""
-    total = Fraction(0)
-    for i in range(t):
-        total += (
-            (-1) ** i
-            * q ** choose2(i)
-            * gauss_binom(k - i - 1, r - i - 1, q)
-            * gauss_binom(n - r, i, q)
-        )
-    return total
+    return _pair_sum(
+        _term((-1) ** i, choose2(i), q,
+              (gauss_binom(k - i - 1, r - i - 1, q), gauss_binom(n - r, i, q)))
+        for i in range(t)
+    )
 
 
 def check_eigenvalue_kernel_sum(n: int, k: int, t: int, r: int,

@@ -22,13 +22,13 @@ from typing import Sequence
 from .exactq import choose2, gauss_binom, is_prime_power, q_int, q_pow
 from .gfspaces import (
     Subspace,
-    _coverage_key,
+    _canonical_keys,
     _coverage_keys,
     _inner_indices,
+    _key_subspace,
     grassmannian,
     inner_subspaces,
     intersection_dim,
-    iter_subspaces,
     subspace_from_rows,
 )
 from .grassmann import RankCheck, SchemeInstance, eigenspace_multiplicity, rank_checks
@@ -146,13 +146,14 @@ class VerificationResult:
         return self.ok
 
 
-def _first_miss(coverage, lam: int) -> VerificationResult:
+def _first_miss(coverage, lam: int, witness=lambda s: s) -> VerificationResult:
     """The witness rule of both verifiers: the first (t-subspace, coverage)
-    pair, in canonical order, whose coverage is not lam."""
+    pair, in canonical order, whose coverage is not lam.  ``witness`` turns
+    that pair's first member into the witness Subspace."""
     for s, c in coverage:
         if c != lam:
             return VerificationResult(
-                False, witness=s, coverage=c,
+                False, witness=witness(s), coverage=c,
                 message=f"t-subspace covered {c} times, expected {lam}",
             )
     return VerificationResult(True)
@@ -184,8 +185,10 @@ def verify_design(blocks: Sequence[Subspace], params: ParamSet,
     total_t = gauss_binom(n, t, q)
     if all(c == lam for c in coverage.values()) and Fraction(len(coverage)) == total_t:
         return VerificationResult(True)
+    # the walk reads only coverage keys; the witness alone becomes a Subspace
     return _first_miss(
-        ((s, coverage.get(_coverage_key(s), 0)) for s in iter_subspaces(n, t, q)), lam
+        ((s, coverage.get(s[1], 0)) for s in _canonical_keys(n, t, q)), lam,
+        witness=lambda s: _key_subspace(*s, n, q),
     )
 
 

@@ -5,8 +5,10 @@ import pytest
 from qsteiner.exactq import gauss_binom, q_int
 from qsteiner.gfspaces import (
     FieldSpec,
+    _canonical_keys,
     _coverage_key,
     _coverage_keys,
+    _key_subspace,
     canonical_index,
     count_fixed_intersection,
     count_fixed_intersection_bruteforce,
@@ -345,6 +347,23 @@ def test_packed_coverage_keys_match_gf_matmul():
                         assert key == _coverage_key(subspace_from_rows(product, n, 2))
                         cases += 1
     assert cases == 6363
+
+
+def test_canonical_keys_walk_iter_subspaces_without_subspaces():
+    # the key walk yields what iter_subspaces and _coverage_key give, in the
+    # same order, and _key_subspace rebuilds each Subspace from it
+    cases = 0
+    for q, max_n in ((2, 6), (3, 4), (4, 3), (9, 2)):
+        for n in range(max_n + 1):
+            for k in range(n + 1):
+                subs = list(iter_subspaces(n, k, q))
+                keys = list(_canonical_keys(n, k, q))
+                assert keys == [(s.pivots, _coverage_key(s)) for s in subs]
+                assert [_key_subspace(*key, n, q) for key in keys] == subs
+                cases += len(subs)
+    assert cases == 3290 + 249 + 54 + 15  # sums of [n k]_q over the grid
+    with pytest.raises(ValueError):
+        next(_canonical_keys(3, 4, 2))
 
 
 @pytest.mark.parametrize("rows, message", [

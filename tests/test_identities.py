@@ -7,9 +7,11 @@ from qsteiner.cli import main
 
 from qsteiner.exactq import choose2
 from qsteiner.identities import (
+    IdentityReport,
     NonTerminatingSeries,
     PreconditionError,
     VanishingDenominator,
+    _report,
     check_3phi2_transformation,
     check_alternating_column_sum,
     check_double_sum_reduction,
@@ -231,3 +233,35 @@ def test_sweep_pinned_counts_and_report_hashes(tmp_path):
         assert main(["identities", "--q", "2,3", "--max-n", "4",
                      "--format", fmt, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    # q > 3: larger bigints through every unreduced numerator/denominator sum
+    out = tmp_path / "sweep-q49.json"
+    assert main(["identities", "--q", "4,9", "--max-n", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "1dc69c2c4db325411697a51de555ca5133176c838a32c6e11797e596313b4827")
+
+
+@pytest.mark.parametrize("value", [0.5, 0.1, 1.0, True, False, "1/2", None])
+def test_reports_refuse_inexact_sides(value):
+    for lhs, rhs in ((value, Fraction(1, 2)), (Fraction(1, 2), value)):
+        with pytest.raises(TypeError):
+            _report("probe", {"q": 2}, lhs, rhs)
+        with pytest.raises(TypeError):
+            IdentityReport("probe", {"q": 2}, lhs, rhs)
+
+
+def test_reports_store_int_sides_as_fractions():
+    rep = IdentityReport("probe", {"q": 2}, 3, Fraction(3))
+    assert type(rep.lhs) is type(rep.rhs) is Fraction and rep.equal
+
+
+@pytest.mark.parametrize("x, y", [(0.5, Fraction(1)), (Fraction(1), 2.0), (True, 1)])
+def test_q_binomial_theorem_refuses_inexact_arguments(x, y):
+    with pytest.raises(TypeError):
+        check_q_binomial_theorem(2, x, y, 2)
+
+
+def test_sweep_reports_carry_fractions_only():
+    types = set()
+    run_identity_sweep(qs=(2, 3), max_n=4,
+                       on_report=lambda r: types.add((type(r.lhs), type(r.rhs))))
+    assert types == {(Fraction, Fraction)}

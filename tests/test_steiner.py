@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from qsteiner.exactq import gauss_binom
-from qsteiner.gfspaces import enumerate_subspaces, subspace_from_rows
+from qsteiner.gfspaces import (
+    _coverage_key,
+    _coverage_keys,
+    enumerate_subspaces,
+    iter_subspaces,
+    subspace_from_rows,
+)
 from qsteiner.grassmann import (
     SchemeInstance,
     _annihilator_multiplicities,
@@ -17,6 +23,7 @@ from qsteiner.linalg import ExactMatrix, mat_mul, rank_exact, transpose
 from qsteiner.steiner import (
     Design,
     _ExactCover,
+    _first_miss,
     ParamSet,
     design_context,
     design_from_dict,
@@ -186,6 +193,40 @@ def test_verify_design_multi_row_keys_match_containment(n, q):
         if not ok:
             assert result.message == f"t-subspace covered {coverage} times, expected {lam_case}"
     assert verify_design(doubled, params, lam=1).witness == planes[0]
+
+
+def _witness_by_iter_subspaces(blocks, params, lam):
+    """The witness walk that builds a Subspace for every t-subspace."""
+    coverage = {}
+    for b in blocks:
+        for key in _coverage_keys(b, params.t):
+            coverage[key] = coverage.get(key, 0) + 1
+    return _first_miss(
+        ((s, coverage.get(_coverage_key(s), 0))
+         for s in iter_subspaces(params.n, params.t, params.q)), lam)
+
+
+@pytest.mark.parametrize("params", [PG32, PG33, ParamSet(t=2, k=3, n=5, q=2)])
+def test_key_walk_finds_the_iter_subspaces_witness(params):
+    if params.t == 1:
+        blocks = sample_steiner(params, 1, 1).designs[0].block_subspaces()
+    else:
+        blocks = enumerate_subspaces(params.n, params.k, params.q)
+    universe = enumerate_subspaces(params.n, params.k, params.q)
+    spare = [b for b in universe if b not in blocks]
+    rng = random.Random(params.n * params.q)
+    cases = [blocks, blocks[:-1], blocks[1:], blocks[:-1] + spare[:1],
+             blocks[1:] + spare[-1:]]
+    cases += [rng.sample(universe, rng.randint(1, len(universe))) for _ in range(6)]
+    misses = 0
+    for case in cases:
+        for lam in (1, 2):
+            result = verify_design(case, params, lam=lam)
+            expected = _witness_by_iter_subspaces(case, params, lam)
+            assert (result.ok, result.witness, result.coverage, result.message) == (
+                expected.ok, expected.witness, expected.coverage, expected.message)
+            misses += not result.ok
+    assert misses >= len(cases)
 
 
 def test_verify_design_rejects_malformed():
