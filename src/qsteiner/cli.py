@@ -24,7 +24,6 @@ from . import identities as ident
 from .grassmann import SchemeInstance, verify_spectrum
 from .linalg import rank_exact
 from .steiner import (
-    Design,
     ParamSet,
     design_to_dict,
     dimension_formula,
@@ -33,10 +32,10 @@ from .steiner import (
     gram_check,
     gram_coefficients,
     gram_matrix,
-    lambda_i,
     load_design_file,
     rank_certificate,
     sample_steiner,
+    sample_steps,
     verify_design,
     verify_design_ids,
     verify_gram_spectrum,
@@ -83,75 +82,48 @@ def run_identities(config: argparse.Namespace) -> int:
     if config.max_n < 0:
         raise CLIError("--max-n must be nonnegative")
     qs = config.qs
-    rows_out = None
-    csv_writer = None
-    first_row = True
-
-    def json_row(obj: dict) -> None:
-        nonlocal first_row
-        rows_out.write(",\n" if not first_row else "")
-        rows_out.write(json.dumps(obj, sort_keys=True))
-        first_row = False
-
-    def on_report(rep: ident.IdentityReport) -> None:
-        if rows_out is None:
-            return
-        if config.format == "csv":
-            csv_writer.writerow(
-                [rep.identity_name, _row_params(rep.parameters),
-                 _frac(rep.lhs), _frac(rep.rhs), str(rep.equal).lower(), ""]
-            )
-        else:
-            json_row(
-                {
-                    "identity": rep.identity_name,
-                    "parameters": rep.parameters,
-                    "lhs": _frac(rep.lhs),
-                    "rhs": _frac(rep.rhs),
-                    "equal": rep.equal,
-                }
-            )
-
-    def on_skip(skip: ident.SkipRecord) -> None:
-        if rows_out is None:
-            return
-        if config.format == "csv":
-            csv_writer.writerow(
-                [skip.identity_name, _row_params(skip.parameters),
-                 "", "", "skipped", skip.reason]
-            )
-        else:
-            json_row(
-                {
-                    "identity": skip.identity_name,
-                    "parameters": skip.parameters,
-                    "status": "skipped",
-                    "reason": skip.reason,
-                }
-            )
-
+    callbacks = {}
     if config.out:
         try:
             rows_out = open(config.out, "w", encoding="utf-8", newline="")
         except OSError as exc:
             raise CLIError(f"cannot write {config.out}: {exc}") from exc
+        if config.format == "csv":
+            csv_writer = csv.writer(rows_out)
+            csv_writer.writerow(["identity", "parameters", "lhs", "rhs", "equal", "reason"])
+        else:
+            rows_out.write("[\n")
+        first_row = True
 
-    try:
-        if rows_out is not None:
+        def write_row(row: dict) -> None:
+            """One report or skip row, given as its JSON object."""
+            nonlocal first_row
             if config.format == "csv":
-                csv_writer = csv.writer(rows_out)
                 csv_writer.writerow(
-                    ["identity", "parameters", "lhs", "rhs", "equal", "reason"]
+                    [row["identity"], _row_params(row["parameters"]),
+                     row.get("lhs", ""), row.get("rhs", ""),
+                     row.get("status", str(row.get("equal")).lower()), row.get("reason", "")]
                 )
             else:
-                rows_out.write("[\n")
-        summary = ident.run_identity_sweep(
-            qs=qs, max_n=config.max_n, on_report=on_report, on_skip=on_skip
-        )
-        if rows_out is not None and config.format != "csv":
+                rows_out.write(",\n" if not first_row else "")
+                rows_out.write(json.dumps(row, sort_keys=True))
+            first_row = False
+
+        callbacks = {
+            "on_report": lambda rep: write_row(
+                {"identity": rep.identity_name, "parameters": rep.parameters,
+                 "lhs": _frac(rep.lhs), "rhs": _frac(rep.rhs), "equal": rep.equal}),
+            "on_skip": lambda skip: write_row(
+                {"identity": skip.identity_name, "parameters": skip.parameters,
+                 "status": "skipped", "reason": skip.reason}),
+        }
+
+    try:
+        summary = ident.run_identity_sweep(qs=qs, max_n=config.max_n, **callbacks)
+        if config.out and config.format != "csv":
             rows_out.write("\n]\n" if not first_row else "]\n")
     finally:
-        if rows_out is not None:
+        if config.out:
             rows_out.close()
 
     print(
@@ -211,8 +183,7 @@ def run_enumerate(config: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _admissibility_error(params: ParamSet) -> str:
-    for i in range(params.t + 1):
-        v = lambda_i(params, i, 1)
+    for i, v in enumerate(params.lambdas):
         if v.denominator != 1:
             return (
                 f"inadmissible parameters: derived index-{i} count "
@@ -270,29 +241,25 @@ def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
 
 def _dimension_sample(params: ParamSet, config: argparse.Namespace,
                       report: dict) -> bool:
+    if config.count is not None and config.count < 1:
+        raise CLIError("--count must be positive")
     report["mode"] = "sample"
     seed = config.seed or 0
     report["seed"] = seed
-    target = dimension_formula(params)
-    if config.count is not None and config.count < 1:
-        raise CLIError("--count must be positive")
-    counts = (config.count,) if config.count else _ADAPTIVE_SAMPLE_STEPS
-    cert = None
-    designs: list[Design] = []
-    complete = True
-    for count in counts:
-        result = sample_steiner(params, seed, count)
-        designs = result.designs
-        complete = result.complete
-        cert = rank_certificate(params, designs)
+    if config.count:
+        results = [sample_steiner(params, seed, config.count)]
+    else:
+        results = sample_steps(params, seed, _ADAPTIVE_SAMPLE_STEPS)
+    for result in results:
+        cert = rank_certificate(params, result.designs)
         if cert.meets:
             break
     designs_ok = cert.annihilation_ok  # verify_design_ids on every design
-    report["sampled"] = len(designs)
-    report["sampling_complete"] = complete
+    report["sampled"] = len(result.designs)
+    report["sampling_complete"] = result.complete
     report["designs_verified"] = designs_ok
     report["certificate"] = cert.to_dict()
-    report["dimension_formula"] = target
+    report["dimension_formula"] = cert.target
     return designs_ok and cert.meets
 
 
@@ -351,7 +318,7 @@ def run_verify_design(config: argparse.Namespace) -> int:
         raise CLIError(f"{config.designs}: {exc}") from exc
     all_ok = True
     for idx, (params, blocks) in enumerate(loaded):
-        result = verify_design(blocks, params, lam=1)
+        result = verify_design(blocks, params)
         tag = f"design {idx} ({params.t},{params.k},{params.n},{params.q})"
         if result.ok:
             print(f"{tag}: ok ({len(blocks)} blocks)")

@@ -79,6 +79,20 @@ def gauss_binom(n: int, k: int, q: int) -> Fraction:
     return val
 
 
+def gauss_binom_guard(n: int, k: int, q: int, limit: int) -> tuple[bool, str]:
+    """Whether [n k]_q <= limit, for 0 <= k <= n and limit < 2^64, and the
+    value as message text: ``"= value"``, or ``">= q^e"`` when it is huge.
+
+    [n k]_q >= q^(k(n-k)), so once that bound passes 2^64 the answer is no
+    and the k-fold product is never built.
+    """
+    e = k * (n - k)
+    if e * (q.bit_length() - 1) > 64:
+        return False, f">= {q}^{e}"
+    size = gauss_binom(n, k, q)
+    return size <= limit, f"= {size}"
+
+
 def q_int(n: int, q: int) -> Fraction:
     """q-analog integer [n]_q = (q^n - 1)/(q - 1), rational for n < 0."""
     return (q_pow(n, q) - 1) / (q - 1)

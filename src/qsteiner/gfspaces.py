@@ -332,10 +332,6 @@ def subspace_from_rows(rows, n: int, q: int, expect_dim: int | None = None) -> S
     return Subspace(n, q, basis, pivots)
 
 
-def zero_subspace(n: int, q: int) -> Subspace:
-    return Subspace(n, q, (), ())
-
-
 def _pivot_sets_colex(n: int, k: int) -> list[tuple[int, ...]]:
     return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
 
@@ -418,11 +414,6 @@ def grassmannian(n: int, k: int, q: int) -> tuple[Subspace, ...]:
     return tuple(iter_subspaces(n, k, q))
 
 
-def enumerate_subspaces(n: int, k: int, q: int) -> list[Subspace]:
-    """All k-dim subspaces of F_q^n in canonical order, as a fresh list."""
-    return list(grassmannian(n, k, q))
-
-
 def gf_matmul(a, b, fld: FieldSpec) -> list[list[int]]:
     """Product of two coefficient matrices over F_q (nested int lists)."""
     cols_b = len(b[0]) if b else 0
@@ -493,7 +484,7 @@ def _coverage_key(s: Subspace) -> tuple:
 
 
 def canonical_index(s: Subspace) -> int:
-    """Position of s in enumerate_subspaces(s.ambient, s.dim, s.q)."""
+    """Position of s in grassmannian(s.ambient, s.dim, s.q)."""
     n, q, k = s.ambient, s.q, s.dim
     idx = 0
     for pivots in _pivot_sets_colex(n, k):
@@ -534,7 +525,7 @@ def mobius_delta_check(w: Subspace) -> bool:
         raise ValueError("mobius_delta_check guard exceeded (dim <= 4, q <= 3)")
     total = 0
     for j in range(d + 1):
-        count = len(enumerate_subspaces(d, j, q))
+        count = len(grassmannian(d, j, q))
         total += count * mobius_interval(d - j, q)
     return total == (1 if d == 0 else 0)
 
@@ -567,13 +558,13 @@ _DIRECT_ENUM_LIMIT = 200_000
 
 def _projective_points(d: int, q: int) -> list[tuple[int, ...]]:
     """One representative vector per 1-dim subspace of F_q^d."""
-    return [s.basis[0] for s in enumerate_subspaces(d, 1, q)] if d else []
+    return [s.basis[0] for s in grassmannian(d, 1, q)] if d else []
 
 
 @cache
 def _subspace_counts(d: int, q: int) -> tuple[int, ...]:
     """(#0-dim, ..., #d-dim) subspaces of F_q^d, counted by enumeration."""
-    return tuple(len(enumerate_subspaces(d, j, q)) for j in range(d + 1))
+    return tuple(len(grassmannian(d, j, q)) for j in range(d + 1))
 
 
 @cache

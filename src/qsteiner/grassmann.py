@@ -11,16 +11,17 @@ with Bareiss elimination as the fallback (``rank_checks``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import prod
 from operator import mul
 
-from .exactq import choose2, gauss_binom, prime_power_parts, q_pow
+from .exactq import choose2, gauss_binom, gauss_binom_guard, prime_power_parts, q_pow
 from .gfspaces import Subspace, _inner_indices, grassmannian
 from .linalg import ExactMatrix, mat_mul, rank_exact
 
+# the largest [n k]_q a scheme or a design search takes; both build [n k] x [n k] matrices
 _DENSE_GUARD = 2000
 
 
@@ -73,20 +74,19 @@ class SchemeInstance:
         if not 0 <= k <= n:
             raise ValueError("need 0 <= k <= n")
         prime_power_parts(q)  # before gauss_binom, which divides by zero at q = 1
-        size = gauss_binom(n, k, q)
-        if size > _DENSE_GUARD:
+        ok, size = gauss_binom_guard(n, k, q, _DENSE_GUARD)
+        if not ok:
             raise ValueError(
-                f"[{n} {k}]_{q} = {size} exceeds the dense-matrix guard {_DENSE_GUARD}"
+                f"[{n} {k}]_{q} {size} exceeds the dense-matrix guard {_DENSE_GUARD}"
             )
         self.n = n
         self.k = k
         self.q = q
         self.subspaces: tuple[Subspace, ...] = grassmannian(n, k, q)
         self.size = len(self.subspaces)
-        self._adjacency: dict[int, ExactMatrix] = {}
 
     @cached_property
-    def _relation(self) -> list[list[int]]:
+    def relation(self) -> list[list[int]]:
         """relation[x][y] = k - dim(X ^ Y) for the canonical enumeration.
 
         X ^ Y of dimension i has (q^i - 1)/(q - 1) points, so the dimension
@@ -103,17 +103,7 @@ class SchemeInstance:
     def adjacency_matrix(self, i: int) -> ExactMatrix:
         if not 0 <= i <= self.k:
             raise ValueError(f"relation index {i} outside 0..{self.k}")
-        if i not in self._adjacency:
-            rel = self._relation
-            self._adjacency[i] = ExactMatrix(
-                [[1 if rel[x][y] == i else 0 for y in range(self.size)]
-                 for x in range(self.size)]
-            )
-        return self._adjacency[i]
-
-    def relation_index(self, x: int, y: int) -> int:
-        """i such that the x-th and y-th subspaces meet in dimension k - i."""
-        return self._relation[x][y]
+        return ExactMatrix([[1 if r == i else 0 for r in row] for row in self.relation])
 
     @property
     def r_max(self) -> int:
@@ -132,13 +122,7 @@ class RankCheck:
         return self.rank == self.expected_rank
 
     def to_dict(self) -> dict:
-        return {
-            "value": str(self.value),
-            "grouped_multiplicity": self.grouped_multiplicity,
-            "expected_rank": self.expected_rank,
-            "rank": self.rank,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "value": str(self.value), "ok": self.ok}
 
 
 @dataclass
@@ -159,14 +143,12 @@ class RelationSpectrum:
 
     def to_dict(self) -> dict:
         return {
-            "i": self.i,
+            **asdict(self),
             "eigenvalues": [
                 {"r": r, "value": str(v), "multiplicity": m}
                 for r, v, m in self.eigenvalues
             ],
             "rank_checks": [c.to_dict() for c in self.rank_checks],
-            "trace_zero": self.trace_zero,
-            "eberlein_agrees": self.eberlein_agrees,
             "ok": self.ok,
         }
 
@@ -187,12 +169,7 @@ class SpectrumReport:
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n,
-            "k": self.k,
-            "q": self.q,
-            "size": self.size,
-            "multiplicities": self.multiplicities,
-            "multiplicity_sum_ok": self.multiplicity_sum_ok,
+            **asdict(self),
             "relations": [rel.to_dict() for rel in self.relations],
             "ok": self.ok,
         }

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .exactq import (
     choose2,
@@ -84,11 +84,6 @@ class SkipRecord:
     reason: str
 
 
-def _report(name: str, params: Mapping[str, int | str], lhs: Fraction,
-            rhs: Fraction) -> IdentityReport:
-    return IdentityReport(name, dict(params), lhs, rhs)
-
-
 def _term(sign: int, e: int, q: int, nums=(), dens=()) -> tuple[int, int]:
     """sign * q^e * prod(nums) / prod(dens) as an unreduced (numerator,
     denominator) pair of ints.
@@ -139,15 +134,14 @@ def _qbin_den(n: int, k: int, q: int) -> Fraction:
 # terminating 3phi2 series and its transformation
 # ---------------------------------------------------------------------------
 
-def eval_3phi2(upper: tuple[int, int, int], lower: tuple[int, int], z: int,
-               q: int) -> Fraction:
-    """Terminating basic hypergeometric series 3phi2.
+def eval_3phi2(upper: tuple[int, int, int], lower: tuple[int, int], q: int) -> Fraction:
+    """Terminating basic hypergeometric series 3phi2 at the argument q.
 
     Parameters are exponents: ``upper=(a1,a2,a3)`` stands for the numerator
-    parameters q^a1, q^a2, q^a3, ``lower`` for the two denominator
-    parameters, and ``z`` for the argument q^z.  At least one upper exponent
-    must be <= 0 so the series terminates; a lower parameter whose Pochhammer
-    vanishes inside the truncation range is rejected.
+    parameters q^a1, q^a2, q^a3 and ``lower`` for the two denominator
+    parameters.  At least one upper exponent must be <= 0 so the series
+    terminates; a lower parameter whose Pochhammer vanishes inside the
+    truncation range is rejected.
     """
     nonpos = [-e for e in upper if e <= 0]
     if not nonpos:
@@ -158,12 +152,12 @@ def eval_3phi2(upper: tuple[int, int, int], lower: tuple[int, int], z: int,
             raise VanishingDenominator(
                 f"lower parameter q^{e} vanishes before term {m}"
             )
-    # term ell+1 is term ell times q^z prod_upper (1 - q^(e+ell)) over
+    # term ell+1 is term ell times q prod_upper (1 - q^(e+ell)) over
     # prod_lower (1 - q^(e+ell)) and (1 - q^(ell+1))
     num, den = 1, 1
     terms = [(num, den)]
     for ell in range(m):
-        num, den = _term(1, z, q, (num,), (den,))
+        num *= q
         for e in upper:
             a, b = _one_minus_q_pow(e + ell, q)
             num, den = num * a, den * b
@@ -180,24 +174,18 @@ def check_3phi2_transformation(n: int, a: int, b: int, c: int, d: int,
     if n < 0:
         raise PreconditionError("truncation order must be nonnegative")
     params = {"n": n, "a": a, "b": b, "c": c, "d": d, "q": q}
-    lhs = eval_3phi2((-n, a, b), (c, d), 1, q)
+    lhs = eval_3phi2((-n, a, b), (c, d), q)
     den = q_pochhammer(d, n, q)
     if den == 0:
         raise VanishingDenominator(f"(q^{d};q)_{n} = 0 in the prefactor")
     prefactor = q_pochhammer(c + d - a - b, n, q) / den * q_pow(n * (a + b - c), q)
-    rhs = prefactor * eval_3phi2((-n, c - a, c - b), (c, c + d - a - b), 1, q)
-    return _report("transformation_3phi2", params, lhs, rhs)
+    rhs = prefactor * eval_3phi2((-n, c - a, c - b), (c, c + d - a - b), q)
+    return IdentityReport("transformation_3phi2", params, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
 # Pochhammer / Gaussian binomial conversion suite
 # ---------------------------------------------------------------------------
-
-def _upper_negation_report(n: int, k: int, q: int) -> IdentityReport:
-    lhs = gauss_binom(n, k, q)
-    rhs = (-1) ** k * q_pow(k * n - choose2(k), q) * gauss_binom(k - n - 1, k, q)
-    return _report("upper_negation", {"n": n, "k": k, "q": q}, lhs, rhs)
-
 
 def check_pochhammer_suite(n: int, k: int, q: int) -> list[IdentityReport]:
     """The binomial/Pochhammer conversion identities at one (n, k).
@@ -213,7 +201,7 @@ def check_pochhammer_suite(n: int, k: int, q: int) -> list[IdentityReport]:
     reports = []
     if k <= n:
         reports.append(
-            _report(
+            IdentityReport(
                 "binom_from_pochhammer",
                 params,
                 gauss_binom(n, k, q),
@@ -222,7 +210,7 @@ def check_pochhammer_suite(n: int, k: int, q: int) -> list[IdentityReport]:
             )
         )
     reports.append(
-        _report(
+        IdentityReport(
             "binom_shifted_pochhammer",
             params,
             gauss_binom(n + k, n, q),
@@ -230,7 +218,7 @@ def check_pochhammer_suite(n: int, k: int, q: int) -> list[IdentityReport]:
         )
     )
     reports.append(
-        _report(
+        IdentityReport(
             "binom_inverse_base_pochhammer",
             params,
             gauss_binom(n, k, q),
@@ -245,7 +233,7 @@ def check_pochhammer_suite(n: int, k: int, q: int) -> list[IdentityReport]:
         if den == 0:
             raise VanishingDenominator(f"(q^-{n};q)_{k} = 0")
         reports.append(
-            _report(
+            IdentityReport(
                 "pochhammer_difference",
                 params,
                 q_pochhammer(1, n - k, q),
@@ -253,14 +241,14 @@ def check_pochhammer_suite(n: int, k: int, q: int) -> list[IdentityReport]:
             )
         )
     reports.append(
-        _report(
+        IdentityReport(
             "pochhammer_concatenation",
             params,
             q_pochhammer(1, n + k, q),
             q_pochhammer(1, n, q) * q_pochhammer(n + 1, k, q),
         )
     )
-    reports.append(_upper_negation_report(n, k, q))
+    reports.append(check_upper_negation(n, k, q))
     return reports
 
 
@@ -268,7 +256,9 @@ def check_upper_negation(n: int, k: int, q: int) -> IdentityReport:
     """Upper negation on its own; valid for every integer n and k >= 0."""
     if k < 0:
         raise PreconditionError("k must be nonnegative")
-    return _upper_negation_report(n, k, q)
+    lhs = gauss_binom(n, k, q)
+    rhs = (-1) ** k * q_pow(k * n - choose2(k), q) * gauss_binom(k - n - 1, k, q)
+    return IdentityReport("upper_negation", {"n": n, "k": k, "q": q}, lhs, rhs)
 
 
 def check_q_binomial_theorem(n: int, x: Fraction, y: Fraction,
@@ -292,7 +282,7 @@ def check_q_binomial_theorem(n: int, x: Fraction, y: Fraction,
         "y": f"{y.numerator}/{y.denominator}",
         "q": q,
     }
-    return _report("q_binomial_theorem", params, lhs, rhs)
+    return IdentityReport("q_binomial_theorem", params, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +311,8 @@ def check_product_expansion(x: int, y: int, h: int, p: int,
         for v in range(h, p + 1)
     )
     return [
-        _report("product_expansion_descending", params, lhs, rhs1),
-        _report("product_expansion_ascending", params, lhs, rhs2),
+        IdentityReport("product_expansion_descending", params, lhs, rhs1),
+        IdentityReport("product_expansion_ascending", params, lhs, rhs2),
     ]
 
 
@@ -333,7 +323,7 @@ def check_alternating_column_sum(x: int, a: int, q: int) -> IdentityReport:
     lhs = _pair_sum(_term((-1) ** v, choose2(v), q, (gauss_binom(x, v, q),))
                     for v in range(a + 1))
     rhs = q_pow(x * a, q) * gauss_binom(a - x, a, q)
-    return _report("alternating_column_sum", {"x": x, "a": a, "q": q}, lhs, rhs)
+    return IdentityReport("alternating_column_sum", {"x": x, "a": a, "q": q}, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +354,7 @@ def check_shifted_sum_transform(n: int, r: int, k: int, u: int, i: int,
               (_qbin_den(r - i + s, s, q),))
         for s in range(u + 1)
     )
-    return _report("shifted_sum_transform", params, lhs, rhs)
+    return IdentityReport("shifted_sum_transform", params, lhs, rhs)
 
 
 def check_shifted_sum_transform_diagonal(n: int, r: int, k: int, i: int,
@@ -391,7 +381,7 @@ def check_shifted_sum_transform_diagonal(n: int, r: int, k: int, i: int,
               (_qbin_den(n - 2 * k + s, s, q),))
         for s in range(i + 1)
     )
-    return _report("shifted_sum_transform_diagonal", params, lhs, rhs)
+    return IdentityReport("shifted_sum_transform_diagonal", params, lhs, rhs)
 
 
 def check_double_sum_reduction(n: int, r: int, k: int, t: int,
@@ -413,7 +403,7 @@ def check_double_sum_reduction(n: int, r: int, k: int, t: int,
     )
     rhs = Fraction(*_term(1, 0, q, (gauss_binom(r, t, q), gauss_binom(n - r + 1, t, q)),
                           (_qbin_den(k, t, q),)))
-    return _report("double_sum_reduction", params, lhs, rhs)
+    return IdentityReport("double_sum_reduction", params, lhs, rhs)
 
 
 def _triple_terms(n: int, k: int, r: int, t: int, q: int, e0: int,
@@ -450,7 +440,7 @@ def check_triple_sum_closed_form(n: int, k: int, r: int, t: int,
     rhs = Fraction(*_term((-1) ** t, choose2(r) - k * r + choose2(t + 1), q,
                           (gauss_binom(r - 1, t, q), gauss_binom(n - r, t, q)),
                           (_qbin_den(k, t, q),)))
-    return _report("triple_sum_closed_form", params, lhs, rhs)
+    return IdentityReport("triple_sum_closed_form", params, lhs, rhs)
 
 
 def _weighted_terms(n: int, k: int, r: int, t: int, q: int):
@@ -480,7 +470,7 @@ def check_triple_sum_weighted_form(n: int, k: int, r: int, t: int,
     lhs = _pair_sum(_weighted_terms(n, k, r, t, q))
     # the outer q^(kr - C(r,2)) is folded into every term's exponent
     rhs = _pair_sum(_triple_terms(n, k, r, t, q, k * r - choose2(r), with_ratio=False))
-    return _report("triple_sum_weighted_form", params, lhs, rhs)
+    return IdentityReport("triple_sum_weighted_form", params, lhs, rhs)
 
 
 def kernel_sum(n: int, k: int, t: int, r: int, q: int) -> Fraction:
@@ -508,7 +498,7 @@ def check_eigenvalue_kernel_sum(n: int, k: int, t: int, r: int,
         * q_pow(k * r - k - choose2(r), q)
         * gauss_binom(n - k - 1, r - 1, q)
     )
-    return _report("eigenvalue_kernel_sum", params, lhs, rhs)
+    return IdentityReport("eigenvalue_kernel_sum", params, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

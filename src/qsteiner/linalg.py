@@ -74,22 +74,6 @@ class ExactMatrix:
             )
         )
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            cols=self.cols,
-        )
-
-    def _same_shape(self, other: "ExactMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
     def shifted(self, c: Scalar) -> "ExactMatrix":
         """self - c*I (square matrices only)."""
         if self.rows != self.cols:

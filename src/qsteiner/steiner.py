@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 from typing import Sequence
 
-from .exactq import choose2, gauss_binom, is_prime_power, q_int, q_pow
+from .exactq import choose2, gauss_binom, gauss_binom_guard, is_prime_power, q_int, q_pow
 from .gfspaces import (
     Subspace,
     _canonical_keys,
@@ -31,12 +31,17 @@ from .gfspaces import (
     intersection_dim,
     subspace_from_rows,
 )
-from .grassmann import RankCheck, SchemeInstance, eigenspace_multiplicity, rank_checks
+from .grassmann import (
+    _DENSE_GUARD,
+    RankCheck,
+    SchemeInstance,
+    eigenspace_multiplicity,
+    rank_checks,
+)
 from .identities import kernel_sum
 from .linalg import ExactMatrix, rank_exact
 
 _UNIVERSE_GUARD = 200
-_BLOCK_GUARD = 2000
 # PG(3,3), all 8424 spreads, takes about 48,000 nodes
 _ENUMERATION_NODE_BUDGET = 500_000
 
@@ -59,29 +64,20 @@ class ParamSet:
     @property
     def lambdas(self) -> tuple[Fraction, ...]:
         """(lambda_0, ..., lambda_t) for lambda = 1."""
-        return tuple(lambda_i(self, i, 1) for i in range(self.t + 1))
+        return tuple(lambda_i(self, i) for i in range(self.t + 1))
 
     @property
     def admissible(self) -> bool:
         """All divisibility conditions [k-i t-i] | [n-i t-i] hold."""
         return all(v.denominator == 1 for v in self.lambdas)
 
-    @property
-    def block_count(self) -> int:
-        """[n t]_q / [k t]_q, the block count of any design (admissible only)."""
-        v = lambda_i(self, 0, 1)
-        if v.denominator != 1:
-            raise ValueError(f"{self} is inadmissible; block count undefined")
-        return int(v)
 
-
-def lambda_i(params: ParamSet, i: int, lam: int = 1) -> Fraction:
-    """Derived index-i parameter lam * [n-i t-i] / [k-i t-i]."""
+def lambda_i(params: ParamSet, i: int) -> Fraction:
+    """Derived index-i parameter [n-i t-i] / [k-i t-i]."""
     if not 0 <= i <= params.t:
         raise ValueError(f"need 0 <= i <= t, got i={i}")
     return (
-        lam
-        * gauss_binom(params.n - i, params.t - i, params.q)
+        gauss_binom(params.n - i, params.t - i, params.q)
         / gauss_binom(params.k - i, params.t - i, params.q)
     )
 
@@ -96,7 +92,6 @@ class _DesignContext:
 
     def __init__(self, params: ParamSet):
         t, k, n, q = params.t, params.k, params.n, params.q
-        self.params = params
         self.t_subspaces = grassmannian(n, t, q)
         self.k_subspaces = grassmannian(n, k, q)
         self.cover = _inner_indices(n, k, t, q)
@@ -104,12 +99,12 @@ class _DesignContext:
 
 @cache
 def design_context(params: ParamSet) -> _DesignContext:
-    size_t = gauss_binom(params.n, params.t, params.q)
-    size_k = gauss_binom(params.n, params.k, params.q)
-    if size_t > _UNIVERSE_GUARD or size_k > _BLOCK_GUARD:
+    t_ok, size_t = gauss_binom_guard(params.n, params.t, params.q, _UNIVERSE_GUARD)
+    k_ok, size_k = gauss_binom_guard(params.n, params.k, params.q, _DENSE_GUARD)
+    if not t_ok or not k_ok:
         raise ValueError(
-            f"enumeration guard exceeded: [n t] = {size_t} (<= {_UNIVERSE_GUARD}), "
-            f"[n k] = {size_k} (<= {_BLOCK_GUARD})"
+            f"enumeration guard exceeded: [n t] {size_t} (<= {_UNIVERSE_GUARD}), "
+            f"[n k] {size_k} (<= {_DENSE_GUARD})"
         )
     return _DesignContext(params)
 
@@ -142,26 +137,22 @@ class VerificationResult:
     coverage: int | None = None
     message: str = ""
 
-    def __bool__(self) -> bool:
-        return self.ok
 
-
-def _first_miss(coverage, lam: int, witness=lambda s: s) -> VerificationResult:
+def _first_miss(coverage, witness=lambda s: s) -> VerificationResult:
     """The witness rule of both verifiers: the first (t-subspace, coverage)
-    pair, in canonical order, whose coverage is not lam.  ``witness`` turns
+    pair, in canonical order, whose coverage is not 1.  ``witness`` turns
     that pair's first member into the witness Subspace."""
     for s, c in coverage:
-        if c != lam:
+        if c != 1:
             return VerificationResult(
                 False, witness=witness(s), coverage=c,
-                message=f"t-subspace covered {c} times, expected {lam}",
+                message=f"t-subspace covered {c} times, expected 1",
             )
     return VerificationResult(True)
 
 
-def verify_design(blocks: Sequence[Subspace], params: ParamSet,
-                  lam: int = 1) -> VerificationResult:
-    """Check that every t-subspace lies in exactly lam of the given blocks.
+def verify_design(blocks: Sequence[Subspace], params: ParamSet) -> VerificationResult:
+    """Check that every t-subspace lies in exactly one of the given blocks.
 
     Works directly on the block subspaces (no global enumeration), so large
     ambient spaces are fine as long as the block list itself is walkable.
@@ -183,11 +174,11 @@ def verify_design(blocks: Sequence[Subspace], params: ParamSet,
         for key in _coverage_keys(b, t):
             coverage[key] = coverage.get(key, 0) + 1
     total_t = gauss_binom(n, t, q)
-    if all(c == lam for c in coverage.values()) and Fraction(len(coverage)) == total_t:
+    if all(c == 1 for c in coverage.values()) and Fraction(len(coverage)) == total_t:
         return VerificationResult(True)
     # the walk reads only coverage keys; the witness alone becomes a Subspace
     return _first_miss(
-        ((s, coverage.get(s[1], 0)) for s in _canonical_keys(n, t, q)), lam,
+        ((s, coverage.get(s[1], 0)) for s in _canonical_keys(n, t, q)),
         witness=lambda s: _key_subspace(*s, n, q),
     )
 
@@ -199,7 +190,7 @@ def verify_design_ids(design: Design) -> VerificationResult:
     for kid in design.blocks:
         for tid in ctx.cover[kid]:
             counts[tid] += 1
-    return _first_miss(zip(ctx.t_subspaces, counts), 1)
+    return _first_miss(zip(ctx.t_subspaces, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -318,25 +309,40 @@ def sample_steiner(params: ParamSet, seed: int, count: int) -> SampleResult:
     The attempt budget of 200 + 50 * count stands in for a timeout so that
     runs stay reproducible; running out marks the result incomplete.
     """
+    return next(sample_steps(params, seed, (count,)))
+
+
+def sample_steps(params: ParamSet, seed: int, counts: Sequence[int]):
+    """``sample_steiner(params, seed, c)`` for each c of the increasing
+    counts, drawn from one seeded stream of attempts.
+
+    An attempt draws the same random numbers whatever the count, so the
+    result for c is a prefix of the stream: the distinct designs found
+    within 200 + 50 * c attempts, up to c of them.  Each step goes on from
+    where the last one stopped instead of starting over.
+    """
     if params.n < 2 * params.k:
         raise ValueError("nontrivial sampling needs n >= 2k")
     ctx = design_context(params)
+    admissible = params.admissible
     rng = random.Random(seed)
+    cover = _ExactCover(len(ctx.t_subspaces), ctx.cover)
     found: list[Design] = []
     seen: set[tuple[int, ...]] = set()
-    if count == 0 or not params.admissible:
-        return SampleResult([], params.admissible, 0)
-    budget = 200 + 50 * count
     attempts = 0
-    cover = _ExactCover(len(ctx.t_subspaces), ctx.cover)
-    while len(found) < count and attempts < budget:
-        attempts += 1
-        # None (node budget spent) is a failed attempt, like no solution
-        sols = cover.search(rng=rng, limit=1, node_budget=20000)
-        if sols and sols[0] not in seen:
-            seen.add(sols[0])
-            found.append(Design(params, sols[0]))
-    return SampleResult(found, len(found) >= count, attempts)
+    for count in counts:
+        if count == 0 or not admissible:
+            yield SampleResult([], admissible, 0)
+            continue
+        budget = 200 + 50 * count
+        while len(found) < count and attempts < budget:
+            attempts += 1
+            # None (node budget spent) is a failed attempt, like no solution
+            sols = cover.search(rng=rng, limit=1, node_budget=20000)
+            if sols and sols[0] not in seen:
+                seen.add(sols[0])
+                found.append(Design(params, sols[0]))
+        yield SampleResult(list(found), len(found) >= count, attempts)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +436,12 @@ def kappa_i_formula(n_designs: int, i: int, params: ParamSet) -> Fraction:
 
 @dataclass(frozen=True)
 class GramCoefficients:
-    n_designs: int
     kappa: Fraction
     kappa_i: tuple[Fraction, ...]  # indexed 0..t
 
 
 def gram_coefficients(n_designs: int, params: ParamSet) -> GramCoefficients:
     return GramCoefficients(
-        n_designs=n_designs,
         kappa=kappa_formula(n_designs, params),
         kappa_i=tuple(
             kappa_i_formula(n_designs, i, params) for i in range(params.t + 1)
@@ -476,10 +480,9 @@ def empirical_pair_counts(gram: ExactMatrix,
     if gram.rows != scheme.size:
         raise ValueError("Gram matrix rows do not match the scheme size")
     buckets: dict[int, set[int]] = {}
-    for x, row in enumerate(gram.data):
-        for y, entry in enumerate(row):
-            dim = scheme.k - scheme.relation_index(x, y)
-            buckets.setdefault(dim, set()).add(entry)
+    for row, relations in zip(gram.data, scheme.relation):
+        for entry, i in zip(row, relations):
+            buckets.setdefault(scheme.k - i, set()).add(entry)
     return buckets
 
 
@@ -629,16 +632,7 @@ class RankCertificate:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n_designs": self.n_designs,
-            "w_rank": self.w_rank,
-            "row_diff_rank": self.row_diff_rank,
-            "annihilation_ok": self.annihilation_ok,
-            "upper_bound": self.upper_bound,
-            "lower_bound": self.lower_bound,
-            "target": self.target,
-            "meets": self.meets,
-        }
+        return {**asdict(self), "meets": self.meets}
 
 
 def rank_certificate(params: ParamSet, designs: Sequence[Design]) -> RankCertificate:

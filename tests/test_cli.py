@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -58,6 +59,22 @@ def test_reports_are_byte_identical(tmp_path):
         assert main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3",
                      "--sample", "--seed", "5", "--out", str(out)]) == 0
     assert c.read_bytes() == d.read_bytes()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "2"],
+     "16e645d844117ed36fa0646192f6dfe3858c5cbb32f2b4ccec81395930ad4714"),
+    (["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3", "--sample", "--seed", "7"],
+     "eca7da2d6e4c4141c89db2163adf3ad438d08aec35aad4e3f487a2d516c680a0"),
+    (["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3", "--sample", "--seed", "3"],
+     "b0652bf9d9fec9eb20082ab4e8edeaeb581377af11f20bb39d91a1dc200c2bab"),
+    (["scheme", "--n", "4", "--k", "2", "--q", "3"],
+     "29b4567b8c5d3c3dd8d1f07bd2dbb37832a67caee68667e451b974723299cdf7"),
+], ids=["pg32", "pg33-sample-seed7", "pg33-sample-seed3", "scheme-4-2-3"])
+def test_reports_match_pinned_digests(argv, digest, capsys):
+    """The stdout reports, byte for byte, as pinned by their sha256."""
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_dimension_report_unchanged_under_optimize():
@@ -172,6 +189,47 @@ def test_adaptive_sampling_builds_w_once(tmp_path, monkeypatch):
     assert code == 0
     assert calls["rank_certificate"] >= 2
     assert calls["inclusion_matrix"] == 1
+
+
+def test_adaptive_sampling_draws_one_stream(tmp_path, monkeypatch):
+    """The adaptive steps 25, 50, 100 extend one another: PG(3,3) seed 7
+    meets at 100 designs after 100 attempts, not 25 + 50 + 100."""
+    attempts = 0
+    search = steiner._ExactCover.search
+
+    def counted(self, *args, **kwargs):
+        nonlocal attempts
+        attempts += 1
+        return search(self, *args, **kwargs)
+    monkeypatch.setattr(steiner._ExactCover, "search", counted)
+    out = tmp_path / "d.json"
+    code = main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3",
+                 "--sample", "--seed", "7", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["sampled"] == 100
+    assert attempts == 100
+
+
+@pytest.mark.parametrize("argv, guard", [
+    (["scheme", "--n", "3000", "--k", "1500", "--q", "2"], "dense-matrix guard"),
+    (["scheme", "--n", "8000", "--k", "4000", "--q", "2"], "dense-matrix guard"),
+    (["enumerate", "--t", "1", "--k", "1500", "--n", "3000", "--q", "2"],
+     "enumeration guard"),
+    (["dimension", "--t", "1", "--k", "1500", "--n", "3000", "--q", "2",
+      "--sample", "--count", "5"], "enumeration guard"),
+], ids=["scheme-3000", "scheme-8000", "enumerate", "dimension-sample"])
+def test_size_guards_refuse_before_the_product(argv, guard, capsys):
+    """[n k]_q >= q^(k(n-k)) refuses huge Grassmannians without building
+    [n k]_q, which would take tens of seconds and overflow int-to-str."""
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and guard in captured.err
+    assert elapsed < 2
 
 
 @pytest.mark.parametrize("qs", ["1", "2,0"])

@@ -5,6 +5,7 @@ import pytest
 from qsteiner.exactq import (
     choose2,
     gauss_binom,
+    gauss_binom_guard,
     is_prime_power,
     prime_power_parts,
     q_int,
@@ -132,3 +133,17 @@ def test_choose2_is_polynomial_extension():
     for m in range(-6, 7):
         assert choose2(m) == m * (m - 1) // 2
     assert choose2(4) == 6 and choose2(-2) == 3
+
+
+def test_gauss_binom_guard_agrees_with_the_exact_value():
+    for q in (2, 3, 4, 9, 2**19):
+        for n in range(30):
+            for k in range(n + 1):
+                size = gauss_binom(n, k, q)
+                for limit in (200, 2000):
+                    ok, text = gauss_binom_guard(n, k, q, limit)
+                    assert ok == (size <= limit), (n, k, q, limit)
+                    if text != f"= {size}":
+                        # the lower bound the guard printed instead of the value
+                        assert text == f">= {q}^{k * (n - k)}"
+                        assert 2**64 < q ** (k * (n - k)) <= size

@@ -5,6 +5,7 @@ import pytest
 from qsteiner.exactq import gauss_binom, q_int
 from qsteiner.gfspaces import (
     FieldSpec,
+    Subspace,
     _canonical_keys,
     _coverage_key,
     _coverage_keys,
@@ -12,7 +13,6 @@ from qsteiner.gfspaces import (
     canonical_index,
     count_fixed_intersection,
     count_fixed_intersection_bruteforce,
-    enumerate_subspaces,
     field,
     gf_matmul,
     grassmannian,
@@ -26,7 +26,6 @@ from qsteiner.gfspaces import (
     spanning_count_bruteforce,
     spanning_count_formula,
     subspace_from_rows,
-    zero_subspace,
 )
 
 
@@ -52,18 +51,18 @@ def test_enumeration_sizes():
     for q in (2, 3, 4):
         for n in range(7):
             for k in range(n + 1):
-                assert len(enumerate_subspaces(n, k, q)) == gauss_binom(n, k, q)
+                assert len(grassmannian(n, k, q)) == gauss_binom(n, k, q)
 
 
 def test_enumeration_trivial_cases():
-    assert enumerate_subspaces(4, 0, 2) == [zero_subspace(4, 2)]
-    assert len(enumerate_subspaces(4, 2, 2)) == 35
-    assert len(enumerate_subspaces(4, 1, 3)) == 40
+    assert grassmannian(4, 0, 2) == (Subspace(4, 2, (), ()),)
+    assert len(grassmannian(4, 2, 2)) == 35
+    assert len(grassmannian(4, 1, 3)) == 40
 
 
 def test_enumeration_is_duplicate_free_and_indexable():
     for (n, k, q) in [(4, 2, 2), (4, 2, 3), (5, 3, 2), (3, 2, 4)]:
-        subs = enumerate_subspaces(n, k, q)
+        subs = grassmannian(n, k, q)
         assert len({s.basis for s in subs}) == len(subs)
         for idx, s in enumerate(subs):
             assert canonical_index(s) == idx
@@ -86,7 +85,7 @@ def test_rref_idempotent_and_canonical():
 
 
 def test_subspace_serialization_round_trip():
-    for s in enumerate_subspaces(4, 2, 3)[::7]:
+    for s in grassmannian(4, 2, 3)[::7]:
         mat = s.to_lists()
         assert len(mat) == 2 and all(len(row) == 4 for row in mat)
         assert all(0 <= x < 3 for row in mat for x in row)
@@ -94,7 +93,7 @@ def test_subspace_serialization_round_trip():
 
 
 def test_intersection_dim_basic():
-    subs = enumerate_subspaces(4, 2, 2)
+    subs = grassmannian(4, 2, 2)
     for s in subs[::5]:
         assert intersection_dim(s, s) == 2
     x = subs[0]
@@ -106,7 +105,7 @@ def test_intersection_dim_basic():
 
 
 def test_intersection_profile_is_position_independent():
-    subs = enumerate_subspaces(4, 2, 2)
+    subs = grassmannian(4, 2, 2)
     for x in subs[::6]:
         counts = {0: 0, 1: 0}
         for y in subs:
@@ -116,8 +115,8 @@ def test_intersection_profile_is_position_independent():
 
 
 def test_intersection_requires_same_ambient():
-    a = enumerate_subspaces(4, 2, 2)[0]
-    b = enumerate_subspaces(5, 2, 2)[0]
+    a = grassmannian(4, 2, 2)[0]
+    b = grassmannian(5, 2, 2)[0]
     with pytest.raises(ValueError):
         intersection_dim(a, b)
 
@@ -190,7 +189,7 @@ def test_mobius_values():
 
 
 def test_mobius_delta_check():
-    assert mobius_delta_check(zero_subspace(3, 2))
+    assert mobius_delta_check(Subspace(3, 2, (), ()))
     w2 = subspace_from_rows([[1, 0, 0], [0, 1, 0]], 3, 2)
     assert mobius_delta_check(w2)  # 1*2 - 3*1 + 1*1 = 0
     w3 = subspace_from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, 3)
@@ -267,7 +266,7 @@ def test_bruteforce_profile_guard():
 
 
 def test_iter_matches_list():
-    assert list(iter_subspaces(4, 2, 3)) == enumerate_subspaces(4, 2, 3)
+    assert tuple(iter_subspaces(4, 2, 3)) == grassmannian(4, 2, 3)
 
 
 def test_inner_subspaces_need_no_elimination():

@@ -73,8 +73,10 @@ def test_adjacency_basics():
     assert scheme.adjacency_matrix(0) == ExactMatrix.identity(35)
     assert set(scheme.adjacency_matrix(1).row_sums()) == {18}
     assert set(scheme.adjacency_matrix(2).row_sums()) == {16}
-    total = scheme.adjacency_matrix(0) + scheme.adjacency_matrix(1) + scheme.adjacency_matrix(2)
-    assert total == ExactMatrix.filled(35, 35, 1)
+    # the relations partition every pair: A_0 + A_1 + A_2 = J
+    total = [[sum(entries) for entries in zip(*rows)]
+             for rows in zip(*(scheme.adjacency_matrix(i).data for i in range(3)))]
+    assert ExactMatrix(total) == ExactMatrix.filled(35, 35, 1)
     for i in range(3):
         a = scheme.adjacency_matrix(i)
         assert all(
@@ -111,7 +113,7 @@ def test_association_scheme_closure_structure_constants():
         per_relation: dict[int, set] = {}
         for x in range(size):
             for y in range(size):
-                per_relation.setdefault(scheme.relation_index(x, y), set()).add(
+                per_relation.setdefault(scheme.relation[x][y], set()).add(
                     prod.data[x][y]
                 )
         # product is constant on every relation class: lies in the span of A_m
@@ -137,7 +139,7 @@ def test_relation_table_reads_shared_points(nkq):
     subs = scheme.subspaces
     for x in range(scheme.size):
         for y in range(scheme.size):
-            assert scheme.relation_index(x, y) == scheme.k - intersection_dim(
+            assert scheme.relation[x][y] == scheme.k - intersection_dim(
                 subs[x], subs[y]
             ), (nkq, x, y)
 

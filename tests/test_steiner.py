@@ -9,7 +9,7 @@ from qsteiner.exactq import gauss_binom
 from qsteiner.gfspaces import (
     _coverage_key,
     _coverage_keys,
-    enumerate_subspaces,
+    grassmannian,
     iter_subspaces,
     subspace_from_rows,
 )
@@ -46,6 +46,7 @@ from qsteiner.steiner import (
     per_intersection_counts,
     rank_certificate,
     sample_steiner,
+    sample_steps,
     save_design_file,
     verify_design,
     verify_design_ids,
@@ -66,18 +67,16 @@ def test_param_validation():
 
 
 def test_admissibility_and_block_count():
-    assert PG32.admissible and PG32.block_count == 5
+    assert PG32.admissible and PG32.lambdas[0] == 5  # lambda_0 is the block count
     bad = ParamSet(t=1, k=2, n=5, q=2)
     assert not bad.admissible  # 3 does not divide 31
-    with pytest.raises(ValueError):
-        bad.block_count
 
 
 def test_lambda_i_examples():
-    assert lambda_i(PG32, 1, 1) == 1  # i = t
-    assert lambda_i(PG32, 0, 1) == 5
+    assert lambda_i(PG32, 1) == 1  # i = t
+    assert lambda_i(PG32, 0) == 5
     big = ParamSet(t=2, k=3, n=13, q=2)
-    assert lambda_i(big, 1, 1) == 1365  # [12 1]/[2 1] = 4095/3
+    assert lambda_i(big, 1) == 1365  # [12 1]/[2 1] = 4095/3
     assert big.admissible
 
 
@@ -109,11 +108,11 @@ def test_every_enumerated_design_verifies():
 
 
 def test_verify_design_trivial_design():
-    # the full Grassmannian is a design with lambda = [n-t k-t]
-    blocks = enumerate_subspaces(4, 2, 2)
-    lam = int(gauss_binom(3, 1, 2))
-    assert verify_design(blocks, PG32, lam=lam).ok
-    assert not verify_design(blocks, PG32, lam=1).ok
+    # the full Grassmannian covers every point [n-t k-t] times
+    blocks = grassmannian(4, 2, 2)
+    result = verify_design(blocks, PG32)
+    assert not result.ok
+    assert result.coverage == gauss_binom(3, 1, 2)
 
 
 def test_verify_design_detects_corruption():
@@ -159,12 +158,12 @@ def test_both_verifiers_give_the_same_verdict_and_witness():
     assert failures == 3
 
 
-def _verdict_by_containment(blocks, params, lam):
+def _verdict_by_containment(blocks, params):
     """verify_design's contract from Subspace.contains counts alone: the
-    first t-subspace in canonical order whose coverage is not lam."""
-    for s in enumerate_subspaces(params.n, params.t, params.q):
+    first t-subspace in canonical order whose coverage is not 1."""
+    for s in grassmannian(params.n, params.t, params.q):
         c = sum(b.contains(s) for b in blocks)
-        if c != lam:
+        if c != 1:
             return False, s, c
     return True, None, None
 
@@ -173,29 +172,28 @@ def _verdict_by_containment(blocks, params, lam):
 def test_verify_design_multi_row_keys_match_containment(n, q):
     # t = 2: each coverage key holds two packed rows over F_2
     params = ParamSet(t=2, k=3, n=n, q=q)
-    planes = enumerate_subspaces(n, 2, q)
-    solids = enumerate_subspaces(n, 3, q)
+    planes = grassmannian(n, 2, q)
+    solids = grassmannian(n, 3, q)
     lam = int(gauss_binom(n - 2, 1, q))  # solids through a plane
     doubled = [b for b in solids if b.contains(planes[0])][:2]
     rng = random.Random(n * q)
     cases = [
-        (solids, lam, (True, None)),
-        (solids[:-1], lam, (False, lam - 1)),
-        (doubled, 1, (False, 2)),
-    ] + [(rng.sample(solids, rng.randint(1, len(solids))), rng.choice((1, 2)), None)
-         for _ in range(4)]
-    for blocks, lam_case, expected in cases:
-        result = verify_design(blocks, params, lam=lam_case)
-        ok, witness, coverage = _verdict_by_containment(blocks, params, lam_case)
+        (solids, (False, lam)),
+        (solids[:-1], None),
+        (doubled, (False, 2)),
+    ] + [(rng.sample(solids, rng.randint(1, len(solids))), None) for _ in range(4)]
+    for blocks, expected in cases:
+        result = verify_design(blocks, params)
+        ok, witness, coverage = _verdict_by_containment(blocks, params)
         assert (result.ok, result.witness, result.coverage) == (ok, witness, coverage)
         if expected is not None:
             assert (result.ok, result.coverage) == expected
         if not ok:
-            assert result.message == f"t-subspace covered {coverage} times, expected {lam_case}"
-    assert verify_design(doubled, params, lam=1).witness == planes[0]
+            assert result.message == f"t-subspace covered {coverage} times, expected 1"
+    assert verify_design(doubled, params).witness == planes[0]
 
 
-def _witness_by_iter_subspaces(blocks, params, lam):
+def _witness_by_iter_subspaces(blocks, params):
     """The witness walk that builds a Subspace for every t-subspace."""
     coverage = {}
     for b in blocks:
@@ -203,7 +201,7 @@ def _witness_by_iter_subspaces(blocks, params, lam):
             coverage[key] = coverage.get(key, 0) + 1
     return _first_miss(
         ((s, coverage.get(_coverage_key(s), 0))
-         for s in iter_subspaces(params.n, params.t, params.q)), lam)
+         for s in iter_subspaces(params.n, params.t, params.q)))
 
 
 @pytest.mark.parametrize("params", [PG32, PG33, ParamSet(t=2, k=3, n=5, q=2)])
@@ -211,8 +209,8 @@ def test_key_walk_finds_the_iter_subspaces_witness(params):
     if params.t == 1:
         blocks = sample_steiner(params, 1, 1).designs[0].block_subspaces()
     else:
-        blocks = enumerate_subspaces(params.n, params.k, params.q)
-    universe = enumerate_subspaces(params.n, params.k, params.q)
+        blocks = list(grassmannian(params.n, params.k, params.q))
+    universe = grassmannian(params.n, params.k, params.q)
     spare = [b for b in universe if b not in blocks]
     rng = random.Random(params.n * params.q)
     cases = [blocks, blocks[:-1], blocks[1:], blocks[:-1] + spare[:1],
@@ -220,20 +218,19 @@ def test_key_walk_finds_the_iter_subspaces_witness(params):
     cases += [rng.sample(universe, rng.randint(1, len(universe))) for _ in range(6)]
     misses = 0
     for case in cases:
-        for lam in (1, 2):
-            result = verify_design(case, params, lam=lam)
-            expected = _witness_by_iter_subspaces(case, params, lam)
-            assert (result.ok, result.witness, result.coverage, result.message) == (
-                expected.ok, expected.witness, expected.coverage, expected.message)
-            misses += not result.ok
-    assert misses >= len(cases)
+        result = verify_design(case, params)
+        expected = _witness_by_iter_subspaces(case, params)
+        assert (result.ok, result.witness, result.coverage, result.message) == (
+            expected.ok, expected.witness, expected.coverage, expected.message)
+        misses += not result.ok
+    assert misses >= len(cases) - 1
 
 
 def test_verify_design_rejects_malformed():
     blocks = enumerate_steiner(PG32)[0].block_subspaces()
     with pytest.raises(ValueError):
         verify_design(blocks + [blocks[0]], PG32)  # duplicate
-    point = enumerate_subspaces(4, 1, 2)[0]
+    point = grassmannian(4, 1, 2)[0]
     with pytest.raises(ValueError):
         verify_design(blocks[:-1] + [point], PG32)  # wrong dimension
 
@@ -256,6 +253,22 @@ def test_sampling_prefix_property_and_empty():
     for d in large.designs:
         assert verify_design_ids(d).ok
     assert sample_steiner(PG32, seed=3, count=0).designs == []
+
+
+@pytest.mark.parametrize("params, seed, expected", [
+    (PG32, 1, [(30, True), (127, True), (5200, False)]),  # 100 runs out of attempts
+    (PG33, 7, [(25, True), (50, True), (100, True)]),
+])
+def test_sample_steps_extend_one_stream(params, seed, expected):
+    """Each step of one stream is what a fresh sample_steiner run with that
+    count gives: the same designs, completeness and attempts."""
+    counts = (25, 50, 100)
+    steps = list(sample_steps(params, seed, counts))
+    assert [(step.attempts, step.complete) for step in steps] == expected
+    for step, count in zip(steps, counts):
+        fresh = sample_steiner(params, seed, count)
+        assert [d.blocks for d in step.designs] == [d.blocks for d in fresh.designs]
+        assert (step.complete, step.attempts) == (fresh.complete, fresh.attempts)
 
 
 def test_exact_cover_search_restores_its_state():
@@ -373,12 +386,12 @@ def test_per_intersection_counts_match_formula():
     designs = enumerate_steiner(PG32)
     for d in designs[::8]:
         assert per_intersection_counts(d, 0) == {4}
-    # pair partition: every block sees block_count - 1 others
+    # pair partition: every block sees lambda_0 - 1 others
     total = sum(
         int(gauss_binom(PG32.k, i, PG32.q)) * int(intersect_count(PG32, i))
         for i in range(PG32.t)
     )
-    assert total == PG32.block_count - 1
+    assert total == lambda_i(PG32, 0) - 1
 
 
 def test_gram_check_and_corruption():
