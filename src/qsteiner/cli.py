@@ -42,6 +42,20 @@ from .steiner import (
 )
 
 _ADAPTIVE_SAMPLE_STEPS = (25, 50, 100, 150, 200, 300)
+# the lambdas' products hold at most t*n*bitlen(q) bits; every n <= 64
+# with q < 2^32 stays under it, and under it the lambdas take under a second
+_LAMBDA_BITS_GUARD = 1 << 17
+
+
+def _adaptive_steps(params: ParamSet):
+    """The fixed design counts, then one a tenth past the target when that
+    is more than 300: seeded streams have met within a few designs past it.
+    The target is computed only after the fixed steps ran, so sampling's
+    own guards have refused huge Grassmannians by then."""
+    yield from _ADAPTIVE_SAMPLE_STEPS
+    last = dimension_formula(params) * 11 // 10
+    if last > _ADAPTIVE_SAMPLE_STEPS[-1]:
+        yield last
 
 
 class CLIError(Exception):
@@ -249,7 +263,7 @@ def _dimension_sample(params: ParamSet, config: argparse.Namespace,
     if config.count:
         results = [sample_steiner(params, seed, config.count)]
     else:
-        results = sample_steps(params, seed, _ADAPTIVE_SAMPLE_STEPS)
+        results = sample_steps(params, seed, _adaptive_steps(params))
     for result in results:
         cert = rank_certificate(params, result.designs)
         if cert.meets:
@@ -269,6 +283,10 @@ def run_dimension(config: argparse.Namespace) -> int:
         for flag in ("count", "seed"):
             if getattr(config, flag) is not None:
                 raise CLIError(f"--{flag} needs --sample")
+    bits = params.t * params.n * params.q.bit_length()
+    if bits > _LAMBDA_BITS_GUARD:
+        raise CLIError(f"admissibility guard exceeded: t*n*bitlen(q) = {bits} "
+                       f"(<= {_LAMBDA_BITS_GUARD})")
     report: dict = {
         "command": "dimension",
         "t": params.t,

@@ -17,13 +17,14 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exactq import choose2, gauss_binom, gauss_binom_guard, is_prime_power, q_int, q_pow
 from .gfspaces import (
     Subspace,
     _canonical_keys,
     _coverage_keys,
+    _f2_eliminate,
     _inner_indices,
     _key_subspace,
     grassmannian,
@@ -312,9 +313,10 @@ def sample_steiner(params: ParamSet, seed: int, count: int) -> SampleResult:
     return next(sample_steps(params, seed, (count,)))
 
 
-def sample_steps(params: ParamSet, seed: int, counts: Sequence[int]):
+def sample_steps(params: ParamSet, seed: int, counts: Iterable[int]):
     """``sample_steiner(params, seed, c)`` for each c of the increasing
-    counts, drawn from one seeded stream of attempts.
+    counts, drawn from one seeded stream of attempts; each count is read
+    only when its result is asked for.
 
     An attempt draws the same random numbers whatever the count, so the
     result for c is a prefix of the stream: the distinct designs found
@@ -642,24 +644,38 @@ def rank_certificate(params: ParamSet, designs: Sequence[Design]) -> RankCertifi
     every characteristic vector (their W-image is the constant lambda
     vector), and those differences have rank rank(W) - 1; the remaining
     all-ones functional is not annihilated, leaving
-    rank(U) <= [n k] - rank(W) + 1.  Lower bound: exact rank of the columns
-    actually collected, read as rank(U U^T), which equals rank(U) over Q.
-    The certificate meets when both bounds hit [n k] - [n t] + 1.
+    rank(U) <= [n k] - rank(W) + 1.  Lower bound: the exact rank over Q of
+    the columns actually collected.  The certificate meets when both bounds
+    hit [n k] - [n t] + 1.
 
     Column d of W U is the t-subspace coverage vector of design d, so the
     annihilation test is design verification of every collected column.
+
+    The lower bound is read first as the rank of U over F_2, one packed word
+    per design: an integer matrix's rank mod 2 is at most its rank over Q.
+    When that meets a proven ceiling on rank(U) (the number of designs,
+    [n k], and the upper bound once it is proven), it is the exact rank;
+    otherwise rank(U U^T), which equals rank(U) over Q, is taken by Bareiss.
     """
+    if any(d.params != params for d in designs):
+        raise ValueError("designs with mixed parameters")
     size_k = int(gauss_binom(params.n, params.k, params.q))
-    gram = gram_matrix(params, designs)
     annihilation_ok = all(verify_design_ids(d).ok for d in designs)
     w_rank, row_diff_rank = _inclusion_ranks(params)
+    upper_bound = size_k - w_rank + 1
+    ceiling = min(len(designs), size_k)
+    if annihilation_ok and row_diff_rank == w_rank - 1:
+        ceiling = min(ceiling, upper_bound)
+    rank = len(_f2_eliminate(sum(1 << b for b in d.blocks) for d in designs))
+    if rank != ceiling:
+        rank = rank_exact(gram_matrix(params, designs))
     return RankCertificate(
         n_designs=len(designs),
         w_rank=w_rank,
         row_diff_rank=row_diff_rank,
         annihilation_ok=annihilation_ok,
-        upper_bound=size_k - w_rank + 1,
-        lower_bound=rank_exact(gram),
+        upper_bound=upper_bound,
+        lower_bound=rank,
         target=dimension_formula(params),
     )
 

@@ -217,7 +217,12 @@ def test_adaptive_sampling_draws_one_stream(tmp_path, monkeypatch):
      "enumeration guard"),
     (["dimension", "--t", "1", "--k", "1500", "--n", "3000", "--q", "2",
       "--sample", "--count", "5"], "enumeration guard"),
-], ids=["scheme-3000", "scheme-8000", "enumerate", "dimension-sample"])
+    (["dimension", "--t", "700", "--k", "1500", "--n", "3000", "--q", "2"],
+     "admissibility guard"),
+    (["dimension", "--t", "700", "--k", "1500", "--n", "3000", "--q", "2",
+      "--sample"], "admissibility guard"),
+], ids=["scheme-3000", "scheme-8000", "enumerate", "dimension-sample",
+        "dimension-lambdas", "dimension-sample-lambdas"])
 def test_size_guards_refuse_before_the_product(argv, guard, capsys):
     """[n k]_q >= q^(k(n-k)) refuses huge Grassmannians without building
     [n k]_q, which would take tens of seconds and overflow int-to-str."""
@@ -230,6 +235,43 @@ def test_size_guards_refuse_before_the_product(argv, guard, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ") and guard in captured.err
     assert elapsed < 2
+
+
+def test_admissibility_guard_passes_every_n_up_to_64(capsys):
+    """t*n*bitlen(q) is 126,976 here, near its largest value at n = 64 with
+    q < 2^32; the lambdas are still computed and the report is exit 1."""
+    code = main(["dimension", "--t", "62", "--k", "63", "--n", "64",
+                 "--q", "4294967291"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("inadmissible parameters: derived index-1 count ")
+    assert err.endswith("/4294967292 is not an integer\n")
+
+
+@pytest.mark.parametrize("n, q, points, sampled, target", [
+    (6, 2, 63, 647, 589), (4, 4, 85, 300, 273),
+])
+def test_adaptive_sampling_meets_without_bareiss(n, q, points, sampled, target,
+                                                 tmp_path, monkeypatch):
+    """Adaptive steps reach targets near and past 300 designs, and every
+    step's lower bound is the F_2 rank of U: Bareiss ranks only W and its
+    row differences."""
+    steiner._inclusion_ranks.cache_clear()
+    ranked = []
+    rank_exact = steiner.rank_exact
+    monkeypatch.setattr(steiner, "rank_exact",
+                        lambda m: ranked.append(m.rows) or rank_exact(m))
+    out = tmp_path / "d.json"
+    start = time.perf_counter()
+    code = main(["dimension", "--t", "1", "--k", "2", "--n", str(n), "--q", str(q),
+                 "--sample", "--seed", "1", "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["sampled"] == sampled
+    assert report["certificate"]["lower_bound"] == report["dimension_formula"] == target
+    assert ranked == [points, points - 1]
+    assert elapsed < 10
 
 
 @pytest.mark.parametrize("qs", ["1", "2,0"])

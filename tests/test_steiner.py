@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from qsteiner import steiner
 from qsteiner.exactq import gauss_binom
 from qsteiner.gfspaces import (
     _coverage_key,
     _coverage_keys,
+    _f2_eliminate,
     grassmannian,
     iter_subspaces,
     subspace_from_rows,
@@ -505,6 +507,49 @@ def test_rank_certificate_pg33_sampling():
     cert = rank_certificate(PG33, res.designs)
     assert cert.w_rank == 40
     assert cert.meets and cert.target == 91
+
+
+def _counting_rank_exact(monkeypatch) -> list:
+    """Record each matrix the certificate hands to Bareiss, once W's two
+    ranks are cached."""
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return rank_exact(matrix)
+    monkeypatch.setattr(steiner, "rank_exact", counted)
+    return calls
+
+
+@pytest.mark.parametrize("params, designs", [
+    (PG32, lambda: enumerate_steiner(PG32)),
+    (PG33, lambda: sample_steiner(PG33, seed=1, count=3000).designs),
+], ids=["pg32-all-56", "pg33-sample-3000"])
+def test_rank_certificate_f2_rank_matches_bareiss(params, designs, monkeypatch):
+    """The F_2 rank of U meets the proven ceiling, so no Gram matrix is
+    ranked, and the certificate is the one Bareiss on U U^T gives."""
+    designs = designs()
+    steiner._inclusion_ranks(params)
+    calls = _counting_rank_exact(monkeypatch)
+    cert = rank_certificate(params, designs)
+    assert calls == []
+    assert cert.meets
+    assert cert.lower_bound == rank_exact(gram_matrix(params, designs))
+
+
+def test_rank_certificate_falls_back_below_the_rational_rank(monkeypatch):
+    """These 14 PG(3,2) spreads have rank 14 over Q but 13 over F_2, so the
+    F_2 rank misses the ceiling of 14 designs and Bareiss decides."""
+    spreads = enumerate_steiner(PG32)
+    designs = [spreads[i] for i in (0, 2, 4, 9, 16, 21, 25, 26, 34, 36, 37, 43, 48, 55)]
+    words = [sum(1 << b for b in d.blocks) for d in designs]
+    assert len(_f2_eliminate(words)) == 13
+    steiner._inclusion_ranks(PG32)
+    calls = _counting_rank_exact(monkeypatch)
+    cert = rank_certificate(PG32, designs)
+    assert len(calls) == 1
+    assert cert.lower_bound == rank_exact(incidence_matrix(designs)) == 14
+    assert cert.annihilation_ok and not cert.meets
 
 
 def test_full_pipeline_pg33_enumeration():
