@@ -336,7 +336,10 @@ def run_verify_design(config: argparse.Namespace) -> int:
         raise CLIError(f"{config.designs}: {exc}") from exc
     all_ok = True
     for idx, (params, blocks) in enumerate(loaded):
-        result = verify_design(blocks, params)
+        try:
+            result = verify_design(blocks, params)
+        except ValueError as exc:
+            raise CLIError(f"{config.designs}: design {idx}: {exc}") from exc
         tag = f"design {idx} ({params.t},{params.k},{params.n},{params.q})"
         if result.ok:
             print(f"{tag}: ok ({len(blocks)} blocks)")

@@ -25,7 +25,7 @@ def q_pow(e: int, q: int) -> Fraction:
 
 
 def is_prime_power(q: int) -> bool:
-    """Whether ``prime_power_parts`` accepts q (meant for q < 2**20)."""
+    """Whether ``prime_power_parts`` accepts q (False for q >= 2^32)."""
     try:
         prime_power_parts(q)
     except ValueError:
@@ -34,7 +34,10 @@ def is_prime_power(q: int) -> bool:
 
 
 def prime_power_parts(q: int) -> tuple[int, int]:
-    """Return (p, e) with q == p**e, p prime; raises if q is not a prime power."""
+    """Return (p, e) with q == p**e, p prime; raises if q is not a prime
+    power, and refuses q >= 2^32, whose trial division could take 2^16+ steps."""
+    if q >= 1 << 32:
+        raise ValueError(f"{q} exceeds the prime-power guard 2^32")
     if q >= 2:
         m = q
         p = 2

@@ -15,10 +15,10 @@ and ``inner_subspaces`` walks the subspaces of one block in the same order.
 Elimination has one kernel per field kind, and ``rref``, ``rows_rank``,
 ``Subspace.contains`` and ``intersection_dim`` all reduce through it.  Over
 F_2 a row is held packed into an int, bit j holding column j, and
-``_f2_eliminate`` runs on xor, as do the design coverage keys; the tuple
-bases are built from the packed rows once.  Every other field goes through
-``_fq_eliminate``, which works on whole rows with the field's ``row_sub``
-and ``row_scale``.
+``_f2_eliminate`` runs on xor, as do the design coverage keys; a Subspace
+is its packed RREF rows, and its tuple basis is unpacked only when read.
+Every other field goes through ``_fq_eliminate``, which works on whole rows
+with the field's ``row_sub`` and ``row_scale``.
 """
 
 from __future__ import annotations
@@ -172,13 +172,15 @@ def field(q: int) -> FieldSpec:
     return FieldSpec(q)
 
 
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# bytes 0 and 1 as binary digits, every other byte as "2", which int(_, 2) refuses
+_F2_DIGITS = bytes(b"01" + b"2" * 254)
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _pack(row) -> int:
-    """An F_2 row (entries 0 and 1) as an int, bit j holding column j."""
-    return int(bytes(row)[::-1].translate(_BIT_DIGITS) or b"0", 2)
+    """An F_2 row as an int, bit j holding column j; entries that are not
+    0 or 1 (or True or False) raise in ``bytes`` or in ``int``."""
+    return int(bytes(row)[::-1].translate(_F2_DIGITS) or b"0", 2)
 
 
 def _unpack(word: int, n: int) -> tuple[int, ...]:
@@ -235,19 +237,14 @@ def rref(rows, fld: FieldSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
 
     Returns (nonzero rows as tuples, pivot columns).  Idempotent on its own
     output; the zero space comes back as an empty row tuple.  F_2 rows are
-    packed into ints and reduced by ``_f2_eliminate``; other fields go
-    through ``_fq_eliminate``, whose padded rows then have the entries above
-    each pivot cleared, last pivot first.
+    checked and reduced by ``subspace_from_rows``, then unpacked; other
+    fields go through ``_fq_eliminate``, whose padded rows then have the
+    entries above each pivot cleared, last pivot first.
     """
     if fld.q == 2:
         rows = list(rows)
-        if not rows:
-            return (), ()
-        n = len(rows[0])
-        reduced = _f2_eliminate(map(_pack, rows))
-        pivots = sorted(reduced)
-        return (tuple([_unpack(reduced[piv], n) for piv in pivots]),
-                tuple([piv.bit_length() - 1 for piv in pivots]))
+        s = subspace_from_rows(rows, len(rows[0]) if rows else 0, 2)
+        return s.basis, s.pivots
     tails = _fq_eliminate(rows, fld)
     pivots = sorted(tails)
     reduced = {piv: [0] * piv + list(tails[piv]) for piv in pivots}
@@ -269,37 +266,45 @@ def rows_rank(rows, fld: FieldSpec) -> int:
 
 
 class Subspace:
-    """A subspace of F_q^n held as its canonical RREF basis.
+    """A subspace of F_q^n held as its canonical RREF, ``key``: over F_2 one
+    int per row, bit j holding column j, rows in pivot order; otherwise the
+    RREF basis.  Equality and hashing go through (ambient, q, key).  Over
+    F_2 ``basis`` is unpacked from the key, and ``pivots`` read off it, when
+    first asked for."""
 
-    Equality and hashing go through (ambient, q, basis), so two subspaces
-    are equal exactly when their RREF matrices coincide.
-    """
+    __slots__ = ("ambient", "q", "key", "_pivots", "_basis")
 
-    __slots__ = ("ambient", "q", "basis", "pivots", "_hash")
-
-    def __init__(self, ambient: int, q: int, basis: tuple[tuple[int, ...], ...],
-                 pivots: tuple[int, ...]):
+    def __init__(self, ambient: int, q: int, key: tuple, pivots: tuple | None = None):
         self.ambient = ambient
         self.q = q
-        self.basis = basis
-        self.pivots = pivots
-        self._hash = hash((ambient, q, basis))
+        self.key = key
+        self._pivots = pivots
+        self._basis = None if q == 2 else key
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        if self._basis is None:
+            self._basis = tuple([_unpack(word, self.ambient) for word in self.key])
+        return self._basis
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        if self._pivots is None:
+            self._pivots = tuple([(w & -w).bit_length() - 1 for w in self.key] if self.q == 2
+                                 else [row.index(1) for row in self.key])
+        return self._pivots
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.ambient == other.ambient
-            and self.q == other.q
-            and self.basis == other.basis
-        )
+        return (self.ambient, self.q, self.key) == (other.ambient, other.q, other.key)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.ambient, self.q, self.key))
 
     def __repr__(self) -> str:
         return f"Subspace(n={self.ambient}, q={self.q}, basis={self.basis})"
@@ -314,9 +319,8 @@ class Subspace:
         return [list(r) for r in self.basis]
 
 
-def subspace_from_rows(rows, n: int, q: int, expect_dim: int | None = None) -> Subspace:
-    """Canonicalize a spanning set into a Subspace of F_q^n."""
-    fld = field(q)
+def _check_rows(rows, n: int, q: int) -> None:
+    """Raise for the first bad row length or entry, row by row and entry by entry."""
     for r in rows:
         if len(r) != n:
             raise ValueError(f"row length {len(r)} != ambient {n}")
@@ -326,10 +330,28 @@ def subspace_from_rows(rows, n: int, q: int, expect_dim: int | None = None) -> S
                 raise ValueError(f"entry {x!r} is not an integer")
             if not 0 <= x < q:
                 raise ValueError("entry outside 0..q-1")
-    basis, pivots = rref(rows, fld)
-    if expect_dim is not None and len(basis) != expect_dim:
-        raise ValueError(f"expected dimension {expect_dim}, got {len(basis)}")
-    return Subspace(n, q, basis, pivots)
+
+
+def subspace_from_rows(rows, n: int, q: int, expect_dim: int | None = None) -> Subspace:
+    """Canonicalize a spanning set into a Subspace of F_q^n.  Over F_2 the
+    rows are packed once, which checks their entries but for the type, and
+    only a block that fails a check is walked entry by entry, for the message."""
+    if q == 2:
+        try:
+            words = list(map(_pack, rows))
+        except (TypeError, ValueError):
+            words = None
+        if (words is None or set(map(len, rows)) - {n}
+                or set(map(type, itertools.chain.from_iterable(rows))) - {int}):
+            _check_rows(rows, n, q)  # raises
+        reduced = _f2_eliminate(words)
+        key, pivots = tuple([reduced[piv] for piv in sorted(reduced)]), None
+    else:
+        _check_rows(rows, n, q)
+        key, pivots = rref(rows, field(q))
+    if expect_dim is not None and len(key) != expect_dim:
+        raise ValueError(f"expected dimension {expect_dim}, got {len(key)}")
+    return Subspace(n, q, key, pivots)
 
 
 def _pivot_sets_colex(n: int, k: int) -> list[tuple[int, ...]]:
@@ -359,49 +381,35 @@ def _basis_for(pivots: tuple[int, ...], digits, n: int,
 
 def iter_subspaces(n: int, k: int, q: int):
     """Lazily yield the k-dim subspaces of F_q^n in canonical order."""
-    for pivots, basis in _canonical_bases(n, k, q):
-        yield Subspace(n, q, basis, pivots)
-
-
-def _canonical_bases(n: int, k: int, q: int):
-    """(pivots, RREF basis) of each k-subspace of F_q^n in canonical order."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    field(q)  # validates q
-    for pivots in _pivot_sets_colex(n, k):
-        free = _free_positions(pivots, n)
-        for digits in itertools.product(range(q), repeat=len(free)):
-            yield pivots, _basis_for(pivots, digits, n, free)
+    for key, pivots in _canonical_keys(n, k, q):
+        yield Subspace(n, q, key, pivots)
 
 
 def _canonical_keys(n: int, k: int, q: int):
-    """(pivots, coverage key) of each k-subspace of F_q^n in canonical
-    order, the key being what ``_coverage_key`` gives; no Subspace is built.
+    """(key, pivots) of each k-subspace of F_q^n in canonical order, with
+    no Subspace built.
 
     Over F_2 the key's packed rows are read straight off (pivots, digits):
     row i of the RREF is bits i*n .. i*n+n-1 of one word, the sum of the
     pivot bits and of one bit per free slot whose digit is 1, and
     ``itertools.product`` over the slots' (0, bit) choices walks the digits
-    in canonical order.  Other fields key by the RREF basis.
+    in canonical order.  Other fields' keys are the RREF bases.
     """
-    if q != 2:
-        yield from _canonical_bases(n, k, q)
-        return
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    field(q)  # validates q
     mask = (1 << n) - 1
     shifts = [i * n for i in range(k)]
     for pivots in _pivot_sets_colex(n, k):
+        free = _free_positions(pivots, n)
+        if q != 2:
+            for digits in itertools.product(range(q), repeat=len(free)):
+                yield _basis_for(pivots, digits, n, free), pivots
+            continue
         base = sum(1 << (i * n + p) for i, p in enumerate(pivots))
-        choices = [(0, 1 << (i * n + j)) for i, j in _free_positions(pivots, n)]
+        choices = [(0, 1 << (i * n + j)) for i, j in free]
         for word in map(sum, itertools.product((base,), *choices)):
-            yield pivots, tuple([word >> s & mask for s in shifts])
-
-
-def _key_subspace(pivots: tuple[int, ...], key: tuple, n: int, q: int) -> Subspace:
-    """The Subspace that ``_canonical_keys`` yields (pivots, key) for."""
-    basis = tuple(_unpack(word, n) for word in key) if q == 2 else key
-    return Subspace(n, q, basis, pivots)
+            yield tuple([word >> s & mask for s in shifts]), pivots
 
 
 @cache
@@ -449,38 +457,25 @@ def inner_subspaces(block: Subspace, i: int):
 def _inner_indices(n: int, k: int, i: int, q: int) -> tuple[tuple[int, ...], ...]:
     """For each k-subspace of F_q^n in canonical order, the canonical
     indices of its i-subspaces, built once."""
-    index = {s.basis: j for j, s in enumerate(grassmannian(n, i, q))}
+    index = {s.key: j for j, s in enumerate(grassmannian(n, i, q))}
     return tuple(
-        tuple(index[basis] for basis, _ in inner_subspaces(block, i))
+        tuple([index[key] for key in _coverage_keys(block, i)])
         for block in grassmannian(n, k, q)
     )
 
 
-@cache
-def _f2_coefficients(k: int, i: int) -> tuple[tuple[int, ...], ...]:
-    """The packed rows of each i-subspace of F_2^k, in canonical order."""
-    return tuple(tuple(map(_pack, w.basis)) for w in grassmannian(k, i, 2))
-
-
 def _coverage_keys(block: Subspace, i: int):
-    """One hashable key per i-subspace of the block, in ``inner_subspaces``
-    order; ``_coverage_key`` gives the same key for the same subspace.
+    """The key of each i-subspace of the block, in ``inner_subspaces`` order.
 
-    F_2 keys are the packed rows of W.B: row r is the xor of the block rows
-    that row r of W selects, read off a table of all 2^k such xors.  Other
-    fields key by the RREF basis.
+    Over F_2 row r of the key of W.B is the xor of the block rows that row r
+    of W selects, read off a table of all 2^k such xors.
     """
     if block.q != 2:
-        return (basis for basis, _ in inner_subspaces(block, i))
+        return [basis for basis, _ in inner_subspaces(block, i)]
     span = [0]
-    for row in block.basis:
-        word = _pack(row)
+    for word in block.key:
         span += [s ^ word for s in span]
-    return (tuple([span[c] for c in coeffs]) for coeffs in _f2_coefficients(block.dim, i))
-
-
-def _coverage_key(s: Subspace) -> tuple:
-    return tuple(map(_pack, s.basis)) if s.q == 2 else s.basis
+    return [tuple(map(span.__getitem__, w.key)) for w in grassmannian(len(block.key), i, 2)]
 
 
 def canonical_index(s: Subspace) -> int:

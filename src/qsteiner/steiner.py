@@ -13,22 +13,22 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .exactq import choose2, gauss_binom, gauss_binom_guard, is_prime_power, q_int, q_pow
+from .exactq import choose2, gauss_binom, gauss_binom_guard, prime_power_parts, q_int, q_pow
 from .gfspaces import (
     Subspace,
     _canonical_keys,
     _coverage_keys,
     _f2_eliminate,
     _inner_indices,
-    _key_subspace,
     grassmannian,
-    inner_subspaces,
     intersection_dim,
     subspace_from_rows,
 )
@@ -43,6 +43,8 @@ from .identities import kernel_sum
 from .linalg import ExactMatrix, rank_exact
 
 _UNIVERSE_GUARD = 200
+# Bareiss on the [n k]-square Gram matrix took 0.4 s at 130, 19 s at 357
+_GRAM_RANK_GUARD = 200
 # PG(3,3), all 8424 spreads, takes about 48,000 nodes
 _ENUMERATION_NODE_BUDGET = 500_000
 
@@ -59,8 +61,7 @@ class ParamSet:
     def __post_init__(self):
         if not 1 <= self.t < self.k <= self.n:
             raise ValueError(f"need 1 <= t < k <= n, got {self}")
-        if not is_prime_power(self.q):
-            raise ValueError(f"q = {self.q} is not a prime power")
+        prime_power_parts(self.q)  # raises for q that is not a prime power, or huge
 
     @property
     def lambdas(self) -> tuple[Fraction, ...]:
@@ -161,26 +162,22 @@ def verify_design(blocks: Sequence[Subspace], params: ParamSet) -> VerificationR
     Malformed blocks (wrong ambient, wrong dimension, duplicates) raise.
     """
     t, k, n, q = params.t, params.k, params.n, params.q
-    seen = set()
-    for b in blocks:
+    seen: dict[tuple, int] = {}
+    for idx, b in enumerate(blocks):
         if b.ambient != n or b.q != q:
             raise ValueError(f"block ambient/order mismatch: {b.ambient}, q={b.q}")
         if b.dim != k:
             raise ValueError(f"block of dimension {b.dim}, expected {k}")
-        if b in seen:
-            raise ValueError("duplicate block")
-        seen.add(b)
-    coverage: dict[tuple, int] = {}
-    for b in blocks:
-        for key in _coverage_keys(b, t):
-            coverage[key] = coverage.get(key, 0) + 1
+        if (first := seen.setdefault(b.key, idx)) != idx:
+            raise ValueError(f"block {idx} duplicates block {first}")
+    coverage = Counter(chain.from_iterable(_coverage_keys(b, t) for b in blocks))
     total_t = gauss_binom(n, t, q)
     if all(c == 1 for c in coverage.values()) and Fraction(len(coverage)) == total_t:
         return VerificationResult(True)
     # the walk reads only coverage keys; the witness alone becomes a Subspace
     return _first_miss(
-        ((s, coverage.get(s[1], 0)) for s in _canonical_keys(n, t, q)),
-        witness=lambda s: _key_subspace(*s, n, q),
+        ((s, coverage.get(s[0], 0)) for s in _canonical_keys(n, t, q)),
+        witness=lambda s: Subspace(n, q, *s),
     )
 
 
@@ -513,8 +510,8 @@ def per_intersection_counts(design: Design, i: int) -> set[int]:
     blocks = [ctx.k_subspaces[b] for b in design.blocks]
     counts = set()
     for x, bx in enumerate(blocks):
-        for basis, pivots in inner_subspaces(bx, i):
-            ispace = Subspace(params.n, params.q, basis, pivots)
+        for key in _coverage_keys(bx, i):
+            ispace = Subspace(params.n, params.q, key)
             c = 0
             for y, by in enumerate(blocks):
                 if y == x:
@@ -655,7 +652,8 @@ def rank_certificate(params: ParamSet, designs: Sequence[Design]) -> RankCertifi
     per design: an integer matrix's rank mod 2 is at most its rank over Q.
     When that meets a proven ceiling on rank(U) (the number of designs,
     [n k], and the upper bound once it is proven), it is the exact rank;
-    otherwise rank(U U^T), which equals rank(U) over Q, is taken by Bareiss.
+    otherwise rank(U U^T), which equals rank(U) over Q, is taken by Bareiss,
+    and refused with ValueError when [n k] exceeds _GRAM_RANK_GUARD.
     """
     if any(d.params != params for d in designs):
         raise ValueError("designs with mixed parameters")
@@ -668,6 +666,10 @@ def rank_certificate(params: ParamSet, designs: Sequence[Design]) -> RankCertifi
         ceiling = min(ceiling, upper_bound)
     rank = len(_f2_eliminate(sum(1 << b for b in d.blocks) for d in designs))
     if rank != ceiling:
+        if size_k > _GRAM_RANK_GUARD:
+            raise ValueError(
+                f"Gram rank guard exceeded: the F_2 rank {rank} of U misses its ceiling "
+                f"{ceiling} and [n k] {size_k} > {_GRAM_RANK_GUARD}; sample more designs")
         rank = rank_exact(gram_matrix(params, designs))
     return RankCertificate(
         n_designs=len(designs),
@@ -737,6 +739,8 @@ def load_design_file(path: str | Path) -> list[tuple[ParamSet, list[Subspace]]]:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"parse error: {exc}") from exc
+    if obj == []:
+        raise ValueError("no design in file")
     if isinstance(obj, list):
         return [design_from_dict(o) for o in obj]
     return [design_from_dict(obj)]

@@ -426,3 +426,98 @@ def test_verify_design_missing_file():
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_verify_design_pinned_on_a_generated_spread(tmp_path, capsys, monkeypatch):
+    """The seeded, relabeled line spread of F_2^10 and its perturbed copy,
+    written by the benchmark's generator, which does not use qsteiner."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spreadgen
+
+    spread = spreadgen.make_spread(5, 1)
+    good, bad = tmp_path / "spread.json", tmp_path / "perturbed.json"
+    spreadgen.write_design(good, spread.dim, spread.blocks)
+    spreadgen.write_design(bad, spread.dim, spread.perturbed)
+    assert main(["verify-design", "--designs", str(good)]) == 0
+    assert capsys.readouterr().out == "design 0 (1,2,10,2): ok (341 blocks)\n"
+    assert main(["verify-design", "--designs", str(bad)]) == 1
+    assert capsys.readouterr().out == (
+        "design 0 (1,2,10,2): FAILED - t-subspace covered 0 times, expected 1\n"
+        "  witness row: [1, 1, 0, 0, 1, 1, 0, 1, 0, 1]\n"
+    )
+    row = [1, 1, 0, 0, 1, 1, 0, 1, 0, 1]
+    assert spread.perturbed_cover[sum(b << c for c, b in enumerate(row))] == 0
+
+
+@pytest.mark.parametrize("entry, message", [
+    (2, "entry outside 0..q-1"),
+    (-1, "entry outside 0..q-1"),
+    (256, "entry outside 0..q-1"),
+    ("1", "entry '1' is not an integer"),
+    (None, "entry None is not an integer"),
+    ([0], "entry [0] is not an integer"),
+    (1.0, "entry 1.0 is not an integer"),
+    (True, "entry True is not an integer"),
+], ids=["two", "minus-one", "256", "string", "null", "list", "float", "true"])
+def test_verify_design_names_each_bad_entry(entry, message, tmp_path, capsys):
+    # the bad entry is the last one of the block, after rows that pack
+    params = ParamSet(t=1, k=2, n=4, q=2)
+    path = tmp_path / "design.json"
+    save_design_file(path, params, enumerate_steiner(params)[0].block_subspaces())
+    obj = json.loads(path.read_text())
+    obj["blocks"][0][1][3] = entry
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["verify-design", "--designs", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: block 0: {message}\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"q": 2, "n": 4, "k": 2, "t": 1,
+      "blocks": [[[1, 0, 0, 0], [0, 1, 0, 0]], [[0, 1, 0, 0], [1, 0, 0, 0]]]},
+     "design 0: block 1 duplicates block 0"),
+    ([], "no design in file"),
+], ids=["duplicate-block", "empty-array"])
+def test_verify_design_refuses_in_one_line(content, message, tmp_path, capsys):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    assert main(["verify-design", "--designs", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+def test_rank_certificate_refuses_bareiss_over_its_guard(capsys):
+    """588 sampled (1,2,6,2) designs have F_2 rank 587, under the ceiling of
+    588; Bareiss on the 651-square Gram matrix would take minutes."""
+    start = time.perf_counter()
+    code = main(["dimension", "--t", "1", "--k", "2", "--n", "6", "--q", "2",
+                 "--sample", "--count", "588", "--seed", "1"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: Gram rank guard exceeded: the F_2 rank 587 of U misses its ceiling "
+        "588 and [n k] 651 > 200; sample more designs\n"
+    )
+    assert elapsed < 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["scheme", "--n", "4", "--k", "2"],
+    ["enumerate", "--t", "1", "--k", "2", "--n", "4"],
+    ["dimension", "--t", "1", "--k", "2", "--n", "4"],
+    ["dimension", "--t", "1", "--k", "2", "--n", "4", "--sample"],
+], ids=["scheme", "enumerate", "dimension", "dimension-sample"])
+def test_huge_q_is_refused_before_trial_division(argv, capsys):
+    """Trial division of this prime would take about 10^9 steps."""
+    start = time.perf_counter()
+    code = main(argv + ["--q", "1000000000000000003"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: 1000000000000000003 exceeds the prime-power guard 2^32\n"
+    )
+    assert elapsed < 2

@@ -129,6 +129,16 @@ def test_prime_power_recognition():
         prime_power_parts(12)
 
 
+def test_prime_power_guard_refuses_before_trial_division():
+    # 4294967291 is the largest prime below 2^32, the guard
+    assert prime_power_parts(4294967291) == (4294967291, 1)
+    assert prime_power_parts(2**31) == (2, 31)
+    for q in (2**32, 2**61 - 1, 10**18 + 3):
+        with pytest.raises(ValueError, match=f"^{q} exceeds the prime-power guard 2\\^32$"):
+            prime_power_parts(q)
+        assert not is_prime_power(q)
+
+
 def test_choose2_is_polynomial_extension():
     for m in range(-6, 7):
         assert choose2(m) == m * (m - 1) // 2

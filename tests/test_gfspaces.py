@@ -6,10 +6,11 @@ from qsteiner.exactq import gauss_binom, q_int
 from qsteiner.gfspaces import (
     FieldSpec,
     Subspace,
+    _basis_for,
     _canonical_keys,
-    _coverage_key,
     _coverage_keys,
-    _key_subspace,
+    _free_positions,
+    _pivot_sets_colex,
     canonical_index,
     count_fixed_intersection,
     count_fixed_intersection_bruteforce,
@@ -329,7 +330,7 @@ def test_packed_f2_rref_recovers_every_subspace():
 
 def test_packed_coverage_keys_match_gf_matmul():
     # an F_2 coverage key is W.B packed row by row, bit j for column j, and
-    # _coverage_key reads the same key off the subspace W.B spans
+    # is the key of the subspace W.B spans
     fld = field(2)
     cases = 0
     for n in range(1, 6):
@@ -343,26 +344,71 @@ def test_packed_coverage_keys_match_gf_matmul():
                         product = gf_matmul(w.basis, block.basis, fld)
                         assert key == tuple(sum(bit << j for j, bit in enumerate(row))
                                             for row in product)
-                        assert key == _coverage_key(subspace_from_rows(product, n, 2))
+                        assert key == subspace_from_rows(product, n, 2).key
                         cases += 1
     assert cases == 6363
 
 
 def test_canonical_keys_walk_iter_subspaces_without_subspaces():
-    # the key walk yields what iter_subspaces and _coverage_key give, in the
-    # same order, and _key_subspace rebuilds each Subspace from it
+    # the key walk yields the keys and pivots of iter_subspaces, in the
+    # same order, and Subspace rebuilds each subspace from them
     cases = 0
     for q, max_n in ((2, 6), (3, 4), (4, 3), (9, 2)):
         for n in range(max_n + 1):
             for k in range(n + 1):
                 subs = list(iter_subspaces(n, k, q))
                 keys = list(_canonical_keys(n, k, q))
-                assert keys == [(s.pivots, _coverage_key(s)) for s in subs]
-                assert [_key_subspace(*key, n, q) for key in keys] == subs
+                assert keys == [(s.key, s.pivots) for s in subs]
+                assert [Subspace(n, q, *key) for key in keys] == subs
                 cases += len(subs)
     assert cases == 3290 + 249 + 54 + 15  # sums of [n k]_q over the grid
     with pytest.raises(ValueError):
         next(_canonical_keys(3, 4, 2))
+
+
+def test_f2_subspaces_from_every_source_are_equal():
+    # one subspace, built from spanning rows, from the enumeration and from
+    # the key walk, is one key: equal, hash equal, and as a dict key
+    import random
+
+    rng = random.Random(13)
+    for n in range(1, 7):
+        for k in range(n + 1):
+            subs = grassmannian(n, k, 2)
+            walked = [Subspace(n, 2, *key) for key in _canonical_keys(n, k, 2)]
+            assert walked == list(subs)
+            for s, w in zip(subs, walked):
+                for t in (w, subspace_from_rows(_random_spanning_set(s.basis, n, rng), n, 2),
+                          subspace_from_rows(s.to_lists(), n, 2)):
+                    assert t == s and hash(t) == hash(s) and {s: 1}[t] == 1
+                    assert t.key == s.key and t.pivots == s.pivots and t.basis == s.basis
+
+
+def test_f2_basis_pivots_and_contains_read_off_the_packed_rows():
+    # the tuple forms come lazily off the packed key; the oracle is the RREF
+    # built entry by entry from (pivots, digits) and a span without elimination
+    fld = field(2)
+    cases = 0
+    for n in range(1, 7):
+        points = grassmannian(n, 1, 2)
+        for k in range(n + 1):
+            expected = [(_basis_for(piv, digits, n, free), piv)
+                        for piv in _pivot_sets_colex(n, k)
+                        for free in [_free_positions(piv, n)]
+                        for digits in itertools.product((0, 1), repeat=len(free))]
+            subs = grassmannian(n, k, 2)
+            assert len(subs) == len(expected)
+            for s, (basis, pivots) in zip(subs, expected):
+                fresh = subspace_from_rows([list(r) for r in basis], n, 2)
+                for t in (s, fresh):
+                    assert (t.basis, t.pivots, t.dim) == (basis, pivots, k)
+                    assert t.to_lists() == [list(r) for r in basis]
+                span = _span(basis, n, fld)
+                assert [s.contains(p) for p in points] == [p.basis[0] in span for p in points]
+                assert s.contains(s) and s.contains(grassmannian(n, 0, 2)[0])
+                assert fresh.contains(s) and s.contains(fresh)
+                cases += 1
+    assert cases == 3290 - 1  # sums of [n k]_2 over 1 <= n <= 6
 
 
 @pytest.mark.parametrize("rows, message", [

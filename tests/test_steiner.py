@@ -8,7 +8,6 @@ import pytest
 from qsteiner import steiner
 from qsteiner.exactq import gauss_binom
 from qsteiner.gfspaces import (
-    _coverage_key,
     _coverage_keys,
     _f2_eliminate,
     grassmannian,
@@ -202,7 +201,7 @@ def _witness_by_iter_subspaces(blocks, params):
         for key in _coverage_keys(b, params.t):
             coverage[key] = coverage.get(key, 0) + 1
     return _first_miss(
-        ((s, coverage.get(_coverage_key(s), 0))
+        ((s, coverage.get(s.key, 0))
          for s in iter_subspaces(params.n, params.t, params.q)))
 
 
@@ -550,6 +549,28 @@ def test_rank_certificate_falls_back_below_the_rational_rank(monkeypatch):
     assert len(calls) == 1
     assert cert.lower_bound == rank_exact(incidence_matrix(designs)) == 14
     assert cert.annihilation_ok and not cert.meets
+
+
+def test_rank_certificate_guard_refuses_the_fallback(monkeypatch):
+    """Under a guard below [4 2]_2 = 35, the 14 spreads whose F_2 rank
+    misses its ceiling are refused instead of ranked by Bareiss."""
+    spreads = enumerate_steiner(PG32)
+    designs = [spreads[i] for i in (0, 2, 4, 9, 16, 21, 25, 26, 34, 36, 37, 43, 48, 55)]
+    steiner._inclusion_ranks(PG32)
+    calls = _counting_rank_exact(monkeypatch)
+    monkeypatch.setattr(steiner, "_GRAM_RANK_GUARD", 34)
+    with pytest.raises(ValueError, match="F_2 rank 13 of U misses its ceiling 14 and "
+                                         r"\[n k\] 35 > 34; sample more designs"):
+        rank_certificate(PG32, designs)
+    assert calls == []
+    monkeypatch.setattr(steiner, "_GRAM_RANK_GUARD", 35)
+    assert rank_certificate(PG32, designs).lower_bound == 14
+
+
+def test_verify_design_names_a_duplicate_block():
+    blocks = list(enumerate_steiner(PG32)[0].block_subspaces())
+    with pytest.raises(ValueError, match="^block 5 duplicates block 2$"):
+        verify_design(blocks + [blocks[2]], PG32)
 
 
 def test_full_pipeline_pg33_enumeration():
