@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import identities as ident
+from .exactq import prime_power_parts
 from .grassmann import SchemeInstance, verify_spectrum
 from .linalg import rank_exact
 from .steiner import (
@@ -365,6 +366,11 @@ def _parse_q_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("empty q list")
     if min(values) < 2:
         raise argparse.ArgumentTypeError(f"q must be at least 2: {text!r}")
+    for q in values:
+        try:
+            prime_power_parts(q)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
     return values
 
 

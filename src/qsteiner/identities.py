@@ -19,6 +19,8 @@ the grid sweep records those as skips, not failures.
 
 from __future__ import annotations
 
+import marshal
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -534,8 +536,9 @@ def _sweep_cases(qs: Iterable[int], max_n: int):
     in sweep order.
 
     The check functions are read from the module globals as the cases are
-    generated, so a caller that rebinds one (a profiler, a test double) sees
-    every call the sweep makes.
+    generated, so a check rebound before the sweep (a profiler, a test
+    double) runs in the caller and every worker; what it records in a
+    worker stays there.
     """
     small = min(4, max_n)
     for q in qs:
@@ -607,27 +610,120 @@ def run_identity_sweep(
     recorded as skips, with the case's keyword arguments as parameters.
     Deterministic iteration order throughout.  max_n = 0 requests an empty
     sweep.
+
+    Case i runs in share i mod W, W the CPUs of the affinity mask: the
+    caller runs share 0 and forks a worker per other share, then merges the
+    records in sweep order and makes every callback, so all results are
+    those of the inline loop run when W = 1 or fork is missing.  A worker's
+    exception is re-raised, a dead worker raises RuntimeError, and no
+    worker outlives the call.
     """
     summary = SweepSummary()
     if max_n < 1:
         return summary
-    for name, check, kwargs in _sweep_cases(qs, max_n):
-        try:
-            result = check(**kwargs)
-        except PreconditionError as exc:
-            summary.skipped += 1
-            summary.skip_counts[name] = summary.skip_counts.get(name, 0) + 1
-            if on_skip is not None:
-                on_skip(SkipRecord(name, kwargs, str(exc)))
-            continue
-        for rep in result if isinstance(result, list) else [result]:
-            summary.checked += 1
-            if not rep.equal:
-                summary.failed += 1
-                summary.failures.append(rep)
-            if on_report is not None:
-                on_report(rep)
+    width = _usable_cpus()
+    # raw fork, pipes and marshal: a multiprocessing pool, or just importing
+    # pickle, adds more to the caller's peak memory than the sweep itself
+    workers = []  # (pid, reader) of shares 1 .. width - 1
+    try:
+        for share in range(1, width):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _worker(qs, max_n, width, share, on_report is not None, w,
+                        [r] + [reader.fileno() for _, reader in workers])
+            os.close(w)
+            workers.append((pid, open(r, "rb")))
+        for index, (name, check, kwargs) in enumerate(_sweep_cases(qs, max_n)):
+            share = index % width
+            reason, checked, reports = (_receive(share, *workers[share - 1]) if share
+                                        else _evaluate(check, kwargs, True))
+            if reason is not None:
+                summary.skipped += 1
+                summary.skip_counts[name] = summary.skip_counts.get(name, 0) + 1
+                if on_skip is not None:
+                    on_skip(SkipRecord(name, kwargs, reason))
+                continue
+            summary.checked += checked
+            for rep in reports:
+                if not rep.equal:
+                    summary.failed += 1
+                    summary.failures.append(rep)
+                if on_report is not None:
+                    on_report(rep)
+    except BaseException:
+        from signal import SIGKILL
+        for pid, _ in workers:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for pid, reader in workers:
+            reader.close()
+            os.waitpid(pid, 0)
     return summary
+
+
+def _usable_cpus() -> int:
+    """The CPUs of the affinity mask; 1 where the platform cannot fork."""
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if can_fork else 1
+
+
+def _evaluate(check, kwargs, keep_all: bool):
+    """(skip reason or None, reports checked, every report or the failed)."""
+    try:
+        result = check(**kwargs)
+    except PreconditionError as exc:
+        return str(exc), 0, []
+    reports = result if isinstance(result, list) else [result]
+    return None, len(reports), [r for r in reports if keep_all or not r.equal]
+
+
+def _worker(qs, max_n: int, width: int, share: int, keep_all: bool, w: int,
+            read_ends: list[int]) -> None:
+    """Write each record of the share to fd w, marshalled behind its length,
+    reports as (name, parameters, lhs, rhs) in integer ratios and an
+    exception pickled; leave by os._exit, flushing no inherited buffer.
+
+    The pipes' read ends are closed first, so that a write fails, and the
+    worker leaves, once the caller has gone."""
+    try:
+        for fd in read_ends:
+            os.close(fd)
+        with open(w, "wb") as out:
+            for index, (_, check, kwargs) in enumerate(_sweep_cases(qs, max_n)):
+                if index % width == share:
+                    try:
+                        reason, checked, kept = _evaluate(check, kwargs, keep_all)
+                        data = marshal.dumps((reason, checked, [
+                            (r.identity_name, r.parameters, r.lhs.as_integer_ratio(),
+                             r.rhs.as_integer_ratio()) for r in kept]))
+                    except Exception as exc:
+                        import pickle
+                        data = marshal.dumps(pickle.dumps(exc))
+                    out.write(len(data).to_bytes(8, "little") + data)
+    finally:
+        os._exit(0)
+
+
+def _receive(share: int, pid: int, reader):
+    """A worker's next record, its reports rebuilt or its exception raised."""
+    size = int.from_bytes(reader.read(8), "little")
+    data = reader.read(size)
+    if not size or len(data) < size:
+        raise RuntimeError(f"identity sweep worker {share} (pid {pid}) died")
+    record = marshal.loads(data)
+    if type(record) is bytes:
+        import pickle
+        raise pickle.loads(record)
+    reason, checked, rows = record
+    return reason, checked, [IdentityReport(name, params, Fraction(*lhs), Fraction(*rhs))
+                             for name, params, lhs, rhs in rows]
 
 
 def kernel_sum_valuation(n: int, k: int, t: int, r: int, q: int) -> int:

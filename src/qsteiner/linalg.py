@@ -49,18 +49,6 @@ class ExactMatrix:
         else:
             self.cols = 0 if cols is None else cols
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def filled(cls, rows: int, cols: int, value: Scalar) -> "ExactMatrix":
-        return cls([[value] * cols for _ in range(rows)], cols=cols)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -87,18 +75,6 @@ class ExactMatrix:
         if self.rows != self.cols:
             raise ValueError("trace needs a square matrix")
         return sum(self.data[i][i] for i in range(self.rows))
-
-    def row_sums(self) -> list[Scalar]:
-        return [sum(row) for row in self.data]
-
-    def col_sums(self) -> list[Scalar]:
-        return [sum(row[j] for row in self.data) for j in range(self.cols)]
-
-
-def transpose(m: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(
-        [[m.data[i][j] for i in range(m.rows)] for j in range(m.cols)], cols=m.rows
-    )
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -29,7 +29,6 @@ from .gfspaces import (
     _f2_eliminate,
     _inner_indices,
     grassmannian,
-    intersection_dim,
     subspace_from_rows,
 )
 from .grassmann import (
@@ -501,25 +500,6 @@ def gram_check(buckets: dict[int, set[int]], coeffs: GramCoefficients,
         if entries != {expected}:
             return False
     return True
-
-
-def per_intersection_counts(design: Design, i: int) -> set[int]:
-    """#{Y != X : X ^ Y = I} over all blocks X and i-subspaces I of X."""
-    params = design.params
-    ctx = design_context(params)
-    blocks = [ctx.k_subspaces[b] for b in design.blocks]
-    counts = set()
-    for x, bx in enumerate(blocks):
-        for key in _coverage_keys(bx, i):
-            ispace = Subspace(params.n, params.q, key)
-            c = 0
-            for y, by in enumerate(blocks):
-                if y == x:
-                    continue
-                if intersection_dim(bx, by) == i and by.contains(ispace):
-                    c += 1
-            counts.add(c)
-    return counts
 
 
 # ---------------------------------------------------------------------------

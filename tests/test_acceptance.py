@@ -23,7 +23,7 @@ from qsteiner.grassmann import (
     verify_spectrum,
 )
 from qsteiner.identities import kernel_sum_valuation, run_identity_sweep
-from qsteiner.linalg import mat_mul, rank_exact, transpose
+from qsteiner.linalg import mat_mul, rank_exact
 from qsteiner.steiner import (
     ParamSet,
     design_from_dict,
@@ -39,7 +39,6 @@ from qsteiner.steiner import (
     kappa_i_formula,
     load_design_file,
     mu_eigenvalue,
-    per_intersection_counts,
     rank_certificate,
     sample_steiner,
     save_design_file,
@@ -47,6 +46,8 @@ from qsteiner.steiner import (
     verify_design_ids,
     verify_gram_spectrum,
 )
+
+from oracles import per_intersection_counts, transpose
 
 SWEEP_QS = (2, 3, 4, 5, 7, 8, 9)
 

@@ -282,6 +282,25 @@ def test_identities_rejects_q_below_two(qs, capsys):
     assert "q must be at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("qs, message", [
+    ("6", "6 is not a prime power"),
+    ("2,6", "6 is not a prime power"),
+    ("1000000000000000003", "1000000000000000003 exceeds the prime-power guard 2^32"),
+])
+def test_identities_rejects_q_that_is_not_a_prime_power(qs, message):
+    """The prime-power guard refuses a huge q before any trial division, so
+    the run ends at once instead of sweeping a field that does not exist."""
+    src = str(Path(qsteiner.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "qsteiner.cli", "identities", "--q", qs,
+                           "--max-n", "3"], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    errors = [line for line in done.stderr.splitlines() if "error" in line]
+    assert errors == [f"qsteiner identities: error: argument --q: {message}"]
+    assert "Traceback" not in done.stderr
+
+
 def test_scheme_command(tmp_path):
     out = tmp_path / "s.json"
     code = main(["scheme", "--n", "4", "--k", "2", "--q", "2", "--out", str(out)])

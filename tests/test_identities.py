@@ -1,8 +1,17 @@
 import hashlib
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qsteiner
+from qsteiner import identities
 from qsteiner.cli import main
 
 from qsteiner.exactq import choose2
@@ -10,6 +19,7 @@ from qsteiner.identities import (
     IdentityReport,
     NonTerminatingSeries,
     PreconditionError,
+    SkipRecord,
     VanishingDenominator,
     check_3phi2_transformation,
     check_alternating_column_sum,
@@ -262,3 +272,184 @@ def test_sweep_reports_carry_fractions_only():
     run_identity_sweep(qs=(2, 3), max_n=4,
                        on_report=lambda r: types.add((type(r.lhs), type(r.rhs))))
     assert types == {(Fraction, Fraction)}
+
+
+@pytest.fixture
+def hang_guard():
+    """Fail the test, instead of hanging the suite, if a sweep never returns."""
+    def hung(signum, frame):
+        raise TimeoutError("the sweep did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _record_forks(monkeypatch):
+    """The pids of the workers the sweep forks from now on."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _in_workers_only(monkeypatch, name, action):
+    """Rebind the check ``name`` so that ``action`` runs first in a worker."""
+    caller = os.getpid()
+    real = getattr(identities, name)
+
+    def check(*args, **kwargs):
+        if os.getpid() != caller:
+            action()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(identities, name, check)
+
+
+def _sweep_at_width(monkeypatch, tmp_path, width, qs, max_n, formats):
+    """The summary, the report stream and the --out bytes of one sweep with
+    ``width`` usable CPUs."""
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: width)
+    stream = []
+    summary = run_identity_sweep(qs=qs, max_n=max_n, on_report=stream.append,
+                                 on_skip=stream.append)
+    outputs = []
+    for fmt in formats:
+        out = tmp_path / f"sweep-{width}.{fmt}"
+        assert main(["identities", "--q", ",".join(map(str, qs)), "--max-n", str(max_n),
+                     "--format", fmt, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    return summary, list(summary.skip_counts), stream, outputs
+
+
+@pytest.mark.parametrize("qs, max_n, formats", [((2, 3), 4, ("json", "csv")),
+                                                ((4, 9), 5, ("json",))])
+def test_sweep_is_identical_on_one_two_and_three_cpus(monkeypatch, tmp_path, hang_guard, qs,
+                                                      max_n, formats):
+    serial = _sweep_at_width(monkeypatch, tmp_path, 1, qs, max_n, formats)
+    assert serial[0].checked > 0 and serial[0].skipped > 0
+    assert all(isinstance(x, (IdentityReport, SkipRecord)) for x in serial[2])
+    for width in (2, 3):
+        assert _sweep_at_width(monkeypatch, tmp_path, width, qs, max_n, formats) == serial
+
+
+def test_failures_keep_sweep_order_across_workers(monkeypatch, hang_guard):
+    real = identities.check_upper_negation
+
+    def off_by_one(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return IdentityReport(rep.identity_name, rep.parameters, rep.lhs, rep.rhs + 1)
+
+    monkeypatch.setattr(identities, "check_upper_negation", off_by_one)
+    summaries = []
+    for width in (1, 2, 3):
+        monkeypatch.setattr(identities, "_usable_cpus", lambda: width)
+        summaries.append(run_identity_sweep(qs=(2, 3), max_n=3))
+    assert summaries[0].failed == len(summaries[0].failures) > 40
+    assert summaries[1] == summaries[0] == summaries[2]
+
+
+def test_sweep_runs_inline_where_the_platform_cannot_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert identities._usable_cpus() == 1
+    assert run_identity_sweep(qs=(2,), max_n=3).checked > 0
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch, hang_guard):
+    def fail():
+        raise TypeError("probe raised in a worker")
+
+    _in_workers_only(monkeypatch, "check_alternating_column_sum", fail)
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 2)
+    forked = _record_forks(monkeypatch)
+    with pytest.raises(TypeError, match="^probe raised in a worker$"):
+        run_identity_sweep(qs=(2,), max_n=3)
+    _assert_reaped(forked)
+
+
+def test_a_worker_that_dies_raises_runtime_error(monkeypatch, hang_guard):
+    _in_workers_only(monkeypatch, "check_upper_negation",
+                     lambda: os.kill(os.getpid(), signal.SIGKILL))
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 3)
+    forked = _record_forks(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"identity sweep worker 1 \(pid \d+\) died"):
+        run_identity_sweep(qs=(2,), max_n=3)
+    _assert_reaped(forked)
+
+
+def test_a_raising_callback_leaves_no_worker(monkeypatch, hang_guard):
+    monkeypatch.setattr(identities, "_usable_cpus", lambda: 3)
+    forked = _record_forks(monkeypatch)
+    seen = []
+
+    def on_report(rep):
+        seen.append(rep)
+        if len(seen) == 100:
+            raise ValueError("the callback stops the sweep")
+
+    with pytest.raises(ValueError, match="the callback stops the sweep"):
+        run_identity_sweep(qs=(2, 3), max_n=4, on_report=on_report)
+    assert len(forked) == 2
+    _assert_reaped(forked)
+
+
+def _running(pid):
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
+def test_workers_leave_when_the_caller_is_killed(tmp_path):
+    """A caller killed mid-sweep takes the last read end of each pipe with
+    it, so every worker's next write fails and the worker exits instead of
+    blocking on a full pipe."""
+    script = tmp_path / "caller.py"
+    script.write_text(textwrap.dedent("""
+        import os, time
+        from qsteiner import identities
+        fork = os.fork
+        def logged_fork():
+            pid = fork()
+            if pid:
+                print(pid, flush=True)
+            return pid
+        os.fork = logged_fork
+        identities._usable_cpus = lambda: 3
+        identities.run_identity_sweep(qs=(2, 3), max_n=5, on_report=lambda rep: time.sleep(600))
+    """))
+    src = str(Path(qsteiner.__file__).resolve().parents[1])
+    caller = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+    workers = [int(caller.stdout.readline()) for _ in range(2)]
+    try:
+        time.sleep(0.5)
+        caller.kill()
+        caller.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        caller.stdout.close()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)

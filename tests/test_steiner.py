@@ -20,7 +20,7 @@ from qsteiner.grassmann import (
     eisfeld_eigenvalue,
     rank_checks,
 )
-from qsteiner.linalg import ExactMatrix, mat_mul, rank_exact, transpose
+from qsteiner.linalg import mat_mul, rank_exact
 from qsteiner.steiner import (
     Design,
     _ExactCover,
@@ -44,7 +44,6 @@ from qsteiner.steiner import (
     load_design_file,
     mu_eigenvalue,
     mu_spectrum,
-    per_intersection_counts,
     rank_certificate,
     sample_steiner,
     sample_steps,
@@ -53,6 +52,8 @@ from qsteiner.steiner import (
     verify_design_ids,
     verify_gram_spectrum,
 )
+
+from oracles import col_sums, per_intersection_counts, row_sums, transpose, zeros
 
 PG32 = ParamSet(t=1, k=2, n=4, q=2)
 PG33 = ParamSet(t=1, k=2, n=4, q=3)
@@ -320,10 +321,10 @@ def test_incidence_matrix_shapes_and_sums():
     designs = enumerate_steiner(PG32)
     u = incidence_matrix(designs)
     assert (u.rows, u.cols) == (35, 56)
-    assert set(u.col_sums()) == {5}
-    assert set(u.row_sums()) == {8}
+    assert set(col_sums(u)) == {5}
+    assert set(row_sums(u)) == {8}
     one = incidence_matrix(designs[:1])
-    assert one.col_sums() == [5]
+    assert col_sums(one) == [5]
 
 
 def test_gram_matrix_matches_dense_product():
@@ -345,7 +346,7 @@ def test_gram_matrix_matches_dense_product():
 
 def test_gram_matrix_empty_and_mixed():
     empty = gram_matrix(PG32, [])
-    assert empty == ExactMatrix.zeros(35, 35)
+    assert empty == zeros(35, 35)
     assert rank_exact(empty) == 0
     pg32 = enumerate_steiner(PG32)[:1]
     pg33 = sample_steiner(PG33, seed=1, count=1).designs
