@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -331,26 +332,35 @@ def run_dimension(config: argparse.Namespace) -> int:
 def run_verify_design(config: argparse.Namespace) -> int:
     if not config.designs:
         raise CLIError("--designs <file> is required for 'verify-design'")
+    # A design file parses to acyclic lists and ints, which refcounting
+    # frees; the cyclic collector would only rescan the hundreds of
+    # thousands of lists as they are built, so it is paused for the run.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        loaded = load_design_file(config.designs)
-    except (OSError, ValueError) as exc:
-        raise CLIError(f"{config.designs}: {exc}") from exc
-    all_ok = True
-    for idx, (params, blocks) in enumerate(loaded):
         try:
-            result = verify_design(blocks, params)
-        except ValueError as exc:
-            raise CLIError(f"{config.designs}: design {idx}: {exc}") from exc
-        tag = f"design {idx} ({params.t},{params.k},{params.n},{params.q})"
-        if result.ok:
-            print(f"{tag}: ok ({len(blocks)} blocks)")
-        else:
-            all_ok = False
-            print(f"{tag}: FAILED - {result.message}")
-            if result.witness is not None:
-                for row in result.witness.to_lists():
-                    print(f"  witness row: {row}")
-    return 0 if all_ok else 1
+            loaded = load_design_file(config.designs)
+        except (OSError, ValueError) as exc:
+            raise CLIError(f"{config.designs}: {exc}") from exc
+        all_ok = True
+        for idx, (params, blocks) in enumerate(loaded):
+            try:
+                result = verify_design(blocks, params)
+            except ValueError as exc:
+                raise CLIError(f"{config.designs}: design {idx}: {exc}") from exc
+            tag = f"design {idx} ({params.t},{params.k},{params.n},{params.q})"
+            if result.ok:
+                print(f"{tag}: ok ({len(blocks)} blocks)")
+            else:
+                all_ok = False
+                print(f"{tag}: FAILED - {result.message}")
+                if result.witness is not None:
+                    for row in result.witness.to_lists():
+                        print(f"  witness row: {row}")
+        return 0 if all_ok else 1
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

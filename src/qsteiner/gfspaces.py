@@ -15,10 +15,19 @@ and ``inner_subspaces`` walks the subspaces of one block in the same order.
 Elimination has one kernel per field kind, and ``rref``, ``rows_rank``,
 ``Subspace.contains`` and ``intersection_dim`` all reduce through it.  Over
 F_2 a row is held packed into an int, bit j holding column j, and
-``_f2_eliminate`` runs on xor, as do the design coverage keys; a Subspace
-is its packed RREF rows, and its tuple basis is unpacked only when read.
-Every other field goes through ``_fq_eliminate``, which works on whole rows
-with the field's ``row_sub`` and ``row_scale``.
+``_f2_eliminate`` runs on xor; a Subspace is its packed RREF rows, and its
+tuple basis is unpacked only when read.  Every other field goes through
+``_fq_eliminate``, which works on whole rows with the field's ``row_sub``
+and ``row_scale``.
+
+F_2 designs are handled as whole lists, not block by block.
+``_f2_subspaces`` checks the shape and entry types of a whole block list in a
+few C-level passes, then packs its rows and reduces each block with
+``_f2_eliminate``.
+``_f2_coverage_columns`` is the one F_2 coverage kernel: it forms the keys of
+the i-subspaces of every block one row position at a time, across all
+blocks, by xor of the blocks' packed rows.  One block's coverage keys and
+the ``_inner_indices`` tables are its special cases.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ import itertools
 from fractions import Fraction
 from functools import cache
 from math import comb
+from operator import itemgetter, xor
 
 from .exactq import choose2, gauss_binom, prime_power_parts, q_int
 
@@ -319,6 +329,35 @@ class Subspace:
         return [list(r) for r in self.basis]
 
 
+def _f2_subspaces(mats: list, n: int, k: int) -> list[Subspace] | None:
+    """The k-subspaces of F_2^n that a list of k x n 0/1 matrices spans, in
+    list order, checked as one list; None when any check fails.
+
+    Whole-list passes check that every block is a list of k rows, every row
+    a list of n entries and every entry of type int (not bool, not float).
+    The rows are then packed by ``_pack``, which refuses any entry but 0
+    and 1, straight into ``_f2_eliminate``, one block at a time, so that no
+    packed copy of the whole list is held; every block must keep rank k.
+    On None the caller walks the blocks one by one, only to name the first
+    failure.
+    """
+    rows = itertools.chain.from_iterable
+    if (set(map(type, mats)) - {list} or set(map(len, mats)) - {k}
+            or set(map(type, rows(mats))) - {list} or set(map(len, rows(mats))) - {n}
+            or set(map(type, rows(rows(mats)))) - {int}):
+        return None
+    words = map(_pack, rows(mats))
+    blocks = []
+    try:
+        for reduced in map(_f2_eliminate, zip(*[words] * k)):
+            if len(reduced) != k:
+                return None
+            blocks.append(Subspace(n, 2, tuple([reduced[piv] for piv in sorted(reduced)])))
+    except ValueError:  # an entry outside 0..1
+        return None
+    return blocks
+
+
 def _check_rows(rows, n: int, q: int) -> None:
     """Raise for the first bad row length or entry, row by row and entry by entry."""
     for r in rows:
@@ -354,8 +393,25 @@ def subspace_from_rows(rows, n: int, q: int, expect_dim: int | None = None) -> S
     return Subspace(n, q, key, pivots)
 
 
-def _pivot_sets_colex(n: int, k: int) -> list[tuple[int, ...]]:
-    return sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+def _pivot_sets_colex(n: int, k: int):
+    """Lazily yield the k-subsets of range(n), as sorted tuples, in
+    colexicographic order (by their reversed tuples), with no recursion.
+
+    The successor raises the lowest entry that can grow without meeting the
+    next one (n above the last) and resets the entries below it to 0, 1, ...
+    """
+    if not 0 <= k <= n:
+        return
+    c = list(range(k)) + [n]
+    while True:
+        yield tuple(c[:k])
+        j = 0
+        while j < k and c[j] + 1 == c[j + 1]:
+            j += 1
+        if j == k:
+            return
+        c[j] += 1
+        c[:j] = range(j)
 
 
 def _free_positions(pivots: tuple[int, ...], n: int) -> list[tuple[int, int]]:
@@ -390,26 +446,32 @@ def _canonical_keys(n: int, k: int, q: int):
     no Subspace built.
 
     Over F_2 the key's packed rows are read straight off (pivots, digits):
-    row i of the RREF is bits i*n .. i*n+n-1 of one word, the sum of the
-    pivot bits and of one bit per free slot whose digit is 1, and
-    ``itertools.product`` over the slots' (0, bit) choices walks the digits
-    in canonical order.  Other fields' keys are the RREF bases.
+    ``itertools.product`` over the free slots' (0, 1 << column) choices
+    walks the digits in canonical order, and row i of the RREF is its pivot
+    bit plus the sum of its own slots' choices.  Row i has n - k - p_i + i
+    free slots, the columns after its pivot p_i that hold no later pivot.
+    Other fields' keys are the RREF bases.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     field(q)  # validates q
-    mask = (1 << n) - 1
-    shifts = [i * n for i in range(k)]
+    bits = [(0, 1 << j) for j in range(n)]
     for pivots in _pivot_sets_colex(n, k):
-        free = _free_positions(pivots, n)
         if q != 2:
+            free = _free_positions(pivots, n)
             for digits in itertools.product(range(q), repeat=len(free)):
                 yield _basis_for(pivots, digits, n, free), pivots
             continue
-        base = sum(1 << (i * n + p) for i, p in enumerate(pivots))
-        choices = [(0, 1 << (i * n + j)) for i, j in free]
-        for word in map(sum, itertools.product((base,), *choices)):
-            yield tuple([word >> s & mask for s in shifts]), pivots
+        pivot_set = set(pivots)
+        choices = [bits[j] for p in pivots for j in range(p + 1, n) if j not in pivot_set]
+        rows = []  # (pivot bit, first slot, end of slots) of each row
+        start = 0
+        for i, p in enumerate(pivots):
+            stop = start + n - k - p + i
+            rows.append((1 << p, start, stop))
+            start = stop
+        for digits in itertools.product(*choices):
+            yield tuple([sum(digits[a:b], lead) for lead, a, b in rows]), pivots
 
 
 @cache
@@ -458,24 +520,41 @@ def _inner_indices(n: int, k: int, i: int, q: int) -> tuple[tuple[int, ...], ...
     """For each k-subspace of F_q^n in canonical order, the canonical
     indices of its i-subspaces, built once."""
     index = {s.key: j for j, s in enumerate(grassmannian(n, i, q))}
+    blocks = grassmannian(n, k, q)
+    if q == 2:
+        columns = _f2_coverage_columns([b.key for b in blocks], k, i)
+        return tuple(zip(*[list(map(index.__getitem__, col)) for col in columns]))
     return tuple(
         tuple([index[key] for key in _coverage_keys(block, i)])
-        for block in grassmannian(n, k, q)
+        for block in blocks
     )
 
 
-def _coverage_keys(block: Subspace, i: int):
-    """The key of each i-subspace of the block, in ``inner_subspaces`` order.
+def _f2_coverage_columns(keys: list, k: int, i: int) -> list:
+    """The one F_2 coverage kernel, over the packed RREF keys of many
+    k-subspaces at once.
 
-    Over F_2 row r of the key of W.B is the xor of the block rows that row r
-    of W selects, read off a table of all 2^k such xors.
+    Returns one iterable per i-subspace W of F_2^k, in canonical order,
+    yielding the key of W.B for each block key B in list order.  Row r of
+    that key is the xor of the block rows that row r of W selects, so the
+    kernel forms the 2^k - 1 nonzero xors of block rows as columns across
+    all blocks, one ``map(xor, ...)`` per column, and zips together the
+    columns each W selects.
     """
+    span = [None]  # span[m]: the xor of the rows whose bits are set in m
+    for r in range(k):
+        row = list(map(itemgetter(r), keys))
+        span += [row] + [list(map(xor, s, row)) for s in span[1:]]
+    return [zip(*map(span.__getitem__, w.key)) if w.key else [()] * len(keys)
+            for w in grassmannian(k, i, 2)]
+
+
+def _coverage_keys(block: Subspace, i: int):
+    """The key of each i-subspace of the block, in ``inner_subspaces`` order:
+    over F_2 the one-block case of ``_f2_coverage_columns``."""
     if block.q != 2:
         return [basis for basis, _ in inner_subspaces(block, i)]
-    span = [0]
-    for word in block.key:
-        span += [s ^ word for s in span]
-    return [tuple(map(span.__getitem__, w.key)) for w in grassmannian(len(block.key), i, 2)]
+    return list(itertools.chain.from_iterable(_f2_coverage_columns([block.key], block.dim, i)))
 
 
 def canonical_index(s: Subspace) -> int:

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,7 +27,9 @@ from .gfspaces import (
     Subspace,
     _canonical_keys,
     _coverage_keys,
+    _f2_coverage_columns,
     _f2_eliminate,
+    _f2_subspaces,
     _inner_indices,
     grassmannian,
     subspace_from_rows,
@@ -159,19 +162,35 @@ def verify_design(blocks: Sequence[Subspace], params: ParamSet) -> VerificationR
     ambient spaces are fine as long as the block list itself is walkable.
     On failure the witness t-subspace and its actual coverage come back.
     Malformed blocks (wrong ambient, wrong dimension, duplicates) raise.
+
+    The blocks are checked as one list, and walked in order only to name
+    the first bad one.  The coverage keys are canonical keys of t-subspaces,
+    so at most [n t] of them are distinct: the design is exact iff no key
+    repeats and [n t] <= the number of distinct keys, which
+    ``gauss_binom_guard`` decides without building [n t] when it is huge.
+    Over F_2 the keys come from ``_f2_coverage_columns`` across all blocks
+    at once.  The one Counter of the keys decides and, on failure, serves
+    the witness walk.
     """
     t, k, n, q = params.t, params.k, params.n, params.q
-    seen: dict[tuple, int] = {}
-    for idx, b in enumerate(blocks):
-        if b.ambient != n or b.q != q:
-            raise ValueError(f"block ambient/order mismatch: {b.ambient}, q={b.q}")
-        if b.dim != k:
-            raise ValueError(f"block of dimension {b.dim}, expected {k}")
-        if (first := seen.setdefault(b.key, idx)) != idx:
-            raise ValueError(f"block {idx} duplicates block {first}")
-    coverage = Counter(chain.from_iterable(_coverage_keys(b, t) for b in blocks))
-    total_t = gauss_binom(n, t, q)
-    if all(c == 1 for c in coverage.values()) and Fraction(len(coverage)) == total_t:
+    keys = list(map(attrgetter("key"), blocks))
+    if (set(map(attrgetter("ambient"), blocks)) - {n} or set(map(attrgetter("q"), blocks)) - {q}
+            or set(map(len, keys)) - {k} or len(set(keys)) != len(keys)):
+        seen: dict[tuple, int] = {}
+        for idx, b in enumerate(blocks):
+            if b.ambient != n or b.q != q:
+                raise ValueError(f"block ambient/order mismatch: {b.ambient}, q={b.q}")
+            if b.dim != k:
+                raise ValueError(f"block of dimension {b.dim}, expected {k}")
+            if (first := seen.setdefault(b.key, idx)) != idx:
+                raise ValueError(f"block {idx} duplicates block {first}")
+
+    if q == 2 and blocks:  # with no blocks the kernel would build Gr(k, t) for nothing
+        coverage = Counter(chain.from_iterable(_f2_coverage_columns(keys, k, t)))
+    else:
+        coverage = Counter(chain.from_iterable(_coverage_keys(b, t) for b in blocks))
+    distinct = len(coverage)
+    if distinct == coverage.total() and gauss_binom_guard(n, t, q, distinct)[0]:
         return VerificationResult(True)
     # the walk reads only coverage keys; the witness alone becomes a Subspace
     return _first_miss(
@@ -698,6 +717,10 @@ def design_from_dict(obj: dict) -> tuple[ParamSet, list[Subspace]]:
     params = ParamSet(t=t, k=k, n=n, q=q)
     if not isinstance(obj["blocks"], list):
         raise ValueError("blocks must be a list")
+    if q == 2 and (blocks := _f2_subspaces(obj["blocks"], n, k)) is not None:
+        return params, blocks
+    # every other field, and F_2 lists that fail a check: block by block, so
+    # that the first failure is named
     blocks = []
     for idx, mat in enumerate(obj["blocks"]):
         if (

@@ -4,9 +4,11 @@ Nothing in the package needs these; each is the obvious definition, kept
 here so that the checks built on it stay independent of the code under test.
 """
 
-from qsteiner.gfspaces import Subspace, _coverage_keys, intersection_dim
+from collections import Counter
+
+from qsteiner.gfspaces import Subspace, _coverage_keys, grassmannian, intersection_dim, iter_subspaces
 from qsteiner.linalg import ExactMatrix, Scalar
-from qsteiner.steiner import Design, design_context
+from qsteiner.steiner import Design, ParamSet, VerificationResult, _first_miss, design_context
 
 
 def identity(n: int) -> ExactMatrix:
@@ -52,3 +54,30 @@ def per_intersection_counts(design: Design, i: int) -> set[int]:
                     c += 1
             counts.add(c)
     return counts
+
+
+def span_coverage_keys(block: Subspace, i: int) -> list[tuple[int, ...]]:
+    """The F_2 keys of the i-subspaces of one block, from a table of all 2^k
+    xors of its packed rows, in the order of grassmannian(k, i, 2)."""
+    span = [0]
+    for word in block.key:
+        span += [s ^ word for s in span]
+    return [tuple(map(span.__getitem__, w.key)) for w in grassmannian(block.dim, i, 2)]
+
+
+def verify_design_per_block(blocks, params: ParamSet) -> VerificationResult:
+    """verify_design one block at a time: an ordered walk for malformed
+    blocks, a per-block key table over F_2, and the witness walk over
+    iter_subspaces."""
+    t, k, n, q = params.t, params.k, params.n, params.q
+    seen: dict = {}
+    coverage: Counter = Counter()
+    for idx, b in enumerate(blocks):
+        if b.ambient != n or b.q != q:
+            raise ValueError(f"block ambient/order mismatch: {b.ambient}, q={b.q}")
+        if b.dim != k:
+            raise ValueError(f"block of dimension {b.dim}, expected {k}")
+        if (first := seen.setdefault(b.key, idx)) != idx:
+            raise ValueError(f"block {idx} duplicates block {first}")
+        coverage.update(span_coverage_keys(b, t) if q == 2 else _coverage_keys(b, t))
+    return _first_miss((s, coverage[s.key]) for s in iter_subspaces(n, t, q))

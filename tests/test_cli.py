@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -540,3 +541,110 @@ def test_huge_q_is_refused_before_trial_division(argv, capsys):
         "error: 1000000000000000003 exceeds the prime-power guard 2^32\n"
     )
     assert elapsed < 2
+
+
+def _spread_design(m, tmp_path, monkeypatch):
+    """The seed-1 line spread of F_2^(2m) from the benchmark's generator."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spreadgen
+
+    spread = spreadgen.make_spread(m, 1)
+    path = tmp_path / "spread.json"
+    spreadgen.write_design(path, spread.dim, spread.blocks)
+    return json.loads(path.read_text())
+
+
+_LATE = 300  # of the 341 blocks of the m = 5 spread
+_MATRIX = f"block {_LATE}: expected a 2x10 integer matrix"
+
+
+def _entry(value):
+    return lambda blocks: blocks[_LATE][1].__setitem__(4, value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_entry(True), f"block {_LATE}: entry True is not an integer"),
+    (_entry(1.0), f"block {_LATE}: entry 1.0 is not an integer"),
+    (_entry(2), f"block {_LATE}: entry outside 0..q-1"),
+    (_entry(256), f"block {_LATE}: entry outside 0..q-1"),
+    (_entry(-1), f"block {_LATE}: entry outside 0..q-1"),
+    (lambda blocks: blocks[_LATE][1].pop(), _MATRIX),
+    (lambda blocks: blocks[_LATE][1].append(0), _MATRIX),
+    (lambda blocks: blocks[_LATE].pop(), _MATRIX),
+    (lambda blocks: blocks.__setitem__(_LATE, 5), _MATRIX),
+    (lambda blocks: blocks[_LATE].__setitem__(1, 5), _MATRIX),
+    (lambda blocks: blocks[_LATE].__setitem__(1, list(blocks[_LATE][0])),
+     f"block {_LATE}: expected dimension 2, got 1"),
+    (lambda blocks: blocks.__setitem__(_LATE, blocks[40][::-1]),
+     f"design 0: block {_LATE} duplicates block 40"),
+], ids=["true", "float", "two", "256", "minus-one", "short-row", "long-row", "k-1-rows",
+        "block-not-a-list", "row-not-a-list", "rank-deficient", "duplicate-swapped"])
+def test_whole_list_ingest_names_what_the_per_block_walk_names(edit, message, tmp_path,
+                                                               capsys, monkeypatch):
+    # one bad block late in the list: the whole-list checks fail, and the
+    # block-by-block walk they fall back on names it, as it does alone
+    obj = _spread_design(5, tmp_path, monkeypatch)
+    edit(obj["blocks"])
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    argv = ["verify-design", "--designs", str(path)]
+    code, captured = main(argv), capsys.readouterr()
+    monkeypatch.setattr(steiner, "_f2_subspaces", lambda mats, n, k: None)
+    assert (main(argv), capsys.readouterr()) == (code, captured)
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+def test_an_empty_block_list_fails_with_the_first_point_as_witness(tmp_path, capsys):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps({"q": 2, "n": 10, "k": 2, "t": 1, "blocks": []}), encoding="utf-8")
+    assert main(["verify-design", "--designs", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "design 0 (1,2,10,2): FAILED - t-subspace covered 0 times, expected 1\n"
+        "  witness row: [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]\n"
+    )
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_verify_design_restores_the_collector(enabled, tmp_path, capsys, monkeypatch):
+    obj = _spread_design(3, tmp_path, monkeypatch)
+    files = {0: obj, 1: {**obj, "blocks": obj["blocks"][:-1]},
+             2: {**obj, "blocks": obj["blocks"] + obj["blocks"][:1]}}
+    paused = []
+    real = cli.load_design_file
+    monkeypatch.setattr(cli, "load_design_file",
+                        lambda path: paused.append(not gc.isenabled()) or real(path))
+    try:
+        for code, content in files.items():
+            path = tmp_path / f"exit-{code}.json"
+            path.write_text(json.dumps(content), encoding="utf-8")
+            (gc.enable if enabled else gc.disable)()
+            assert main(["verify-design", "--designs", str(path)]) == code
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert paused == [True] * 3
+
+
+def _capped_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("t, k, n", [(32, 33, 64), (1400, 1500, 3000)])
+def test_verify_design_finds_a_witness_at_huge_parameters(t, k, n, tmp_path):
+    """[n t]_2 is never built, and the colex walk is lazy: both files used to
+    run out of time or memory.  The child gets 1 GiB of address space."""
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps({"q": 2, "n": n, "k": k, "t": t, "blocks": []}), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(qsteiner.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "qsteiner.cli", "verify-design",
+                           "--designs", str(path)], env=env, capture_output=True, text=True,
+                          timeout=10, preexec_fn=_capped_address_space)
+    assert (done.returncode, done.stderr) == (1, "")
+    # the first t-subspace in canonical order is spanned by e_0, ..., e_(t-1)
+    assert done.stdout == "".join(
+        [f"design 0 ({t},{k},{n},2): FAILED - t-subspace covered 0 times, expected 1\n"]
+        + [f"  witness row: {[int(j == i) for j in range(n)]}\n" for i in range(t)])

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from oracles import span_coverage_keys
 
 from qsteiner.exactq import gauss_binom, q_int
 from qsteiner.gfspaces import (
@@ -9,7 +10,9 @@ from qsteiner.gfspaces import (
     _basis_for,
     _canonical_keys,
     _coverage_keys,
+    _f2_coverage_columns,
     _free_positions,
+    _inner_indices,
     _pivot_sets_colex,
     canonical_index,
     count_fixed_intersection,
@@ -427,3 +430,36 @@ def test_subspace_from_rows_f2_messages(rows, message):
     with pytest.raises(ValueError) as err:
         subspace_from_rows(rows, 4, 2, expect_dim=2)
     assert str(err.value) == message
+
+
+def test_one_f2_coverage_kernel_matches_per_block_span_tables():
+    # the whole-list kernel, its one-block case and the _inner_indices tables
+    # all give the keys of a per-block table of row xors, on every n <= 6
+    cases = 0
+    for n in range(7):
+        for k in range(n + 1):
+            blocks = grassmannian(n, k, 2)
+            for i in range(k + 1):
+                expected = [span_coverage_keys(b, i) for b in blocks]
+                columns = _f2_coverage_columns([b.key for b in blocks], k, i)
+                assert [list(keys) for keys in zip(*columns)] == expected
+                assert [_coverage_keys(b, i) for b in blocks] == expected
+                index = {s.key: j for j, s in enumerate(grassmannian(n, i, 2))}
+                assert _inner_indices(n, k, i, 2) == tuple(
+                    tuple(index[key] for key in keys) for keys in expected)
+                cases += len(blocks)
+    assert cases == 12864  # (k + 1) [n k]_2 summed over 0 <= k <= n <= 6
+
+
+def test_colex_pivot_sets_are_lazy_and_iterative():
+    # the same order as sorting all k-subsets by their reversed tuples, and
+    # the first one comes at once when there are astronomically many
+    for n in range(9):
+        for k in range(n + 2):
+            expected = sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+            assert list(_pivot_sets_colex(n, k)) == expected
+    walk = _pivot_sets_colex(3000, 1400)
+    assert next(walk) == tuple(range(1400))
+    assert next(walk) == tuple(range(1399)) + (1400,)
+    first = next(_canonical_keys(64, 32, 2))
+    assert first == (tuple(1 << i for i in range(32)), tuple(range(32)))

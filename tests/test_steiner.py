@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -53,7 +54,14 @@ from qsteiner.steiner import (
     verify_gram_spectrum,
 )
 
-from oracles import col_sums, per_intersection_counts, row_sums, transpose, zeros
+from oracles import (
+    col_sums,
+    per_intersection_counts,
+    row_sums,
+    transpose,
+    verify_design_per_block,
+    zeros,
+)
 
 PG32 = ParamSet(t=1, k=2, n=4, q=2)
 PG33 = ParamSet(t=1, k=2, n=4, q=3)
@@ -712,3 +720,62 @@ def test_design_to_dict_schema():
     assert set(obj) == {"q", "n", "k", "t", "blocks"}
     assert json.dumps(obj)  # serializable
     assert all(len(b) == 2 and len(b[0]) == 4 for b in obj["blocks"])
+
+
+def _result(verify, blocks, params):
+    try:
+        r = verify(blocks, params)
+    except ValueError as exc:
+        return str(exc)
+    return r.ok, r.witness, r.coverage, r.message
+
+
+def test_verify_design_matches_the_per_block_walk_on_every_f2_triple():
+    # every (n, k, t) with n <= 6 over F_2: the whole-list checks and the
+    # whole-list coverage give the verdict, witness, coverage and message of
+    # a block-by-block walk, and the same first error on malformed lists
+    rng = random.Random(15)
+    spreads = {(2, 4): None, (2, 6): None, (3, 6): None}
+    cases = 0
+    for n in range(2, 7):
+        for k in range(2, n + 1):
+            blocks = list(grassmannian(n, k, 2))
+            for t in range(1, k):
+                params = ParamSet(t=t, k=k, n=n, q=2)
+                lists = [[], blocks, blocks[-1:], rng.sample(blocks, min(9, len(blocks))),
+                         blocks[:4] + blocks[:1], blocks[:3] + [grassmannian(n, k - 1, 2)[-1]]]
+                if t == 1 and (k, n) in spreads:
+                    design = sample_steiner(params, 1, 1).designs[0].block_subspaces()
+                    others = [b for b in blocks if b not in design]
+                    lists += [design, design[:-1], design[1:] + [others[0]]]
+                for block_list in lists:
+                    assert (_result(verify_design, block_list, params)
+                            == _result(verify_design_per_block, block_list, params))
+                    cases += 1
+    assert cases == 35 * 6 + 3 * 3
+
+
+def test_design_from_dict_gives_the_same_blocks_on_both_routes(tmp_path, monkeypatch):
+    # over F_2 a valid file is read in whole-list passes, with no per-block
+    # subspace_from_rows call; the block-by-block route gives equal subspaces
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spreadgen
+
+    spread = spreadgen.make_spread(5, 1)
+    spreadgen.write_design(tmp_path / "spread.json", spread.dim, spread.blocks)
+    objs = [json.loads((tmp_path / "spread.json").read_text())]
+    for params in (PG32, PG33):
+        obj = design_to_dict(params, sample_steiner(params, 1, 1).designs[0].block_subspaces())
+        obj["blocks"] = [mat[::-1] for mat in obj["blocks"]]  # spanning sets, not RREF
+        objs.append(obj)
+    calls = []
+    real = steiner.subspace_from_rows
+    monkeypatch.setattr(steiner, "subspace_from_rows",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    whole = [design_from_dict(obj) for obj in objs]
+    assert len(calls) == len(objs[2]["blocks"])  # PG(3,3) only
+    monkeypatch.setattr(steiner, "_f2_subspaces", lambda mats, n, k: None)
+    for obj, (params, blocks) in zip(objs, whole):
+        assert design_from_dict(obj) == (params, blocks)
+        assert [b.pivots for b in blocks] == [b.pivots for b in design_from_dict(obj)[1]]
+    assert len(whole[0][1]) == 341 and verify_design(whole[0][1], whole[0][0]).ok
