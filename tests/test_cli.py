@@ -250,13 +250,13 @@ def test_admissibility_guard_passes_every_n_up_to_64(capsys):
 
 
 @pytest.mark.parametrize("n, q, points, sampled, target", [
-    (6, 2, 63, 647, 589), (4, 4, 85, 300, 273),
+    (6, 2, 63, 647, 589), (4, 4, 85, 300, 273), (4, 5, 156, 716, 651),
 ])
 def test_adaptive_sampling_meets_without_bareiss(n, q, points, sampled, target,
                                                  tmp_path, monkeypatch):
     """Adaptive steps reach targets near and past 300 designs, and every
-    step's lower bound is the F_2 rank of U: Bareiss ranks only W and its
-    row differences."""
+    step's lower bound is the F_2 rank of U: W is ranked mod p, at its full
+    row rank [n 1], and Bareiss ranks nothing."""
     steiner._inclusion_ranks.cache_clear()
     ranked = []
     rank_exact = steiner.rank_exact
@@ -271,8 +271,29 @@ def test_adaptive_sampling_meets_without_bareiss(n, q, points, sampled, target,
     report = json.loads(out.read_text())
     assert report["sampled"] == sampled
     assert report["certificate"]["lower_bound"] == report["dimension_formula"] == target
-    assert ranked == [points, points - 1]
+    assert report["certificate"]["w_rank"] == points
+    assert ranked == []
     assert elapsed < 10
+
+
+def test_a_deficient_w_rank_fails_the_certificate(tmp_path, monkeypatch):
+    """W's rank mod p is only a lower bound on its rank over Q: one below
+    [4 1]_3 = 40 on PG(3,3) raises the upper bound past the target, so the
+    certificate fails instead of passing falsely."""
+    params = steiner.ParamSet(t=1, k=2, n=4, q=3)
+    designs = steiner.sample_steiner(params, seed=7, count=100).designs
+    steiner._inclusion_ranks.cache_clear()
+    monkeypatch.setattr(steiner, "rank_mod_p", lambda m, p: 39)
+    try:
+        cert = steiner.rank_certificate(params, designs)
+        assert (cert.w_rank, cert.row_diff_rank) == (39, 38)
+        assert cert.upper_bound == cert.target + 1 == 92
+        assert cert.lower_bound == 91 and not cert.meets
+        code = main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3",
+                     "--sample", "--seed", "7", "--out", str(tmp_path / "d.json")])
+        assert code == 1
+    finally:
+        steiner._inclusion_ranks.cache_clear()
 
 
 @pytest.mark.parametrize("qs", ["1", "2,0"])
@@ -631,6 +652,24 @@ def _capped_address_space():
     import resource
 
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_verify_design_refuses_a_block_over_the_coverage_guard(q, tmp_path):
+    """One block with n = 40, k = 30, t = 20 has [30 20]_q t-subspaces to
+    key; the guard refuses it from the bound q^(t(k-t)) before any is built,
+    where it used to end in a MemoryError."""
+    path = tmp_path / "design.json"
+    block = [[int(i == j) for j in range(40)] for i in range(30)]
+    path.write_text(json.dumps({"q": q, "n": 40, "k": 30, "t": 20, "blocks": [block]}),
+                    encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(qsteiner.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "qsteiner.cli", "verify-design",
+                           "--designs", str(path)], env=env, capture_output=True, text=True,
+                          timeout=10, preexec_fn=_capped_address_space)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"error: {path}: design 0: coverage guard exceeded: [k t] "
+                           f">= {q}^200 t-subspaces per block (<= 65536)\n")
 
 
 @pytest.mark.parametrize("t, k, n", [(32, 33, 64), (1400, 1500, 3000)])

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 from qsteiner import steiner
-from qsteiner.exactq import gauss_binom
+from qsteiner.exactq import gauss_binom, gauss_binom_guard
 from qsteiner.gfspaces import (
     _coverage_keys,
     _f2_eliminate,
+    field,
     grassmannian,
     iter_subspaces,
     subspace_from_rows,
@@ -21,7 +22,7 @@ from qsteiner.grassmann import (
     eisfeld_eigenvalue,
     rank_checks,
 )
-from qsteiner.linalg import mat_mul, rank_exact
+from qsteiner.linalg import mat_mul, rank_exact, rank_mod_p
 from qsteiner.steiner import (
     Design,
     _ExactCover,
@@ -574,6 +575,45 @@ def test_rank_certificate_guard_refuses_the_fallback(monkeypatch):
     assert calls == []
     monkeypatch.setattr(steiner, "_GRAM_RANK_GUARD", 35)
     assert rank_certificate(PG32, designs).lower_bound == 14
+
+
+def _admitted_quadruples() -> list[ParamSet]:
+    """Every (t, k, n, q) that ``design_context`` admits: a field that
+    ``gfspaces.field`` supports, [n t] within _UNIVERSE_GUARD and [n k]
+    within _DENSE_GUARD.  For 1 <= t < n, [n t]_q >= [n 1]_q >= q + 1,
+    which bounds q and, at each q, n."""
+    universe, dense = steiner._UNIVERSE_GUARD, steiner._DENSE_GUARD
+    admitted = []
+    for q in range(2, universe):
+        try:
+            field(q)
+        except ValueError:
+            continue
+        n = 2
+        while gauss_binom(n, 1, q) <= universe:
+            admitted += [
+                ParamSet(t=t, k=k, n=n, q=q)
+                for t in range(1, n) for k in range(t + 1, n + 1)
+                if gauss_binom_guard(n, t, q, universe)[0]
+                and gauss_binom_guard(n, k, q, dense)[0]
+            ]
+            n += 1
+    return admitted
+
+
+def test_w_rank_mod_p_is_the_rational_rank_on_every_admitted_input():
+    """The certificate ranks W only mod _RANK_PRIME.  On every input the
+    guards admit, that rank is W's rank over Q, and it is the full row rank
+    [n t] wherever n >= 2k, so no admitted input needs Bareiss on W.  (At
+    the guards of 200 and 2000 there are 120 quadruples, q up to 199.)"""
+    admitted = _admitted_quadruples()
+    assert {PG32, PG33, ParamSet(t=1, k=2, n=4, q=5), ParamSet(t=1, k=3, n=6, q=2)} <= set(admitted)
+    for params in admitted:
+        w = inclusion_matrix(params)
+        mod_p = rank_mod_p(w, steiner._RANK_PRIME)
+        assert mod_p == rank_exact(w), params
+        if params.n >= 2 * params.k:
+            assert mod_p == gauss_binom(params.n, params.t, params.q), params
 
 
 def test_verify_design_names_a_duplicate_block():
