@@ -9,8 +9,7 @@ Subspaces are kept in reduced row echelon form, which makes equality a tuple
 comparison and gives a total canonical order on each Grassmannian: pivot
 column sets in colexicographic order, then the free entries read row-major
 as base-q digits.  ``grassmannian`` holds each Grassmannian in exactly that
-order, ``canonical_index`` inverts it without materializing the enumeration,
-and ``inner_subspaces`` walks the subspaces of one block in the same order.
+order, and ``_canonical_keys`` walks it lazily, with no Subspace built.
 
 Elimination has one kernel per field kind, and ``rref``, ``rows_rank``,
 ``Subspace.contains`` and ``intersection_dim`` all reduce through it.  Over
@@ -20,14 +19,13 @@ tuple basis is unpacked only when read.  Every other field goes through
 ``_fq_eliminate``, which works on whole rows with the field's ``row_sub``
 and ``row_scale``.
 
-F_2 designs are handled as whole lists, not block by block.
-``_f2_subspaces`` checks the shape and entry types of a whole block list in a
-few C-level passes, then packs its rows and reduces each block with
-``_f2_eliminate``.
-``_f2_coverage_columns`` is the one F_2 coverage kernel: it forms the keys of
-the i-subspaces of every block one row position at a time, across all
-blocks, by xor of the blocks' packed rows.  One block's coverage keys and
-the ``_inner_indices`` tables are its special cases.
+F_2 designs are ingested as whole lists: ``_f2_subspaces`` checks the shape
+and entry types of a whole block list in a few C-level passes, then packs
+its rows and reduces each block with ``_f2_eliminate``.
+``_coverage_columns`` is the one coverage kernel, for every field: it forms
+the keys of the i-subspaces of every block one row of W at a time, across
+all blocks.  One block's coverage keys and the ``_inner_indices`` tables
+are its special cases.
 """
 
 from __future__ import annotations
@@ -372,21 +370,13 @@ def _check_rows(rows, n: int, q: int) -> None:
 
 
 def subspace_from_rows(rows, n: int, q: int, expect_dim: int | None = None) -> Subspace:
-    """Canonicalize a spanning set into a Subspace of F_q^n.  Over F_2 the
-    rows are packed once, which checks their entries but for the type, and
-    only a block that fails a check is walked entry by entry, for the message."""
+    """Canonicalize a spanning set into a Subspace of F_q^n: check the rows,
+    naming the first bad entry, then reduce them, packed over F_2."""
+    _check_rows(rows, n, q)
     if q == 2:
-        try:
-            words = list(map(_pack, rows))
-        except (TypeError, ValueError):
-            words = None
-        if (words is None or set(map(len, rows)) - {n}
-                or set(map(type, itertools.chain.from_iterable(rows))) - {int}):
-            _check_rows(rows, n, q)  # raises
-        reduced = _f2_eliminate(words)
+        reduced = _f2_eliminate(map(_pack, rows))
         key, pivots = tuple([reduced[piv] for piv in sorted(reduced)]), None
     else:
-        _check_rows(rows, n, q)
         key, pivots = rref(rows, field(q))
     if expect_dim is not None and len(key) != expect_dim:
         raise ValueError(f"expected dimension {expect_dim}, got {len(key)}")
@@ -499,77 +489,61 @@ def gf_matmul(a, b, fld: FieldSpec) -> list[list[int]]:
     return out
 
 
-def inner_subspaces(block: Subspace, i: int):
-    """Yield (basis, pivots) in RREF of every i-subspace of the block.
-
-    The order is the canonical order of the i-subspaces W of F_q^k, each
-    mapped to W.B through the block's basis B.  No elimination is needed:
-    W.B is already in RREF.  B's pivot columns are unit columns, so W.B
-    restricted to them is W; row r of W.B is zero before column
-    B.pivots[W.pivots[r]], where it holds W's leading 1, and every other
-    pivot column of W.B holds a zero of W.
-    """
-    fld = field(block.q)
-    for w in grassmannian(block.dim, i, block.q):
-        yield (tuple(map(tuple, gf_matmul(w.basis, block.basis, fld))),
-               tuple(block.pivots[p] for p in w.pivots))
-
-
 @cache
 def _inner_indices(n: int, k: int, i: int, q: int) -> tuple[tuple[int, ...], ...]:
     """For each k-subspace of F_q^n in canonical order, the canonical
     indices of its i-subspaces, built once."""
     index = {s.key: j for j, s in enumerate(grassmannian(n, i, q))}
-    blocks = grassmannian(n, k, q)
-    if q == 2:
-        columns = _f2_coverage_columns([b.key for b in blocks], k, i)
-        return tuple(zip(*[list(map(index.__getitem__, col)) for col in columns]))
-    return tuple(
-        tuple([index[key] for key in _coverage_keys(block, i)])
-        for block in blocks
-    )
+    columns = _coverage_columns([b.key for b in grassmannian(n, k, q)], k, i, q)
+    return tuple(zip(*[list(map(index.__getitem__, col)) for col in columns]))
 
 
-def _f2_coverage_columns(keys: list, k: int, i: int) -> list:
-    """The one F_2 coverage kernel, over the packed RREF keys of many
-    k-subspaces at once.
+def _coverage_columns(keys: list, k: int, i: int, q: int) -> list:
+    """The one coverage kernel, over the RREF keys of many k-subspaces at once.
 
-    Returns one iterable per i-subspace W of F_2^k, in canonical order,
-    yielding the key of W.B for each block key B in list order.  Row r of
-    that key is the xor of the block rows that row r of W selects, so the
-    kernel forms the 2^k - 1 nonzero xors of block rows as columns across
-    all blocks, one ``map(xor, ...)`` per column, and zips together the
-    columns each W selects.
+    Returns one iterable per i-subspace W of F_q^k, in canonical order,
+    yielding the key of W.B for each block key B in list order.  No
+    elimination is needed: W.B is already in RREF.  B's pivot columns are
+    unit columns, so W.B restricted to them is W; row r of W.B is zero
+    before column B.pivots[W.pivots[r]], where it holds W's leading 1, and
+    every other pivot column of W.B holds a zero of W.
+
+    Row r of W.B is the combination of block rows that row r of W gives.
+    Each is formed once, as a column across all blocks, through its
+    prefixes: the one through coefficient c at position j is the one before
+    it plus c times block row j, and the first, W's leading 1, is a block
+    row.  So only the rows some W uses are built, never all q^k.
     """
-    span = [None]  # span[m]: the xor of the rows whose bits are set in m
-    for r in range(k):
-        row = list(map(itemgetter(r), keys))
-        span += [row] + [list(map(xor, s, row)) for s in span[1:]]
-    return [zip(*map(span.__getitem__, w.key)) if w.key else [()] * len(keys)
-            for w in grassmannian(k, i, 2)]
+    rows = [list(map(itemgetter(j), keys)) for j in range(k)]
+    if q == 2:  # packed rows, and c is 1
+        def add(col, c, j):
+            return list(map(xor, col, rows[j]))
+    else:
+        sub, neg = field(q).row_sub, field(q).neg
+
+        def add(col, c, j):
+            return [tuple(sub(v, neg(c), b)) for v, b in zip(col, rows[j])]
+    # prefix -> column; no function here refers to itself, so no reference
+    # cycle holds the columns while the collector is paused
+    cols = {(0,) * j + (1,): row for j, row in enumerate(rows)}
+
+    def column(w):
+        for j, c in enumerate(w):
+            if c:
+                if w[:j + 1] not in cols:
+                    cols[w[:j + 1]] = add(col, c, j)
+                col = cols[w[:j + 1]]
+        return col
+
+    return [zip(*map(column, w.basis)) if w.dim else [()] * len(keys)
+            for w in grassmannian(k, i, q)]
 
 
 def _coverage_keys(block: Subspace, i: int):
-    """The key of each i-subspace of the block, in ``inner_subspaces`` order:
-    over F_2 the one-block case of ``_f2_coverage_columns``."""
-    if block.q != 2:
-        return [basis for basis, _ in inner_subspaces(block, i)]
-    return list(itertools.chain.from_iterable(_f2_coverage_columns([block.key], block.dim, i)))
-
-
-def canonical_index(s: Subspace) -> int:
-    """Position of s in grassmannian(s.ambient, s.dim, s.q)."""
-    n, q, k = s.ambient, s.q, s.dim
-    idx = 0
-    for pivots in _pivot_sets_colex(n, k):
-        free = _free_positions(pivots, n)
-        if pivots == s.pivots:
-            val = 0
-            for (i, j) in free:
-                val = val * q + s.basis[i][j]
-            return idx + val
-        idx += q ** len(free)
-    raise ValueError("subspace not in canonical form")
+    """The key of each i-subspace of the block, in the canonical order of
+    the i-subspaces of F_q^k: the one-block case of ``_coverage_columns``."""
+    return list(itertools.chain.from_iterable(
+        _coverage_columns([block.key], block.dim, i, block.q)))
 
 
 def intersection_dim(a: Subspace, b: Subspace) -> int:

@@ -27,8 +27,7 @@ from .exactq import choose2, gauss_binom, gauss_binom_guard, prime_power_parts, 
 from .gfspaces import (
     Subspace,
     _canonical_keys,
-    _coverage_keys,
-    _f2_coverage_columns,
+    _coverage_columns,
     _f2_eliminate,
     _f2_subspaces,
     _inner_indices,
@@ -170,18 +169,21 @@ def verify_design(blocks: Sequence[Subspace], params: ParamSet) -> VerificationR
     On failure the witness t-subspace and its actual coverage come back.
     Malformed blocks (wrong ambient, wrong dimension, duplicates) raise, and
     so do blocks of more than _BLOCK_COVER_GUARD t-subspaces each, decided
-    by ``gauss_binom_guard`` before any coverage is built.
+    by ``gauss_binom_guard`` before any coverage is built, and so does any
+    q over that guard, whose witness walk would hold range(q) as a tuple.
 
     The blocks are checked as one list, and walked in order only to name
     the first bad one.  The coverage keys are canonical keys of t-subspaces,
     so at most [n t] of them are distinct: the design is exact iff no key
     repeats and [n t] <= the number of distinct keys, which
     ``gauss_binom_guard`` decides without building [n t] when it is huge.
-    Over F_2 the keys come from ``_f2_coverage_columns`` across all blocks
-    at once.  The one Counter of the keys decides and, on failure, serves
-    the witness walk.
+    The keys come from ``_coverage_columns`` across all blocks at once.
+    The one Counter of the keys decides and, on failure, serves the
+    witness walk.
     """
     t, k, n, q = params.t, params.k, params.n, params.q
+    if q > _BLOCK_COVER_GUARD:
+        raise ValueError(f"coverage guard exceeded: q {q} (<= {_BLOCK_COVER_GUARD})")
     keys = list(map(attrgetter("key"), blocks))
     if (set(map(attrgetter("ambient"), blocks)) - {n} or set(map(attrgetter("q"), blocks)) - {q}
             or set(map(len, keys)) - {k} or len(set(keys)) != len(keys)):
@@ -194,15 +196,13 @@ def verify_design(blocks: Sequence[Subspace], params: ParamSet) -> VerificationR
             if (first := seen.setdefault(b.key, idx)) != idx:
                 raise ValueError(f"block {idx} duplicates block {first}")
 
-    if blocks:
+    coverage = Counter()
+    if blocks:  # with no blocks the kernel would build Gr(k, t) for nothing
         fits, size = gauss_binom_guard(k, t, q, _BLOCK_COVER_GUARD)
         if not fits:
             raise ValueError(f"coverage guard exceeded: [k t] {size} t-subspaces "
                              f"per block (<= {_BLOCK_COVER_GUARD})")
-    if q == 2 and blocks:  # with no blocks the kernel would build Gr(k, t) for nothing
-        coverage = Counter(chain.from_iterable(_f2_coverage_columns(keys, k, t)))
-    else:
-        coverage = Counter(chain.from_iterable(_coverage_keys(b, t) for b in blocks))
+        coverage.update(chain.from_iterable(_coverage_columns(keys, k, t, q)))
     distinct = len(coverage)
     if distinct == coverage.total() and gauss_binom_guard(n, t, q, distinct)[0]:
         return VerificationResult(True)
@@ -699,14 +699,6 @@ def design_to_dict(params: ParamSet, blocks: Sequence[Subspace]) -> dict:
     }
 
 
-def save_design_file(path: str | Path, params: ParamSet,
-                     blocks: Sequence[Subspace]) -> None:
-    Path(path).write_text(
-        json.dumps(design_to_dict(params, blocks), sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
-
-
 def design_from_dict(obj: dict) -> tuple[ParamSet, list[Subspace]]:
     """Parse and canonicalize one design object; raises ValueError on any
     schema, dimension, or field-encoding problem."""
@@ -741,13 +733,20 @@ def design_from_dict(obj: dict) -> tuple[ParamSet, list[Subspace]]:
 
 
 def load_design_file(path: str | Path) -> list[tuple[ParamSet, list[Subspace]]]:
-    """Load one design object or an array of them from a JSON file."""
+    """Load one design object or an array of them from a JSON file; a
+    design in an array that fails to parse is named by its position."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"parse error: {exc}") from exc
     if obj == []:
         raise ValueError("no design in file")
-    if isinstance(obj, list):
-        return [design_from_dict(o) for o in obj]
-    return [design_from_dict(obj)]
+    if not isinstance(obj, list):
+        return [design_from_dict(obj)]
+    designs = []
+    for idx, o in enumerate(obj):
+        try:
+            designs.append(design_from_dict(o))
+        except ValueError as exc:
+            raise ValueError(f"design {idx}: {exc}") from exc
+    return designs

@@ -4,11 +4,28 @@ Nothing in the package needs these; each is the obvious definition, kept
 here so that the checks built on it stay independent of the code under test.
 """
 
+import json
 from collections import Counter
+from pathlib import Path
 
-from qsteiner.gfspaces import Subspace, _coverage_keys, grassmannian, intersection_dim, iter_subspaces
+from qsteiner.gfspaces import (
+    Subspace,
+    _coverage_keys,
+    _free_positions,
+    _pivot_sets_colex,
+    grassmannian,
+    intersection_dim,
+    iter_subspaces,
+)
 from qsteiner.linalg import ExactMatrix, Scalar
-from qsteiner.steiner import Design, ParamSet, VerificationResult, _first_miss, design_context
+from qsteiner.steiner import (
+    Design,
+    ParamSet,
+    VerificationResult,
+    _first_miss,
+    design_context,
+    design_to_dict,
+)
 
 
 def identity(n: int) -> ExactMatrix:
@@ -81,3 +98,26 @@ def verify_design_per_block(blocks, params: ParamSet) -> VerificationResult:
             raise ValueError(f"block {idx} duplicates block {first}")
         coverage.update(span_coverage_keys(b, t) if q == 2 else _coverage_keys(b, t))
     return _first_miss((s, coverage[s.key]) for s in iter_subspaces(n, t, q))
+
+
+def canonical_index(s: Subspace) -> int:
+    """Position of s in grassmannian(s.ambient, s.dim, s.q)."""
+    n, q, k = s.ambient, s.q, s.dim
+    idx = 0
+    for pivots in _pivot_sets_colex(n, k):
+        free = _free_positions(pivots, n)
+        if pivots == s.pivots:
+            val = 0
+            for (i, j) in free:
+                val = val * q + s.basis[i][j]
+            return idx + val
+        idx += q ** len(free)
+    raise ValueError("subspace not in canonical form")
+
+
+def save_design_file(path, params: ParamSet, blocks) -> None:
+    """Write one design object in the JSON form that load_design_file reads."""
+    Path(path).write_text(
+        json.dumps(design_to_dict(params, blocks), sort_keys=True, indent=1) + "\n",
+        encoding="utf-8",
+    )

@@ -41,13 +41,12 @@ from qsteiner.steiner import (
     mu_eigenvalue,
     rank_certificate,
     sample_steiner,
-    save_design_file,
     verify_design,
     verify_design_ids,
     verify_gram_spectrum,
 )
 
-from oracles import per_intersection_counts, transpose
+from oracles import per_intersection_counts, save_design_file, transpose
 
 SWEEP_QS = (2, 3, 4, 5, 7, 8, 9)
 

@@ -12,7 +12,9 @@ import pytest
 import qsteiner
 from qsteiner import cli, steiner
 from qsteiner.cli import main
-from qsteiner.steiner import ParamSet, enumerate_steiner, save_design_file
+from qsteiner.steiner import ParamSet, enumerate_steiner
+
+from oracles import save_design_file
 
 
 def test_identities_writes_report_and_exits_zero(tmp_path, capsys):
@@ -460,6 +462,29 @@ def test_verify_design_rejects_bad_f2_rows(tmp_path, capsys, edit, message):
     assert captured.err == f"error: {path}: {message}\n"
 
 
+def _bad_entry_in_design_3(designs):
+    designs[3]["blocks"][2][0][1] = 2
+    return designs
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_bad_entry_in_design_3, "design 3: block 2: entry outside 0..q-1"),
+    (lambda designs: [designs[0], 5], "design 1: design object must be a JSON object"),
+], ids=["bad-entry", "not-an-object"])
+def test_verify_design_names_the_bad_design_in_an_array(tmp_path, capsys, edit, message):
+    # a design of an array that fails to load is named by its position, in
+    # the form of the messages of the verify phase
+    path = tmp_path / "designs.json"
+    assert main(["enumerate", "--t", "1", "--k", "2", "--n", "4", "--q", "2",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))), encoding="utf-8")
+    assert main(["verify-design", "--designs", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_verify_design_missing_file():
     assert main(["verify-design", "--designs", "/no/such/file.json"]) == 2
 
@@ -670,6 +695,28 @@ def test_verify_design_refuses_a_block_over_the_coverage_guard(q, tmp_path):
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == (f"error: {path}: design 0: coverage guard exceeded: [k t] "
                            f">= {q}^200 t-subspaces per block (<= 65536)\n")
+
+
+@pytest.mark.parametrize("q", [65521, 65537, 4294967291])
+def test_verify_design_refuses_a_field_over_the_coverage_guard(q, tmp_path):
+    """An empty block list over a field of more than 2^16 elements is refused
+    before anything is built, where the witness walk used to take range(q)
+    as one tuple and end in a MemoryError at q = 4294967291.  The largest
+    prime below the guard still walks to its witness."""
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps({"q": q, "n": 2, "k": 2, "t": 1, "blocks": []}), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(qsteiner.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "qsteiner.cli", "verify-design",
+                           "--designs", str(path)], env=env, capture_output=True, text=True,
+                          timeout=10, preexec_fn=_capped_address_space)
+    if q < 1 << 16:
+        assert (done.returncode, done.stderr) == (1, "")
+        assert done.stdout == (f"design 0 (1,2,2,{q}): FAILED - t-subspace covered 0 times, "
+                               "expected 1\n  witness row: [1, 0]\n")
+    else:
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"error: {path}: design 0: coverage guard exceeded: "
+                               f"q {q} (<= 65536)\n")
 
 
 @pytest.mark.parametrize("t, k, n", [(32, 33, 64), (1400, 1500, 3000)])

@@ -1,7 +1,8 @@
+import gc
 import itertools
 
 import pytest
-from oracles import span_coverage_keys
+from oracles import canonical_index, span_coverage_keys
 
 from qsteiner.exactq import gauss_binom, q_int
 from qsteiner.gfspaces import (
@@ -9,18 +10,16 @@ from qsteiner.gfspaces import (
     Subspace,
     _basis_for,
     _canonical_keys,
+    _coverage_columns,
     _coverage_keys,
-    _f2_coverage_columns,
     _free_positions,
     _inner_indices,
     _pivot_sets_colex,
-    canonical_index,
     count_fixed_intersection,
     count_fixed_intersection_bruteforce,
     field,
     gf_matmul,
     grassmannian,
-    inner_subspaces,
     intersection_dim,
     iter_subspaces,
     mobius_delta_check,
@@ -170,16 +169,15 @@ def test_rref_and_rows_rank_match_the_span_oracle():
 
 
 def test_contains_matches_inner_subspaces():
-    # S <= block exactly when S is one of the block's walked i-subspaces
+    # S <= block exactly when S's key is one of the block's coverage keys
     cases = 0
     for q in (2, 3, 4):
         for block in grassmannian(4, 2, q):
             for i in range(5):
                 subs = grassmannian(4, i, q)
-                inside = ({basis for basis, _ in inner_subspaces(block, i)}
-                          if i <= block.dim else set())
+                inside = set(_coverage_keys(block, i)) if i <= block.dim else set()
                 for s in subs:
-                    assert block.contains(s) == (s.basis in inside)
+                    assert block.contains(s) == (s.key in inside)
                     cases += 1
     assert cases == 35 * 67 + 130 * 212 + 357 * 529
 
@@ -274,19 +272,22 @@ def test_iter_matches_list():
 
 
 def test_inner_subspaces_need_no_elimination():
-    # W.B of two RREF matrices is already in RREF, so the walker must equal
-    # the eliminated product on every block and every sub-dimension
+    # W.B of two RREF matrices is already in RREF, so the key the coverage
+    # kernel reads off the product must be the key of the eliminated
+    # product, on every block and every sub-dimension, over every field
     cases = 0
     for q in (2, 3, 4, 5, 7, 8, 9):
         fld = field(q)
         for n in range(1, (4 if q <= 3 else 3) + 1):
             for k in range(n + 1):
-                for block in grassmannian(n, k, q):
-                    for i in range(k + 1):
-                        expected = [rref(gf_matmul(w.basis, block.basis, fld), fld)
-                                    for w in grassmannian(k, i, q)]
-                        assert list(inner_subspaces(block, i)) == expected
-                        cases += len(expected)
+                blocks = grassmannian(n, k, q)
+                for i in range(k + 1):
+                    columns = _coverage_columns([b.key for b in blocks], k, i, q)
+                    for w, keys in zip(grassmannian(k, i, q), columns):
+                        assert list(keys) == [
+                            subspace_from_rows(gf_matmul(w.basis, b.basis, fld), n, q).key
+                            for b in blocks]
+                        cases += len(blocks)
     assert cases == 7049
 
 
@@ -432,23 +433,47 @@ def test_subspace_from_rows_f2_messages(rows, message):
     assert str(err.value) == message
 
 
-def test_one_f2_coverage_kernel_matches_per_block_span_tables():
+def test_one_coverage_kernel_matches_per_block_tables():
     # the whole-list kernel, its one-block case and the _inner_indices tables
-    # all give the keys of a per-block table of row xors, on every n <= 6
+    # all give the keys of a per-block table: of row xors over F_2, on every
+    # n <= 6, and of the eliminated products W.B over F_3 (n <= 4) and F_4
+    # (n <= 3)
     cases = 0
-    for n in range(7):
-        for k in range(n + 1):
-            blocks = grassmannian(n, k, 2)
-            for i in range(k + 1):
-                expected = [span_coverage_keys(b, i) for b in blocks]
-                columns = _f2_coverage_columns([b.key for b in blocks], k, i)
-                assert [list(keys) for keys in zip(*columns)] == expected
-                assert [_coverage_keys(b, i) for b in blocks] == expected
-                index = {s.key: j for j, s in enumerate(grassmannian(n, i, 2))}
-                assert _inner_indices(n, k, i, 2) == tuple(
-                    tuple(index[key] for key in keys) for keys in expected)
-                cases += len(blocks)
-    assert cases == 12864  # (k + 1) [n k]_2 summed over 0 <= k <= n <= 6
+    for q, max_n in ((2, 6), (3, 4), (4, 3)):
+        fld = field(q)
+        for n in range(max_n + 1):
+            for k in range(n + 1):
+                blocks = grassmannian(n, k, q)
+                for i in range(k + 1):
+                    expected = [
+                        span_coverage_keys(b, i) if q == 2 else
+                        [subspace_from_rows(gf_matmul(w.basis, b.basis, fld), n, q).key
+                         for w in grassmannian(k, i, q)]
+                        for b in blocks]
+                    columns = _coverage_columns([b.key for b in blocks], k, i, q)
+                    assert [list(keys) for keys in zip(*columns)] == expected
+                    assert [_coverage_keys(b, i) for b in blocks] == expected
+                    index = {s.key: j for j, s in enumerate(grassmannian(n, i, q))}
+                    assert _inner_indices(n, k, i, q) == tuple(
+                        tuple(index[key] for key in keys) for keys in expected)
+                    cases += len(blocks)
+    # (k + 1) [n k]_q summed over 0 <= k <= n <= max_n
+    assert cases == 12864 + 722 + 128
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_coverage_kernel_leaves_no_reference_cycle(q):
+    # verify-design pauses the cyclic collector, so a cycle through the
+    # kernel's columns would keep them, design after design, to the end
+    keys = [b.key for b in grassmannian(4, 2, q)]
+    list(itertools.chain.from_iterable(_coverage_columns(keys, 2, 1, q)))
+    gc.collect()
+    gc.disable()
+    try:
+        list(itertools.chain.from_iterable(_coverage_columns(keys, 2, 1, q)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_colex_pivot_sets_are_lazy_and_iterative():

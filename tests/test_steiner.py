@@ -49,7 +49,6 @@ from qsteiner.steiner import (
     rank_certificate,
     sample_steiner,
     sample_steps,
-    save_design_file,
     verify_design,
     verify_design_ids,
     verify_gram_spectrum,
@@ -59,6 +58,7 @@ from oracles import (
     col_sums,
     per_intersection_counts,
     row_sums,
+    save_design_file,
     transpose,
     verify_design_per_block,
     zeros,
