@@ -105,10 +105,14 @@ def q_pochhammer(a: int, n: int, q: int) -> Fraction:
     """(q^a; q)_n = prod_{i<n} (1 - q^(a+i)); empty product is 1."""
     if n < 0:
         raise ValueError("q-Pochhammer length must be nonnegative")
-    val = Fraction(1)
-    for i in range(n):
-        val *= 1 - q_pow(a + i, q)
-    return val
+    num = den = 1
+    for e in range(a, a + n):
+        if e >= 0:
+            num *= 1 - q**e
+        else:  # 1 - q^e = (q^-e - 1) / q^-e
+            num *= q**-e - 1
+            den *= q**-e
+    return Fraction(num, den)
 
 
 def q_valuation(m: int, q: int) -> int:

@@ -1,26 +1,30 @@
 """Dense exact linear algebra over the rationals.
 
 Entries are ints or Fractions (mixing is fine; any other type raises
-TypeError).  Rank is computed by
-fraction-free Bareiss elimination after clearing denominators row by row,
-with the pivot chosen as the nonzero entry of smallest bit length in the
-remaining submatrix (ties broken by lowest row, then lowest column).  This
-keeps intermediate entries equal to minors of the scaled matrix and makes
-the computation deterministic.
+TypeError).  The product ``mat_mul`` clears denominators and packs each row
+of the right factor into one integer of fixed-width slots (Kronecker
+substitution), so each output row is one big-integer sum whose slots are
+read back exactly; its docstring proves that no slot carries.  Rank is
+computed by fraction-free Bareiss elimination after clearing denominators
+row by row, with the pivot chosen as the nonzero entry of smallest bit
+length in the remaining submatrix (ties broken by lowest row, then lowest
+column).  This keeps intermediate entries equal to minors of the scaled
+matrix and makes the computation deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Sequence
 
 from .gfspaces import field, rows_rank
 
 Scalar = int | Fraction
 _EXACT_TYPES = {int, Fraction}
+_denominator = attrgetter("denominator")
 
 
 class ExactMatrix:
@@ -52,15 +56,7 @@ class ExactMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.data[i][j] == other.data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
-        )
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
 
     def shifted(self, c: Scalar) -> "ExactMatrix":
         """self - c*I (square matrices only)."""
@@ -78,30 +74,60 @@ class ExactMatrix:
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Exact product a·b by Kronecker substitution: each row of the product
+    is one integer sum, read back slot by slot.
+
+    Row i of a is scaled by the lcm d_i of its denominators and all of b by
+    one lcm d_B, giving integer matrices a' and b' with a·b = c' / (d_i·d_B)
+    row by row.  Every |c'_ij| = |sum_k a'_ik b'_kj| is at most
+    ``bound = a.cols · max|a'| · max|b'|``.  Slots are w bytes wide with
+    2^(8w) > 2·bound; row k of b' is packed as P_k = sum_j b'_kj·2^(8wj).
+    By linearity ``bias + sum_k a'_ik·P_k = sum_j (c'_ij + bound)·2^(8wj)``
+    with ``bias = sum_j bound·2^(8wj)``, and each coefficient c'_ij + bound
+    lies in [0, 2·bound], inside [0, 2^(8w)): the sum's base-2^(8w) digits are
+    exactly these coefficients, with no carry between slots, so slot j of its
+    bytes minus bound is c'_ij.  Integer inputs give integer entries.
+    """
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = [[b.data[i][j] for i in range(b.rows)] for j in range(b.cols)]
+    dens = [lcm(*map(_denominator, row)) for row in a.data]
+    a_int = list(map(_times, a.data, dens))
+    d_b = lcm(*(lcm(*map(_denominator, row)) for row in b.data))
+    b_int = [_times(row, d_b) for row in b.data]
+    max_b = max(map(abs, chain.from_iterable(b_int)), default=0)
+    bound = a.cols * max(map(abs, chain.from_iterable(a_int)), default=0) * max_b
+    if not bound:
+        return ExactMatrix([[0] * b.cols for _ in range(a.rows)], cols=b.cols)
+    w = ((2 * bound).bit_length() + 7) // 8
+    ones = int.from_bytes(b"\1".ljust(w, b"\0") * b.cols, "little")  # sum_j 2^(8wj)
+    # b'_kj + max|b'| lies in [0, 2·bound]: offset, the rows pack byte by byte
+    packed = [
+        int.from_bytes(b"".join([(x + max_b).to_bytes(w, "little") for x in row]),
+                       "little") - max_b * ones
+        for row in b_int
+    ]
+    bias = bound * ones
     out = []
-    for ra in a.data:
-        # multiply only where ra is nonzero: compress picks those entries of cb
-        nonzero = [x for x in ra if x]
-        out.append([sum(map(mul, nonzero, compress(cb, ra))) for cb in bt])
+    for row, d in zip(a_int, dens):
+        total = sum(map(mul, compress(row, row), compress(packed, row)), bias)
+        buf = total.to_bytes(w * b.cols, "little")
+        c = [int.from_bytes(buf[j:j + w], "little") - bound for j in range(0, len(buf), w)]
+        d *= d_b
+        out.append(c if d == 1 else [Fraction(x, d) for x in c])
     return ExactMatrix(out, cols=b.cols)
+
+
+def _times(row: list[Scalar], d: int) -> list[int]:
+    """row times d as ints (d clears every denominator); an int row with
+    d == 1 is returned as it is."""
+    if d == 1 and Fraction not in map(type, row):
+        return row
+    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def _integer_rows(m: ExactMatrix) -> list[list[int]]:
     """Scale each row by the lcm of its denominators (rank-preserving)."""
-    out = []
-    for row in m.data:
-        mult = 1
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                mult = lcm(mult, x.denominator)
-        if mult == 1:
-            out.append([int(x) for x in row])
-        else:
-            out.append([int(x * mult) for x in row])
-    return out
+    return [list(_times(row, lcm(*map(_denominator, row)))) for row in m.data]
 
 
 def rank_exact(m: ExactMatrix) -> int:

@@ -6,6 +6,8 @@ here so that the checks built on it stay independent of the code under test.
 
 import json
 from collections import Counter
+from itertools import compress
+from operator import mul
 from pathlib import Path
 
 from qsteiner.gfspaces import (
@@ -13,9 +15,12 @@ from qsteiner.gfspaces import (
     _coverage_keys,
     _free_positions,
     _pivot_sets_colex,
+    field,
+    gf_matmul,
     grassmannian,
     intersection_dim,
     iter_subspaces,
+    subspace_from_rows,
 )
 from qsteiner.linalg import ExactMatrix, Scalar
 from qsteiner.steiner import (
@@ -54,6 +59,19 @@ def transpose(m: ExactMatrix) -> ExactMatrix:
     )
 
 
+def mat_mul_schoolbook(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a·b entry by entry: each entry the sum of a's row times b's column,
+    multiplied only where the row is nonzero."""
+    if a.cols != b.rows:
+        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    bt = [[b.data[i][j] for i in range(b.rows)] for j in range(b.cols)]
+    out = []
+    for ra in a.data:
+        nonzero = [x for x in ra if x]
+        out.append([sum(map(mul, nonzero, compress(cb, ra))) for cb in bt])
+    return ExactMatrix(out, cols=b.cols)
+
+
 def per_intersection_counts(design: Design, i: int) -> set[int]:
     """#{Y != X : X ^ Y = I} over all blocks X and i-subspaces I of X."""
     params = design.params
@@ -82,10 +100,19 @@ def span_coverage_keys(block: Subspace, i: int) -> list[tuple[int, ...]]:
     return [tuple(map(span.__getitem__, w.key)) for w in grassmannian(block.dim, i, 2)]
 
 
+def product_coverage_keys(block: Subspace, i: int) -> list[tuple]:
+    """The keys of the i-subspaces of one block, each the RREF of W·B for a
+    W of iter_subspaces(k, i, q) and B the block's basis, taken over F_q."""
+    n, q = block.ambient, block.q
+    fld = field(q)
+    return [subspace_from_rows(gf_matmul(w.basis, block.basis, fld), n, q).key
+            for w in iter_subspaces(block.dim, i, q)]
+
+
 def verify_design_per_block(blocks, params: ParamSet) -> VerificationResult:
     """verify_design one block at a time: an ordered walk for malformed
-    blocks, a per-block key table over F_2, and the witness walk over
-    iter_subspaces."""
+    blocks, a per-block key table over F_2 or W·B products over F_q, and
+    the witness walk over iter_subspaces."""
     t, k, n, q = params.t, params.k, params.n, params.q
     seen: dict = {}
     coverage: Counter = Counter()
@@ -96,7 +123,7 @@ def verify_design_per_block(blocks, params: ParamSet) -> VerificationResult:
             raise ValueError(f"block of dimension {b.dim}, expected {k}")
         if (first := seen.setdefault(b.key, idx)) != idx:
             raise ValueError(f"block {idx} duplicates block {first}")
-        coverage.update(span_coverage_keys(b, t) if q == 2 else _coverage_keys(b, t))
+        coverage.update(span_coverage_keys(b, t) if q == 2 else product_coverage_keys(b, t))
     return _first_miss((s, coverage[s.key]) for s in iter_subspaces(n, t, q))
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -90,6 +91,15 @@ def test_q_pochhammer_values():
         assert q_pochhammer(0, n, 7) == 0
     with pytest.raises(ValueError):
         q_pochhammer(1, -1, 2)
+
+
+def test_q_pochhammer_is_the_product_of_its_factors_on_a_grid():
+    for q in (2, 3, 4, 9):
+        for a in range(-6, 7):
+            for n in range(7):
+                want = prod((1 - q_pow(a + i, q) for i in range(n)), start=Fraction(1))
+                got = q_pochhammer(a, n, q)
+                assert type(got) is Fraction and got == want, (a, n, q)
 
 
 def test_binom_as_pochhammer_quotient():

@@ -7,7 +7,7 @@ from qsteiner.gfspaces import field, rref
 from qsteiner.linalg import ExactMatrix, mat_mul, rank_exact, rank_mod_p
 from qsteiner.steiner import ParamSet, enumerate_steiner, incidence_matrix
 
-from oracles import identity, transpose, zeros
+from oracles import identity, mat_mul_schoolbook, transpose, zeros
 
 LARGE_PRIMES = (1000003, 1000033, 1000037)
 
@@ -20,7 +20,78 @@ def _random_matrix(rng, rows, cols, fractions=False):
         ]
     else:
         data = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-    return ExactMatrix(data)
+    return ExactMatrix(data, cols=cols)
+
+
+def _agrees_with_schoolbook(a, b):
+    got = mat_mul(a, b)
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert got == mat_mul_schoolbook(a, b)
+    return got
+
+
+def _all_ints(m):
+    return all(type(x) is int for row in m.data for x in row)
+
+
+@pytest.mark.parametrize("shape", [(0, 5, 3), (3, 0, 4), (4, 6, 0), (1, 1, 1), (7, 130, 9)])
+def test_mat_mul_matches_schoolbook_on_shapes(shape):
+    rng = random.Random(sum(shape))
+    rows, inner, cols = shape
+    for fractions in (False, True):
+        a = _random_matrix(rng, rows, inner, fractions)
+        b = _random_matrix(rng, inner, cols, fractions)
+        got = _agrees_with_schoolbook(a, b)
+        assert fractions or _all_ints(got)
+        _agrees_with_schoolbook(zeros(rows, inner), b)
+        _agrees_with_schoolbook(a, zeros(inner, cols))
+
+
+@pytest.mark.parametrize("e", [63, 64, 200])
+def test_mat_mul_matches_schoolbook_near_powers_of_two(e):
+    rng = random.Random(e)
+    near = [s * ((1 << e) + d) for s in (1, -1) for d in (-1, 0, 1)] + [0, 1, -1]
+    for _ in range(20):
+        rows, inner, cols = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = ExactMatrix([[rng.choice(near) for _ in range(inner)] for _ in range(rows)])
+        b = ExactMatrix([[rng.choice(near) for _ in range(cols)] for _ in range(inner)])
+        assert _all_ints(_agrees_with_schoolbook(a, b))
+
+
+@pytest.mark.parametrize("w", [1, 2, 8, 9, 26])
+def test_mat_mul_fills_each_slot_to_both_ends(w):
+    # the slots of w bytes hold c + bound in [0, 2*bound]; 2*bound is even, so
+    # 2^(8w) - 2 is the widest range that fits w bytes, and 2^(8w) needs w + 1
+    for bound in ((1 << 8 * w - 1) - 1, 1 << 8 * w - 1):
+        a = ExactMatrix([[bound], [-bound], [0]])
+        b = ExactMatrix([[1, -1, 0, 1]])
+        got = _agrees_with_schoolbook(a, b)
+        assert got.data == [[bound, -bound, 0, bound], [-bound, bound, 0, -bound], [0] * 4]
+        assert _all_ints(got)
+        if bound % 2 == 0:  # the same bound as a sum of two products
+            got = mat_mul(ExactMatrix([[bound // 2] * 2]), ExactMatrix([[1, -1]] * 2))
+            assert got.data == [[bound, -bound]]
+
+
+def test_mat_mul_matches_schoolbook_on_mixed_denominators():
+    rng = random.Random(19)
+
+    def entry(big):
+        if rng.random() < 0.3:
+            return rng.randint(-9, 9)
+        top = 1 << 70 if big else 9
+        return Fraction(rng.randint(-top, top), rng.randint(1, 1 << 65 if big else 12))
+
+    for trial in range(30):
+        big = trial % 3 == 0
+        rows, inner, cols = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = ExactMatrix([[entry(big) for _ in range(inner)] for _ in range(rows)])
+        b = ExactMatrix([[entry(big) for _ in range(cols)] for _ in range(inner)])
+        _agrees_with_schoolbook(a, b)
+        # an int matrix against a fractional one, on either side
+        ints = _random_matrix(rng, rows, inner)
+        _agrees_with_schoolbook(ints, b)
+        _agrees_with_schoolbook(transpose(b), transpose(ints))
 
 
 def test_mat_mul_identity():
