@@ -152,12 +152,23 @@ def _swap_last_block(design):
 
 
 def test_both_verifiers_give_the_same_verdict_and_witness():
+    """verify_design_ids reads the counts out of packed slots; the inputs
+    include every slot at its maximum [n-t k-t] (all 35 lines of PG(3,2)
+    cover each point 7 times) and one slot at it (the 7 lines through a
+    point)."""
     pg32 = enumerate_steiner(PG32)
+    ctx = design_context(PG32)
+    n_lines = len(ctx.k_subspaces)
+    rng = random.Random(35)
     designs = [
         *pg32,
         Design(PG32, tuple(range(5))),
         _swap_last_block(pg32[0]),
         _swap_last_block(enumerate_steiner(PG33)[0]),
+        Design(PG32, tuple(range(n_lines))),
+        Design(PG32, tuple(kid for kid in range(n_lines) if 0 in ctx.cover[kid])),
+        *(Design(PG32, tuple(rng.sample(range(n_lines), rng.randint(1, n_lines))))
+          for _ in range(50)),
     ]
     failures = 0
     for d in designs:
@@ -166,7 +177,10 @@ def test_both_verifiers_give_the_same_verdict_and_witness():
         assert (by_ids.ok, by_ids.witness, by_ids.coverage, by_ids.message) == (
             by_blocks.ok, by_blocks.witness, by_blocks.coverage, by_blocks.message)
         failures += not by_ids.ok
-    assert failures == 3
+    assert failures == 3 + 2 + 50
+    for d in designs[-52:-50]:  # all lines, and the lines through point 0
+        result = verify_design_ids(d)
+        assert (result.witness, result.coverage) == (ctx.t_subspaces[0], 7)
 
 
 def _verdict_by_containment(blocks, params):
@@ -244,6 +258,10 @@ def test_verify_design_rejects_malformed():
     point = grassmannian(4, 1, 2)[0]
     with pytest.raises(ValueError):
         verify_design(blocks[:-1] + [point], PG32)  # wrong dimension
+    # a negative index would alias another block and break the packed slots
+    for ids in [(-1, 0, 1, 2, 3), (0, 1, 2, 3, len(design_context(PG32).k_subspaces))]:
+        with pytest.raises(ValueError, match="block index outside"):
+            verify_design_ids(Design(PG32, ids))
 
 
 def test_sampling_is_deterministic_and_valid():
@@ -282,11 +300,24 @@ def test_sample_steps_extend_one_stream(params, seed, expected):
         assert (step.complete, step.attempts) == (fresh.complete, fresh.attempts)
 
 
+def test_sample_steps_take_repeated_counts_and_refuse_decreasing_ones():
+    counts = (3, 3, 5)
+    for step, count in zip(sample_steps(PG33, 1, counts), counts):
+        fresh = sample_steiner(PG33, 1, count)
+        assert [d.blocks for d in step.designs] == [d.blocks for d in fresh.designs]
+        assert (step.complete, step.attempts) == (fresh.complete, fresh.attempts)
+    steps = sample_steps(PG33, 1, (5, 3))
+    assert len(next(steps).designs) == 5
+    with pytest.raises(ValueError, match="sample count 3 is below 5"):
+        next(steps)
+
+
 def test_exact_cover_search_restores_its_state():
     """sample_steiner reuses one _ExactCover for every attempt, which is
-    sound only if no kind of stop leaves anything behind: after a limit
-    stop, a node-budget stop and exhaustion, the reused instance answers
-    exactly as a fresh one does."""
+    sound only if no kind of stop leaves anything behind but the branch
+    memo, a pure cache: after many randomized searches have filled the
+    memo, and after a limit stop, a node-budget stop and exhaustion, the
+    reused instance answers exactly as a fresh one does."""
     ctx = design_context(PG33)
     calls = [
         lambda c: c.search(rng=random.Random(1), limit=1),  # limit stop
@@ -295,9 +326,25 @@ def test_exact_cover_search_restores_its_state():
         lambda c: c.search(rng=random.Random(5), limit=3),
     ]
     reused = _ExactCover(len(ctx.t_subspaces), ctx.cover)
+    for seed in range(100, 300):
+        reused.search(rng=random.Random(seed), limit=1)
+    assert len(reused.branch_memo) > 100
     got = [call(reused) for call in calls]
     assert len(got[0]) == 1 and got[1] is None and len(got[2]) == 8424
     assert got == [call(_ExactCover(len(ctx.t_subspaces), ctx.cover)) for call in calls]
+
+
+def test_deterministic_search_is_pinned_and_ignores_the_branch_memo():
+    """Enumeration's raw search output, in search order, as sha256 of its
+    repr; a search without rng neither reads nor fills the branch memo, so
+    a planted wrong root column changes nothing."""
+    ctx = design_context(PG33)
+    cover = _ExactCover(len(ctx.t_subspaces), ctx.cover)
+    cover.branch_memo[()] = len(ctx.t_subspaces) - 1  # the scan picks column 0
+    sols = cover.search()
+    assert cover.branch_memo == {(): len(ctx.t_subspaces) - 1}
+    assert hashlib.sha256(repr(sols).encode()).hexdigest() == (
+        "9b7c6a13be6ca510992c2a5dd2e90a0f8f7456f8f17f6e9335635bca80cf8aa2")
 
 
 def test_exact_cover_edge_cases():
@@ -308,6 +355,10 @@ def test_exact_cover_edge_cases():
     assert two.search(node_budget=2) == [(0, 1)]
 
 
+# the branch memo each pinned sampling run leaves, by (q, n, seed)
+_PINNED_MEMO_SIZES = {(3, 4, 1): 830, (3, 4, 7): 353, (2, 6, 1): 578}
+
+
 @pytest.mark.parametrize("params, seed, count, attempts, digest", [
     (PG33, 1, 3000, 3867,
      "8e684cfb8a0a4307d4e45b7df4996c447a635555db5235f204f2baeebc5bff34"),
@@ -316,14 +367,26 @@ def test_exact_cover_edge_cases():
     (ParamSet(t=1, k=2, n=6, q=2), 1, 300, 300,
      "4d53982d3d12350d008c5440afba675040f94e6d9f1382863154c2dd5929208a"),
 ])
-def test_sampled_designs_are_pinned(params, seed, count, attempts, digest):
+def test_sampled_designs_are_pinned(params, seed, count, attempts, digest, monkeypatch):
     """The exact-cover traversal (branch column, candidate order, shuffles,
     node budget) fixes which designs a seed draws; these are the pinned
-    draws, as sha256 of the repr of the list of block tuples."""
+    draws, as sha256 of the repr of the list of block tuples, and the
+    pinned size of the branch memo they leave, every key a chosen-row
+    tuple shorter than _BRANCH_MEMO_DEPTH."""
+    made = []
+
+    class Recorded(_ExactCover):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+    monkeypatch.setattr(steiner, "_ExactCover", Recorded)
     res = sample_steiner(params, seed, count)
     blocks = repr([d.blocks for d in res.designs]).encode()
     assert res.complete and res.attempts == attempts
     assert hashlib.sha256(blocks).hexdigest() == digest
+    [cover] = made
+    assert len(cover.branch_memo) == _PINNED_MEMO_SIZES[params.q, params.n, seed]
+    assert {len(key) for key in cover.branch_memo} == set(range(steiner._BRANCH_MEMO_DEPTH))
 
 
 def test_incidence_matrix_shapes_and_sums():
