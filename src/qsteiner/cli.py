@@ -332,9 +332,9 @@ def run_dimension(config: argparse.Namespace) -> int:
 def run_verify_design(config: argparse.Namespace) -> int:
     if not config.designs:
         raise CLIError("--designs <file> is required for 'verify-design'")
-    # A design file parses to acyclic lists and ints, which refcounting
-    # frees; the cyclic collector would only rescan the hundreds of
-    # thousands of lists as they are built, so it is paused for the run.
+    # A design file is read into acyclic subspaces, tuples and ints (lists
+    # on the json.loads route), which refcounting frees; the cyclic
+    # collector would only rescan them as they are built, so it is paused.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

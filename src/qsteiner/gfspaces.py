@@ -19,9 +19,9 @@ tuple basis is unpacked only when read.  Every other field goes through
 ``_fq_eliminate``, which works on whole rows with the field's ``row_sub``
 and ``row_scale``.
 
-F_2 designs are ingested as whole lists: ``_f2_subspaces`` checks the shape
-and entry types of a whole block list in a few C-level passes, then packs
-its rows and reduces each block with ``_f2_eliminate``.
+F_2 designs are read from the text of their block list:
+``_f2_text_blocks`` compares it with a fixed-width template, packs each
+row's digits with ``int`` and reduces each block with ``_f2_eliminate``.
 ``_coverage_columns`` is the one coverage kernel, for every field: it forms
 the keys of the i-subspaces of every block one row of W at a time, across
 all blocks.  One block's coverage keys and the ``_inner_indices`` tables
@@ -327,33 +327,49 @@ class Subspace:
         return [list(r) for r in self.basis]
 
 
-def _f2_subspaces(mats: list, n: int, k: int) -> list[Subspace] | None:
-    """The k-subspaces of F_2^n that a list of k x n 0/1 matrices spans, in
-    list order, checked as one list; None when any check fails.
+# JSON whitespace, and the map of a 1 onto the template's digit slot 0
+_JSON_SPACE = b" \t\n\r"
+_ONE_AS_ZERO = bytes.maketrans(b"1", b"0")
+# characters of a block list read at a time
+_TEXT_STEP = 1 << 16
 
-    Whole-list passes check that every block is a list of k rows, every row
-    a list of n entries and every entry of type int (not bool, not float).
-    The rows are then packed by ``_pack``, which refuses any entry but 0
-    and 1, straight into ``_f2_eliminate``, one block at a time, so that no
-    packed copy of the whole list is held; every block must keep rank k.
-    On None the caller walks the blocks one by one, only to name the first
-    failure.
+
+def _f2_text_blocks(text: str, start: int, end: int, n: int, k: int) -> list[Subspace] | None:
+    """The k-subspaces of F_2^n that the JSON array text[start:end] of
+    k x n 0/1 matrices spans, in list order; None unless the array holds at
+    least one matrix, exactly in that form, and every block has rank k.
+
+    With JSON whitespace deleted and each 1 read as 0, the array must equal,
+    byte for byte, the fixed-width template of its blocks: k rows of n
+    one-character slots each (``steiner.load_design_file`` says why that
+    check is exact).  Each row's digits, reversed, are its packed word (bit
+    j is column j), and each block is reduced by ``_f2_eliminate``.  The
+    text is read a fixed number of characters at a time, so no copy of the
+    whole array is held.
     """
-    rows = itertools.chain.from_iterable
-    if (set(map(type, mats)) - {list} or set(map(len, mats)) - {k}
-            or set(map(type, rows(mats))) - {list} or set(map(len, rows(mats))) - {n}
-            or set(map(type, rows(rows(mats)))) - {int}):
+    size = k * (2 * n + 2) + 2  # one block and its comma
+    if size > end - start:
         return None
-    words = map(_pack, rows(mats))
+    unit = b"[" + b",".join([b"[" + b",".join([b"0"] * n) + b"]"] * k) + b"],"
+    template = unit * (_TEXT_STEP // size + 2)
+    # the array's inside, and the comma that ends its last block
+    steps = (text[i:min(i + _TEXT_STEP, end - 1)].encode().translate(None, _JSON_SPACE)
+             for i in range(start + 1, end - 1, _TEXT_STEP))
     blocks = []
-    try:
-        for reduced in map(_f2_eliminate, zip(*[words] * k)):
+    rest = b""
+    for piece in itertools.chain(steps, [b","]):
+        piece = rest + piece
+        whole = len(piece) - len(piece) % size
+        body, rest = piece[:whole], piece[whole:]
+        if not template.startswith(body.translate(_ONE_AS_ZERO)):
+            return None
+        digits = body.translate(None, b"[],")[::-1]
+        words = [int(digits[i:i + n], 2) for i in range(0, len(digits), n)][::-1]
+        for reduced in map(_f2_eliminate, zip(*[iter(words)] * k)):
             if len(reduced) != k:
                 return None
             blocks.append(Subspace(n, 2, tuple([reduced[piv] for piv in sorted(reduced)])))
-    except ValueError:  # an entry outside 0..1
-        return None
-    return blocks
+    return blocks if blocks and not rest else None
 
 
 def _check_rows(rows, n: int, q: int) -> None:

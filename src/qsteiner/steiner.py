@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -29,7 +29,7 @@ from .gfspaces import (
     _canonical_keys,
     _coverage_columns,
     _f2_eliminate,
-    _f2_subspaces,
+    _f2_text_blocks,
     _inner_indices,
     grassmannian,
     subspace_from_rows,
@@ -707,9 +707,10 @@ def rank_certificate(params: ParamSet, designs: Sequence[Design]) -> RankCertifi
     The lower bound is read first as the rank of U over F_2, one packed word
     per design: an integer matrix's rank mod 2 is at most its rank over Q.
     When that meets a proven ceiling on rank(U) (the number of designs,
-    [n k], and the upper bound once it is proven), it is the exact rank;
-    otherwise rank(U U^T), which equals rank(U) over Q, is taken by Bareiss,
-    and refused with ValueError when [n k] exceeds _GRAM_RANK_GUARD.
+    [n k], and the upper bound once it is proven), it is the exact rank, and
+    the elimination stops as soon as it does; otherwise rank(U U^T), which
+    equals rank(U) over Q, is taken by Bareiss, and refused with ValueError
+    when [n k] exceeds _GRAM_RANK_GUARD.
     """
     if any(d.params != params for d in designs):
         raise ValueError("designs with mixed parameters")
@@ -720,7 +721,14 @@ def rank_certificate(params: ParamSet, designs: Sequence[Design]) -> RankCertifi
     ceiling = min(len(designs), size_k)
     if annihilation_ok:
         ceiling = min(ceiling, upper_bound)
-    rank = len(_f2_eliminate(sum(1 << b for b in d.blocks) for d in designs))
+    # the F_2 rank is at most the rank over Q, so at most the ceiling: once
+    # the basis holds that many rows no word can raise it, and the words go
+    # in `ceiling` at a time, after the basis so far
+    words = (sum(1 << b for b in d.blocks) for d in designs)
+    basis: dict[int, int] = {}
+    while len(basis) < ceiling and (batch := list(islice(words, ceiling))):
+        basis = _f2_eliminate(chain(basis.values(), batch))
+    rank = len(basis)
     if rank != ceiling:
         if size_k > _GRAM_RANK_GUARD:
             raise ValueError(
@@ -766,10 +774,6 @@ def design_from_dict(obj: dict) -> tuple[ParamSet, list[Subspace]]:
     params = ParamSet(t=t, k=k, n=n, q=q)
     if not isinstance(obj["blocks"], list):
         raise ValueError("blocks must be a list")
-    if q == 2 and (blocks := _f2_subspaces(obj["blocks"], n, k)) is not None:
-        return params, blocks
-    # every other field, and F_2 lists that fail a check: block by block, so
-    # that the first failure is named
     blocks = []
     for idx, mat in enumerate(obj["blocks"]):
         if (
@@ -785,11 +789,101 @@ def design_from_dict(obj: dict) -> tuple[ParamSet, list[Subspace]]:
     return params, blocks
 
 
+_SKIP_SPACE = json.decoder.WHITESPACE.match
+_SCAN = json.JSONDecoder().scan_once
+
+
+def _read_f2_designs(text: str) -> list[tuple[ParamSet, list[Subspace]]] | None:
+    """The designs of a design file's text when every one is over F_2 and
+    its block list is a plain 0/1 array, read with no nested lists built;
+    None for any other text.
+
+    The top level is walked as one design object or an array of them, and
+    every key and every member value but ``blocks`` is read by json's own
+    scanner, so escapes, number forms, duplicate keys (the last wins), extra
+    keys and member order all behave as in ``json.loads``.  A block list is
+    the text from its ``[`` to the last ``]`` before the next ``"`` or ``}``,
+    which neither it nor the whitespace and comma after it can hold.  Once
+    the object's n and k are read, ``_f2_text_blocks`` checks that span
+    against its exact template, so each design this returns is the one
+    ``design_from_dict`` makes of the parsed object.
+    """
+    designs = []
+    i = _SKIP_SPACE(text).end()
+    array = text.startswith("[", i)
+    while True:
+        if array:
+            i = _SKIP_SPACE(text, i + 1).end()
+        if not text.startswith("{", i):
+            return None
+        obj = {}
+        while True:  # one member: key, colon, value
+            i = _SKIP_SPACE(text, i + 1).end()
+            if not text.startswith('"', i):
+                return None
+            key, i = _SCAN(text, i)
+            i = _SKIP_SPACE(text, i).end()
+            if not text.startswith(":", i):
+                return None
+            i = _SKIP_SPACE(text, i + 1).end()
+            if key != "blocks":
+                obj[key], i = _SCAN(text, i)
+            else:
+                brace = text.find("}", i)
+                quote = text.find('"', i, brace)
+                end = text.rfind("]", i, brace if quote < 0 else quote) + 1
+                if "blocks" in obj or brace < 0 or not end or not text.startswith("[", i):
+                    return None
+                obj[key], i = (i, end), end
+            i = _SKIP_SPACE(text, i).end()
+            if not text.startswith(",", i):
+                break
+        q, n, k, t = map(obj.get, "qnkt")
+        if (not text.startswith("}", i) or "blocks" not in obj
+                or any(type(v) is not int for v in (q, n, k, t)) or q != 2 or not 1 <= t < k <= n):
+            return None
+        blocks = _f2_text_blocks(text, *obj["blocks"], n, k)
+        if blocks is None:
+            return None
+        designs.append((ParamSet(t=t, k=k, n=n, q=q), blocks))
+        i = _SKIP_SPACE(text, i + 1).end()
+        if not (array and text.startswith(",", i)):
+            break
+    if array:
+        if not text.startswith("]", i):
+            return None
+        i = _SKIP_SPACE(text, i + 1).end()
+    return designs if i == len(text) else None
+
+
 def load_design_file(path: str | Path) -> list[tuple[ParamSet, list[Subspace]]]:
     """Load one design object or an array of them from a JSON file; a
-    design in an array that fails to parse is named by its position."""
+    design in an array that fails to parse is named by its position.
+
+    A file of F_2 designs is read from its text by ``_read_f2_designs``:
+    each block list, JSON whitespace deleted and each 1 read as 0, must be
+    byte for byte the fixed-width template of its blocks.  That is exact,
+    because whitespace only sits between tokens: whitespace that split a
+    number (``1 0``) leaves two digits side by side, which no template has,
+    and ``-0``, ``01``, ``1.0``, ``true``, a missing or extra comma and a
+    wrong row length each change a byte.
+
+    Any file that route does not take (another field, a block list in any
+    other form, a rank-deficient block, bad parameters, an empty array, a
+    byte order mark, text that is not JSON) is parsed by ``json.loads``
+    instead, which names what is wrong.  Both read the same decoded text,
+    newlines translated as ``read_text`` does, so parse errors name the
+    same line, column and character.
+    """
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        designs = _read_f2_designs(text)
+    except (StopIteration, ValueError):  # json's scanner found no value, or a bad one
+        designs = None
+    if designs is not None:
+        return designs
+    try:
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"parse error: {exc}") from exc
     if obj == []:

@@ -627,18 +627,88 @@ def _entry(value):
         "block-not-a-list", "row-not-a-list", "rank-deficient", "duplicate-swapped"])
 def test_whole_list_ingest_names_what_the_per_block_walk_names(edit, message, tmp_path,
                                                                capsys, monkeypatch):
-    # one bad block late in the list: the whole-list checks fail, and the
-    # block-by-block walk they fall back on names it, as it does alone
+    # one bad block late in the list: the text route refuses the file (or,
+    # for the duplicate, reads it), and the exit code, stdout and stderr
+    # are those of the json route alone
     obj = _spread_design(5, tmp_path, monkeypatch)
     edit(obj["blocks"])
     path = tmp_path / "design.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     argv = ["verify-design", "--designs", str(path)]
     code, captured = main(argv), capsys.readouterr()
-    monkeypatch.setattr(steiner, "_f2_subspaces", lambda mats, n, k: None)
+    monkeypatch.setattr(steiner, "_read_f2_designs", lambda text: None)
     assert (main(argv), capsys.readouterr()) == (code, captured)
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: {path}: {message}\n"
+
+
+def _spread_object(q: int) -> dict:
+    params = ParamSet(t=1, k=2, n=4, q=q)
+    blocks = steiner.sample_steiner(params, 1, 1).designs[0].block_subspaces()
+    return steiner.design_to_dict(params, blocks)
+
+
+def _with_entry(raw: str, col: int = 1) -> str:
+    """The compact PG(3,2) spread with entry (3, 1, col) written as raw;
+    the entry is 0 at col 1 and 1 at col 3."""
+    obj = _spread_object(2)
+    obj["blocks"][3][1][col] = "@"
+    return json.dumps(obj).replace('"@"', raw)
+
+
+def _rank_deficient() -> dict:
+    obj = _spread_object(2)
+    obj["blocks"][-1][1] = list(obj["blocks"][-1][0])
+    return obj
+
+
+_SPREAD = json.dumps(_spread_object(2))
+_INDENTED = json.dumps(_spread_object(2), indent=2)
+
+
+@pytest.mark.parametrize("text, taken, code", [
+    (_with_entry("-0"), False, 0),
+    (_with_entry("1 0"), False, 2),
+    (_with_entry("01"), False, 2),
+    (_with_entry("1.0"), False, 2),
+    (_with_entry("true"), False, 2),
+    (_with_entry("1,", col=3), False, 2),
+    (_SPREAD.replace("]]]", "]],]"), False, 2),
+    (json.dumps(_spread_object(2), sort_keys=True, indent=2), True, 0),
+    ('{"n": 5, ' + _SPREAD[1:], True, 0),
+    (_SPREAD[:-1] + ', "n": 5}', False, 2),
+    ('{"name": "a PG(3,2) spread", ' + _SPREAD[1:], True, 0),
+    (_SPREAD.replace('"q"', '"\\u0071"'), True, 0),
+    ("﻿" + _SPREAD, False, 2),
+    (_INDENTED.replace("\n", "\r\n"), True, 0),
+    (_INDENTED.replace('"n": 4,', '"n": 4x,').replace("\n", "\r\n"), False, 2),
+    (json.dumps([_spread_object(2), _spread_object(2)]), True, 0),
+    (json.dumps([_spread_object(2), _spread_object(3)]), False, 0),
+    ('{"q": 2, "n": 1, "k": 2, "t": 1, "blocks": [[[1], [0]]]}', False, 2),
+    ('{"q": 2, "n": 4, "k": 4, "t": 1, "blocks": [[[1, 0, 0, 0], [0, 1, 0, 0], '
+     '[0, 0, 1, 0], [0, 0, 0, 1]]]}', True, 0),
+    (json.dumps(_rank_deficient()), False, 2),
+    ('{"q": 2, "n": 4, "k": 2, "t": 1, "blocks": []}', False, 1),
+], ids=["minus-zero", "split-number", "leading-zero", "float", "true", "comma-in-row",
+        "comma-after-last-block", "sorted-indented", "duplicate-n-first", "duplicate-n-last",
+        "extra-key", "escaped-q", "bom", "crlf", "crlf-error-on-line-3", "array-of-two",
+        "array-q2-q3", "n-1", "k-equals-n", "rank-deficient-late", "empty-blocks"])
+def test_text_route_and_json_route_give_the_same_run(text, taken, code, tmp_path, capsys,
+                                                     monkeypatch):
+    # a file the text route reads gives the run the json route gives it, and
+    # a file it refuses falls back to the json route; the newlines are
+    # written as they are, so a CRLF file stays one
+    path = tmp_path / "design.json"
+    path.write_bytes(text.encode("utf-8"))
+    argv = ["verify-design", "--designs", str(path)]
+    read = []
+    real = steiner._read_f2_designs
+    monkeypatch.setattr(steiner, "_read_f2_designs",
+                        lambda text: read.append(real(text)) or read[-1])
+    run = main(argv), capsys.readouterr()
+    monkeypatch.setattr(steiner, "_read_f2_designs", lambda text: None)
+    assert (main(argv), capsys.readouterr()) == run
+    assert (read[0] is not None, run[0]) == (taken, code)
 
 
 def test_an_empty_block_list_fails_with_the_first_point_as_witness(tmp_path, capsys):

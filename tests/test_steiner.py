@@ -640,6 +640,27 @@ def test_rank_certificate_guard_refuses_the_fallback(monkeypatch):
     assert rank_certificate(PG32, designs).lower_bound == 14
 
 
+def test_rank_certificate_stops_the_f2_rank_at_its_ceiling(monkeypatch):
+    """560 designs, the 56 PG(3,2) spreads ten times over: once the F_2
+    basis holds the ceiling's 21 rows no word can raise it, so the
+    elimination stops early, at the full list's rank."""
+    designs = enumerate_steiner(PG32) * 10
+    words = [sum(1 << b for b in d.blocks) for d in designs]
+    assert len(_f2_eliminate(words)) == 21
+    fed = []
+
+    def counted(rows):
+        rows = list(rows)
+        fed.extend(rows)
+        return _f2_eliminate(rows)
+    monkeypatch.setattr(steiner, "_f2_eliminate", counted)
+    cert = rank_certificate(PG32, designs)
+    assert cert.lower_bound == cert.upper_bound == 21 and cert.meets
+    # three batches of 21 words and the basis re-fed before two of them:
+    # the last eight copies of the list are never read
+    assert len(fed) == 99 < 2 * 56
+
+
 def _admitted_quadruples() -> list[ParamSet]:
     """Every (t, k, n, q) that ``design_context`` admits: a field that
     ``gfspaces.field`` supports, [n t] within _UNIVERSE_GUARD and [n k]
@@ -884,8 +905,8 @@ def test_verify_design_matches_the_per_block_products_over_f3_and_f4():
 
 
 def test_design_from_dict_gives_the_same_blocks_on_both_routes(tmp_path, monkeypatch):
-    # over F_2 a valid file is read in whole-list passes, with no per-block
-    # subspace_from_rows call; the block-by-block route gives equal subspaces
+    # over F_2 a valid file is read from its text, with no per-block
+    # subspace_from_rows call; the json route gives equal subspaces
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import spreadgen
 
@@ -896,14 +917,17 @@ def test_design_from_dict_gives_the_same_blocks_on_both_routes(tmp_path, monkeyp
         obj = design_to_dict(params, sample_steiner(params, 1, 1).designs[0].block_subspaces())
         obj["blocks"] = [mat[::-1] for mat in obj["blocks"]]  # spanning sets, not RREF
         objs.append(obj)
+    paths = [tmp_path / f"design-{i}.json" for i in range(len(objs))]
+    for obj, path in zip(objs, paths):
+        path.write_text(json.dumps(obj), encoding="utf-8")
     calls = []
     real = steiner.subspace_from_rows
     monkeypatch.setattr(steiner, "subspace_from_rows",
                         lambda *args, **kw: calls.append(args) or real(*args, **kw))
-    whole = [design_from_dict(obj) for obj in objs]
+    text = [load_design_file(path) for path in paths]
     assert len(calls) == len(objs[2]["blocks"])  # PG(3,3) only
-    monkeypatch.setattr(steiner, "_f2_subspaces", lambda mats, n, k: None)
-    for obj, (params, blocks) in zip(objs, whole):
-        assert design_from_dict(obj) == (params, blocks)
+    monkeypatch.setattr(steiner, "_read_f2_designs", lambda text: None)
+    for obj, path, [(params, blocks)] in zip(objs, paths, text):
+        assert load_design_file(path) == [design_from_dict(obj)] == [(params, blocks)]
         assert [b.pivots for b in blocks] == [b.pivots for b in design_from_dict(obj)[1]]
-    assert len(whole[0][1]) == 341 and verify_design(whole[0][1], whole[0][0]).ok
+    assert len(text[0][0][1]) == 341 and verify_design(text[0][0][1], text[0][0][0]).ok
