@@ -45,8 +45,6 @@ _IRREDUCIBLE = {
     9: (2, 2, 1),  # x^2 + 2x + 2 over F_3
 }
 
-_ENUMERABLE_LIMIT = 1 << 16
-
 
 class FieldSpec:
     """Arithmetic for F_q with the fixed element encoding.
@@ -577,23 +575,6 @@ def mobius_interval(d: int, q: int) -> int:
     return (-1) ** d * q ** choose2(d)
 
 
-def mobius_delta_check(w: Subspace) -> bool:
-    """Verify sum over U <= W of mu(dim W - dim U) collapses to the delta.
-
-    Concretely sum_j (#j-dim subspaces of W) * mu(d-j) must be 1 for d == 0
-    and 0 otherwise.  Subspace counts come from explicit enumeration, so the
-    check does not lean on any closed form.  Guarded to dim <= 4, q <= 3.
-    """
-    d, q = w.dim, w.q
-    if d > 4 or q > 3:
-        raise ValueError("mobius_delta_check guard exceeded (dim <= 4, q <= 3)")
-    total = 0
-    for j in range(d + 1):
-        count = len(grassmannian(d, j, q))
-        total += count * mobius_interval(d - j, q)
-    return total == (1 if d == 0 else 0)
-
-
 def spanning_count_formula(m: int, d: int, q: int) -> int:
     """Number of m-sets of pairwise non-collinear nonzero vectors spanning F_q^d.
 
@@ -617,59 +598,6 @@ def spanning_count_formula(m: int, d: int, q: int) -> int:
     return int(total)
 
 
-_DIRECT_ENUM_LIMIT = 200_000
-
-
-def _projective_points(d: int, q: int) -> list[tuple[int, ...]]:
-    """One representative vector per 1-dim subspace of F_q^d."""
-    return [s.basis[0] for s in grassmannian(d, 1, q)] if d else []
-
-
-@cache
-def _subspace_counts(d: int, q: int) -> tuple[int, ...]:
-    """(#0-dim, ..., #d-dim) subspaces of F_q^d, counted by enumeration."""
-    return tuple(len(grassmannian(d, j, q)) for j in range(d + 1))
-
-
-@cache
-def _spanning_count_sieve(m: int, d: int, q: int) -> int:
-    """Defining sieve: subtract the spanning counts of all proper subspaces
-    from the number of m-subsets of points.  Counts per dimension come from
-    explicit enumeration."""
-    if d == 0:
-        return 0
-    pts = len(_projective_points(d, q))
-    total = comb(pts, m)
-    counts = _subspace_counts(d, q)
-    for j in range(d):
-        total -= counts[j] * _spanning_count_sieve(m, j, q)
-    return total
-
-
-def spanning_count_bruteforce(m: int, d: int, q: int) -> int:
-    """Independent oracle for spanning_count_formula.
-
-    Enumerates m-subsets of projective points directly when that is feasible;
-    otherwise falls back to the defining lattice sieve over concretely
-    enumerated subspaces.  Guarded to q^d <= 2^16.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if q**d > _ENUMERABLE_LIMIT:
-        raise ValueError("spanning_count_bruteforce guard exceeded (q^d <= 2^16)")
-    pts = _projective_points(d, q)
-    if m > len(pts):
-        return 0
-    if m * comb(len(pts), m) <= _DIRECT_ENUM_LIMIT:
-        fld = field(q)
-        count = 0
-        for combo in itertools.combinations(pts, m):
-            if rows_rank(combo, fld) == d:
-                count += 1
-        return count
-    return _spanning_count_sieve(m, d, q)
-
-
 def count_fixed_intersection(a: int, b: int, u: int, n: int, q: int) -> tuple[int, int]:
     """Closed-form counts for intersections with a fixed b-dim space B.
 
@@ -683,53 +611,3 @@ def count_fixed_intersection(a: int, b: int, u: int, n: int, q: int) -> tuple[in
     if base.denominator != 1 or both.denominator != 1:
         raise ValueError(f"fixed-intersection counts {base}, {both} not integral")
     return int(base), int(both)
-
-
-_PROFILE_GUARD = 2000
-
-
-@cache
-def _fixed_intersection_profile(b: int, u: int, n: int, q: int) -> tuple[tuple[int, int], ...]:
-    """One pass over Gr_{n,u} against B = span(e_1..e_b).
-
-    Returns, indexed by a, the pair (#{U : U ^ B = span(e_1..e_a)},
-    #{U : dim(U ^ B) = a}).  dim(U ^ B) is dim U minus the rank of the
-    basis columns outside B, and U ^ B = A iff additionally A <= U.
-    Refuses rather than truncates when Gr_{n,u} is too large to walk.
-    """
-    if gauss_binom(n, u, q) > _PROFILE_GUARD:
-        raise ValueError(
-            f"count_fixed_intersection_bruteforce guard exceeded: "
-            f"[{n} {u}]_{q} > {_PROFILE_GUARD}"
-        )
-    fld = field(q)
-    amax = min(b, u)
-    exact = [0] * (amax + 1)
-    dim_only = [0] * (amax + 1)
-    for uspace in iter_subspaces(n, u, q):
-        tails = [row[b:] for row in uspace.basis]
-        d = uspace.dim - rows_rank(tails, fld)
-        dim_only[d] += 1
-        prefix = 0
-        for i in range(min(d, b)):
-            e_i = tuple(1 if j == i else 0 for j in range(n))
-            if rows_rank(uspace.basis + (e_i,), fld) == uspace.dim:
-                prefix += 1
-            else:
-                break
-        if prefix >= d:
-            exact[d] += 1
-    return tuple(zip(exact, dim_only))
-
-
-def count_fixed_intersection_bruteforce(
-    a: int, b: int, u: int, n: int, q: int
-) -> tuple[int, int]:
-    """Exhaustive companion of count_fixed_intersection.
-
-    Fixes B = span(e_1..e_b) and A = span(e_1..e_a), walks all u-dim
-    subspaces and counts intersection dimensions directly.
-    """
-    if not (0 <= a <= min(b, u) <= max(b, u) <= n):
-        raise ValueError("need 0 <= a <= min(b,u) <= max(b,u) <= n")
-    return _fixed_intersection_profile(b, u, n, q)[a]

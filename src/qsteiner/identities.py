@@ -31,7 +31,6 @@ from .exactq import (
     q_int,
     q_pochhammer,
     q_pow,
-    q_valuation,
 )
 
 
@@ -724,11 +723,3 @@ def _receive(share: int, pid: int, reader):
     reason, checked, rows = record
     return reason, checked, [IdentityReport(name, params, Fraction(*lhs), Fraction(*rhs))
                              for name, params, lhs, rhs in rows]
-
-
-def kernel_sum_valuation(n: int, k: int, t: int, r: int, q: int) -> int:
-    """q-adic valuation of the kernel sum (used for the nonvanishing window)."""
-    val = kernel_sum(n, k, t, r, q)
-    if val.denominator != 1:
-        raise ValueError("kernel sum is not integral here")
-    return q_valuation(val.numerator, q)

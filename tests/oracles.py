@@ -6,10 +6,13 @@ here so that the checks built on it stay independent of the code under test.
 
 import json
 from collections import Counter
-from itertools import compress
+from functools import cache
+from itertools import combinations, compress
+from math import comb
 from operator import mul
 from pathlib import Path
 
+from qsteiner.exactq import gauss_binom, q_valuation
 from qsteiner.gfspaces import (
     Subspace,
     _coverage_keys,
@@ -20,13 +23,17 @@ from qsteiner.gfspaces import (
     grassmannian,
     intersection_dim,
     iter_subspaces,
+    mobius_interval,
+    rows_rank,
     subspace_from_rows,
 )
+from qsteiner.identities import kernel_sum
 from qsteiner.linalg import ExactMatrix, Scalar
 from qsteiner.steiner import (
     Design,
     ParamSet,
     VerificationResult,
+    _ExactCover,
     _first_miss,
     design_context,
     design_to_dict,
@@ -148,3 +155,139 @@ def save_design_file(path, params: ParamSet, blocks) -> None:
         json.dumps(design_to_dict(params, blocks), sort_keys=True, indent=1) + "\n",
         encoding="utf-8",
     )
+
+
+def enumerate_plain(params: ParamSet) -> list[tuple[int, ...]]:
+    """Every design's sorted block tuple, sorted: the exact-cover search
+    over all cover rows, with no class argument and no node budget."""
+    ctx = design_context(params)
+    return sorted(_ExactCover(len(ctx.t_subspaces), ctx.cover).search())
+
+
+def mobius_delta_check(w: Subspace) -> bool:
+    """Verify sum over U <= W of mu(dim W - dim U) collapses to the delta.
+
+    Concretely sum_j (#j-dim subspaces of W) * mu(d-j) must be 1 for d == 0
+    and 0 otherwise.  Subspace counts come from explicit enumeration, so the
+    check does not lean on any closed form.  Guarded to dim <= 4, q <= 3.
+    """
+    d, q = w.dim, w.q
+    if d > 4 or q > 3:
+        raise ValueError("mobius_delta_check guard exceeded (dim <= 4, q <= 3)")
+    total = 0
+    for j in range(d + 1):
+        count = len(grassmannian(d, j, q))
+        total += count * mobius_interval(d - j, q)
+    return total == (1 if d == 0 else 0)
+
+
+_ENUMERABLE_LIMIT = 1 << 16
+_DIRECT_ENUM_LIMIT = 200_000
+
+
+def _projective_points(d: int, q: int) -> list[tuple[int, ...]]:
+    """One representative vector per 1-dim subspace of F_q^d."""
+    return [s.basis[0] for s in grassmannian(d, 1, q)] if d else []
+
+
+@cache
+def _subspace_counts(d: int, q: int) -> tuple[int, ...]:
+    """(#0-dim, ..., #d-dim) subspaces of F_q^d, counted by enumeration."""
+    return tuple(len(grassmannian(d, j, q)) for j in range(d + 1))
+
+
+@cache
+def _spanning_count_sieve(m: int, d: int, q: int) -> int:
+    """Defining sieve: subtract the spanning counts of all proper subspaces
+    from the number of m-subsets of points.  Counts per dimension come from
+    explicit enumeration."""
+    if d == 0:
+        return 0
+    pts = len(_projective_points(d, q))
+    total = comb(pts, m)
+    counts = _subspace_counts(d, q)
+    for j in range(d):
+        total -= counts[j] * _spanning_count_sieve(m, j, q)
+    return total
+
+
+def spanning_count_bruteforce(m: int, d: int, q: int) -> int:
+    """Independent oracle for spanning_count_formula.
+
+    Enumerates m-subsets of projective points directly when that is feasible;
+    otherwise falls back to the defining lattice sieve over concretely
+    enumerated subspaces.  Guarded to q^d <= 2^16.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    if q**d > _ENUMERABLE_LIMIT:
+        raise ValueError("spanning_count_bruteforce guard exceeded (q^d <= 2^16)")
+    pts = _projective_points(d, q)
+    if m > len(pts):
+        return 0
+    if m * comb(len(pts), m) <= _DIRECT_ENUM_LIMIT:
+        fld = field(q)
+        count = 0
+        for combo in combinations(pts, m):
+            if rows_rank(combo, fld) == d:
+                count += 1
+        return count
+    return _spanning_count_sieve(m, d, q)
+
+
+_PROFILE_GUARD = 2000
+
+
+@cache
+def _fixed_intersection_profile(b: int, u: int, n: int, q: int) -> tuple[tuple[int, int], ...]:
+    """One pass over Gr_{n,u} against B = span(e_1..e_b).
+
+    Returns, indexed by a, the pair (#{U : U ^ B = span(e_1..e_a)},
+    #{U : dim(U ^ B) = a}).  dim(U ^ B) is dim U minus the rank of the
+    basis columns outside B, and U ^ B = A iff additionally A <= U.
+    Refuses rather than truncates when Gr_{n,u} is too large to walk.
+    """
+    if gauss_binom(n, u, q) > _PROFILE_GUARD:
+        raise ValueError(
+            f"count_fixed_intersection_bruteforce guard exceeded: "
+            f"[{n} {u}]_{q} > {_PROFILE_GUARD}"
+        )
+    fld = field(q)
+    amax = min(b, u)
+    exact = [0] * (amax + 1)
+    dim_only = [0] * (amax + 1)
+    for uspace in iter_subspaces(n, u, q):
+        tails = [row[b:] for row in uspace.basis]
+        d = uspace.dim - rows_rank(tails, fld)
+        dim_only[d] += 1
+        prefix = 0
+        for i in range(min(d, b)):
+            e_i = tuple(1 if j == i else 0 for j in range(n))
+            if rows_rank(uspace.basis + (e_i,), fld) == uspace.dim:
+                prefix += 1
+            else:
+                break
+        if prefix >= d:
+            exact[d] += 1
+    return tuple(zip(exact, dim_only))
+
+
+def count_fixed_intersection_bruteforce(
+    a: int, b: int, u: int, n: int, q: int
+) -> tuple[int, int]:
+    """Exhaustive companion of count_fixed_intersection.
+
+    Fixes B = span(e_1..e_b) and A = span(e_1..e_a), walks all u-dim
+    subspaces and counts intersection dimensions directly.
+    """
+    if not (0 <= a <= min(b, u) <= max(b, u) <= n):
+        raise ValueError("need 0 <= a <= min(b,u) <= max(b,u) <= n")
+    return _fixed_intersection_profile(b, u, n, q)[a]
+
+
+def kernel_sum_valuation(n: int, k: int, t: int, r: int, q: int) -> int:
+    """q-adic valuation of the kernel sum (used for the nonvanishing window)."""
+    val = kernel_sum(n, k, t, r, q)
+    if val.denominator != 1:
+        raise ValueError("kernel sum is not integral here")
+    return q_valuation(val.numerator, q)

@@ -11,8 +11,6 @@ from fractions import Fraction
 from qsteiner.exactq import choose2, gauss_binom, q_int
 from qsteiner.gfspaces import (
     count_fixed_intersection,
-    count_fixed_intersection_bruteforce,
-    spanning_count_bruteforce,
     spanning_count_formula,
     subspace_from_rows,
 )
@@ -22,7 +20,7 @@ from qsteiner.grassmann import (
     eisfeld_eigenvalue,
     verify_spectrum,
 )
-from qsteiner.identities import kernel_sum_valuation, run_identity_sweep
+from qsteiner.identities import run_identity_sweep
 from qsteiner.linalg import mat_mul, rank_exact
 from qsteiner.steiner import (
     ParamSet,
@@ -46,7 +44,14 @@ from qsteiner.steiner import (
     verify_gram_spectrum,
 )
 
-from oracles import per_intersection_counts, save_design_file, transpose
+from oracles import (
+    count_fixed_intersection_bruteforce,
+    kernel_sum_valuation,
+    per_intersection_counts,
+    save_design_file,
+    spanning_count_bruteforce,
+    transpose,
+)
 
 SWEEP_QS = (2, 3, 4, 5, 7, 8, 9)
 

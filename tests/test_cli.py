@@ -12,6 +12,7 @@ import pytest
 import qsteiner
 from qsteiner import cli, steiner
 from qsteiner.cli import main
+from qsteiner.exactq import gauss_binom
 from qsteiner.steiner import ParamSet, enumerate_steiner
 
 from oracles import save_design_file
@@ -362,21 +363,30 @@ def test_json_only_commands_take_no_format(command, capsys):
     assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, n, q", [
-    ("enumerate", 6, 2), ("dimension", 6, 2), ("enumerate", 4, 4),
+@pytest.mark.parametrize("command, k, n, q", [
+    pytest.param("enumerate", 2, 6, 2, id="enumerate-6-2"),
+    pytest.param("dimension", 2, 6, 2, id="dimension-6-2"),
+    pytest.param("enumerate", 2, 4, 4, id="enumerate-4-4"),
+    pytest.param("dimension", 2, 4, 4, id="dimension-4-4"),
+    pytest.param("enumerate", 3, 6, 2, id="enumerate-3-6-2"),
+    pytest.param("dimension", 3, 6, 2, id="dimension-3-6-2"),
 ])
-def test_enumeration_over_its_node_budget_exits_two(command, n, q, capsys):
-    """(1,2,6,2) and (1,2,4,4) pass the size guards but have far too many
-    designs to enumerate; the search refuses at its node budget instead of
-    running on without output."""
+def test_enumeration_over_its_node_budget_exits_two(command, k, n, q, capsys):
+    """(1,2,6,2), (1,2,4,4) and (1,3,6,2) pass the size guards but have far
+    too many designs to enumerate; the search refuses at its node budget
+    instead of running on without output.  The budget is the one-block
+    search's share, 500,000 // [n-1 k-1]_q: (1,3,6,2)'s 12,288 designs
+    through one plane lie within 500,000 nodes, but its 1,904,640 designs
+    in all do not."""
+    budget = steiner._ENUMERATION_NODE_BUDGET // int(gauss_binom(n - 1, k - 1, q))
     start = time.perf_counter()
-    code = main([command, "--t", "1", "--k", "2", "--n", str(n), "--q", str(q)])
+    code = main([command, "--t", "1", "--k", str(k), "--n", str(n), "--q", str(q)])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith("error: enumeration gave up after ")
+    assert captured.err.startswith(f"error: enumeration gave up after {budget} exact-cover nodes")
     assert "--sample" in captured.err
     assert elapsed < 10
 

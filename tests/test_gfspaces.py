@@ -2,7 +2,13 @@ import gc
 import itertools
 
 import pytest
-from oracles import canonical_index, span_coverage_keys
+from oracles import (
+    canonical_index,
+    count_fixed_intersection_bruteforce,
+    mobius_delta_check,
+    span_coverage_keys,
+    spanning_count_bruteforce,
+)
 
 from qsteiner.exactq import gauss_binom, q_int
 from qsteiner.gfspaces import (
@@ -16,17 +22,14 @@ from qsteiner.gfspaces import (
     _inner_indices,
     _pivot_sets_colex,
     count_fixed_intersection,
-    count_fixed_intersection_bruteforce,
     field,
     gf_matmul,
     grassmannian,
     intersection_dim,
     iter_subspaces,
-    mobius_delta_check,
     mobius_interval,
     rows_rank,
     rref,
-    spanning_count_bruteforce,
     spanning_count_formula,
     subspace_from_rows,
 )

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from oracles import kernel_sum_valuation
 
 import qsteiner
 from qsteiner import identities
@@ -34,7 +35,6 @@ from qsteiner.identities import (
     check_triple_sum_weighted_form,
     check_upper_negation,
     eval_3phi2,
-    kernel_sum_valuation,
     run_identity_sweep,
 )
 

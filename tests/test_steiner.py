@@ -12,8 +12,10 @@ from qsteiner.gfspaces import (
     _coverage_keys,
     _f2_eliminate,
     field,
+    gf_matmul,
     grassmannian,
     iter_subspaces,
+    rows_rank,
     subspace_from_rows,
 )
 from qsteiner.grassmann import (
@@ -26,6 +28,7 @@ from qsteiner.linalg import mat_mul, rank_exact, rank_mod_p
 from qsteiner.steiner import (
     Design,
     _ExactCover,
+    _class_maps,
     _first_miss,
     ParamSet,
     design_context,
@@ -56,6 +59,7 @@ from qsteiner.steiner import (
 
 from oracles import (
     col_sums,
+    enumerate_plain,
     per_intersection_counts,
     row_sums,
     save_design_file,
@@ -99,6 +103,57 @@ def test_enumeration_count_and_canonical_order():
     assert len({d.blocks for d in designs}) == 56
     # re-running produces identical output
     assert [d.blocks for d in enumerate_steiner(PG32)] == [d.blocks for d in designs]
+
+
+@pytest.mark.parametrize("params, classes, per_class, class_nodes", [
+    (PG32, 7, 8, 29), (PG33, 13, 648, 3682),
+], ids=["PG32", "PG33"])
+def test_enumeration_through_one_block_is_the_plain_search(params, classes, per_class,
+                                                           class_nodes):
+    """The designs through B0, mapped by each g_j, are exactly the plain
+    search's designs: N = [n-t k-t]_q * N0.  The plain search takes
+    exactly [n-t k-t]_q times the one-block search's nodes, so the scaled
+    budget refuses the same instances."""
+    ctx = design_context(params)
+    designs = enumerate_steiner(params)
+    assert [d.blocks for d in designs] == enumerate_plain(params)
+    assert len(designs) == classes * per_class
+    assert sum(0 in d.blocks for d in designs) == per_class
+    plain = _ExactCover(len(ctx.t_subspaces), ctx.cover)
+    assert plain.search(node_budget=classes * class_nodes) is not None
+    assert plain.search(node_budget=classes * class_nodes - 1) is None
+    rows = [() if b and 0 in tids else tids for b, tids in enumerate(ctx.cover)]
+    one_block = _ExactCover(len(ctx.t_subspaces), rows)
+    assert len(one_block.search(node_budget=class_nodes)) == per_class
+    assert one_block.search(node_budget=class_nodes - 1) is None
+
+
+@pytest.mark.parametrize("params", [PG32, PG33], ids=["PG32", "PG33"])
+def test_class_maps_are_the_block_maps_of_g_j(params):
+    """Each g_j permutes the k-subspaces, maps B0 onto B_j, maps every block
+    onto the RREF of its basis times g_j, and every block's t-subspace set
+    onto that image's t-subspace set."""
+    n, q = params.n, params.q
+    ctx = design_context(params)
+    fld = field(q)
+
+    def image(s, g):
+        return subspace_from_rows(gf_matmul(s.basis, g, fld), n, q)
+
+    maps = _class_maps(params)
+    assert sorted(maps) == [b for b, tids in enumerate(ctx.cover) if 0 in tids]
+    assert len(maps) == gauss_binom(n - params.t, params.k - params.t, q)
+    for j, perm in maps.items():
+        assert sorted(perm) == list(range(len(ctx.k_subspaces)))
+        assert perm[0] == j
+        block = ctx.k_subspaces[j]
+        g = [list(row) for row in block.basis] + [
+            [int(c == col) for c in range(n)] for col in range(n) if col not in block.pivots]
+        assert rows_rank(g, fld) == n
+        for b, s in enumerate(ctx.k_subspaces):
+            assert ctx.k_subspaces[perm[b]] == image(s, g)
+            t_set = {ctx.t_subspaces.index(image(ctx.t_subspaces[tid], g)) for tid in ctx.cover[b]}
+            assert t_set == set(ctx.cover[perm[b]])
 
 
 def test_enumeration_inadmissible_is_empty():
