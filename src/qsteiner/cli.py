@@ -27,6 +27,7 @@ from .grassmann import SchemeInstance, verify_spectrum
 from .linalg import rank_exact
 from .steiner import (
     ParamSet,
+    design_context,
     design_to_dict,
     dimension_formula,
     empirical_pair_counts,
@@ -187,7 +188,8 @@ def run_enumerate(config: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
     if config.out:
-        payload = [design_to_dict(params, d.block_subspaces()) for d in designs]
+        k_subspaces = design_context(params).k_subspaces
+        payload = [design_to_dict(params, [k_subspaces[b] for b in d]) for d in designs]
         _write_text(config.out, _dump_json(payload))
     print(f"enumerate ({params.t},{params.k},{params.n},{params.q}): "
           f"{len(designs)} designs")
@@ -216,7 +218,7 @@ def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
     if n_designs == 0:
         report["error"] = "no designs exist for these parameters"
         return False
-    designs_ok = all(verify_design_ids(d).ok for d in designs)
+    designs_ok = all(verify_design_ids(params, d).ok for d in designs)
     report["designs_verified"] = designs_ok
 
     gram = gram_matrix(params, designs)

@@ -180,8 +180,8 @@ def rank_mod_p(m: ExactMatrix, p: int) -> int:
     """Rank of m reduced mod the prime p; lower bound on rank_exact(m).
 
     The reduced rows go to the F_p kernel of ``rows_rank``.  A modulus that
-    is not prime raises ValueError; primality is tested by trial division,
-    so keep p below about 2**40.
+    is not prime raises ValueError, and so does p >= 2**32: primality is
+    tested by trial division, which ``prime_power_parts`` caps there.
     """
     fld = field(p)
     if fld.e != 1:

@@ -2,13 +2,14 @@
 closed-form spectrum and the dimension certificate.
 
 A design with parameters t-(n, k, 1)_q is an exact cover of the t-subspaces
-by the t-subspace sets of its blocks, so enumeration and sampling both run
-on one backtracking exact-cover core; enumeration explores the designs
-through one block deterministically and maps them onto the rest by GL(n,q),
-while sampling restarts randomized descents off a seeded generator.  The
-incidence matrix and Gram decomposition are exact rational arithmetic; the
-rank bounds are ranks over F_2 and mod a large prime, each a lower bound on
-the rank over Q, with Bareiss on U U^T as the fallback.
+by the t-subspace sets of its blocks; here it is the sorted tuple of its
+blocks' distinct canonical k-subspace indices.  Enumeration and sampling
+both run on one backtracking exact-cover core; enumeration explores the
+designs through one block deterministically and maps them onto the rest by
+GL(n,q), while sampling restarts randomized descents off a seeded
+generator.  The incidence matrix and Gram decomposition are exact rational
+arithmetic; the rank bounds are ranks over F_2 and mod a large prime, each
+a lower bound on the rank over Q, with Bareiss on U U^T as the fallback.
 """
 
 from __future__ import annotations
@@ -135,23 +136,6 @@ def design_context(params: ParamSet) -> _DesignContext:
     return _DesignContext(params)
 
 
-@dataclass(frozen=True)
-class Design:
-    """A set of k-subspace indices forming (or claiming to form) a design."""
-
-    params: ParamSet
-    blocks: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(sorted(self.blocks)))
-        if len(set(self.blocks)) != len(self.blocks):
-            raise ValueError("duplicate block index")
-
-    def block_subspaces(self) -> list[Subspace]:
-        ctx = design_context(self.params)
-        return [ctx.k_subspaces[i] for i in self.blocks]
-
-
 # ---------------------------------------------------------------------------
 # design verification
 # ---------------------------------------------------------------------------
@@ -229,23 +213,25 @@ def verify_design(blocks: Sequence[Subspace], params: ParamSet) -> VerificationR
     )
 
 
-def verify_design_ids(design: Design) -> VerificationResult:
-    """Cover-set verification for an in-memory Design (same contract).
+def verify_design_ids(params: ParamSet, blocks: Sequence[int]) -> VerificationResult:
+    """Cover-set verification of a design given as canonical k-subspace
+    indices, in any order (same contract as ``verify_design``).
 
     The coverage counts are summed as packed words, one per block: slot tid
-    of the sum is the number of blocks covering t-subspace tid.  Design
-    holds distinct indices, so its blocks are distinct k-subspaces, and a
-    t-subspace lies in at most [n-t k-t]_q of those; ``slot_bits`` is the
-    bit length of [n-t k-t]_q, so no slot reaches 2^slot_bits, no slot
-    carries into the next, and each slot of the sum is its count exactly.
-    The design is exact iff every count is 1, that is iff the sum equals
-    ``all_ones``.  Otherwise the counts are read back out of the slots for
-    the witness walk.  An index outside the k-subspaces raises ValueError.
+    of the sum is the number of blocks covering t-subspace tid.  Distinct
+    indices are distinct k-subspaces, and a t-subspace lies in at most
+    [n-t k-t]_q of those; ``slot_bits`` is the bit length of [n-t k-t]_q,
+    so no slot reaches 2^slot_bits, no slot carries into the next, and each
+    slot of the sum is its count exactly.  The design is exact iff every
+    count is 1, that is iff the sum equals ``all_ones``.  Otherwise the
+    counts are read back out of the slots for the witness walk.  An index
+    outside the k-subspaces, or one given twice, raises ValueError.
     """
-    ctx = design_context(design.params)
-    blocks = design.blocks  # sorted
-    if blocks and not 0 <= blocks[0] <= blocks[-1] < len(ctx.k_subspaces):
+    ctx = design_context(params)
+    if blocks and not 0 <= min(blocks) <= max(blocks) < len(ctx.k_subspaces):
         raise ValueError(f"block index outside 0..{len(ctx.k_subspaces) - 1}")
+    if len(set(blocks)) != len(blocks):
+        raise ValueError("duplicate block index")
     total = sum(map(ctx.cover_words.__getitem__, blocks))
     if total == ctx.all_ones:
         return VerificationResult(True)
@@ -383,7 +369,7 @@ def _class_maps(params: ParamSet) -> dict[int, list[int]]:
     return maps
 
 
-def enumerate_steiner(params: ParamSet) -> list[Design]:
+def enumerate_steiner(params: ParamSet) -> list[tuple[int, ...]]:
     """Every labeled design with these parameters, exactly once.
 
     Every design has exactly one block through T0 = span(e_0..e_(t-1)), so
@@ -394,7 +380,7 @@ def enumerate_steiner(params: ParamSet) -> list[Design]:
     through T0.  A row with no columns is never a candidate, so those rows
     are emptied, not dropped, and the search's row indices stay canonical.
 
-    Output is sorted lexicographically on the sorted block-index tuples, so
+    Output is the sorted list of the designs' sorted block-index tuples, so
     repeated runs are identical.  Inadmissible parameter sets come back
     empty without searching (no exact cover can exist).  A search that
     tries more than _ENUMERATION_NODE_BUDGET // [n-t k-t]_q blocks raises
@@ -416,14 +402,13 @@ def enumerate_steiner(params: ParamSet) -> list[Design]:
             f"enumeration gave up after {budget} exact-cover nodes, {_ENUMERATION_NODE_BUDGET} // "
             f"{classes} for the designs through one block; use dimension --sample instead"
         )
-    solutions = [tuple(sorted(map(perm.__getitem__, s)))
-                 for perm in _class_maps(params).values() for s in found]
-    return [Design(params, s) for s in sorted(solutions)]
+    return sorted(tuple(sorted(map(perm.__getitem__, s)))
+                  for perm in _class_maps(params).values() for s in found)
 
 
 @dataclass
 class SampleResult:
-    designs: list[Design]
+    designs: list[tuple[int, ...]]
     complete: bool
     attempts: int
 
@@ -458,7 +443,7 @@ def sample_steps(params: ParamSet, seed: int, counts: Iterable[int]):
     admissible = params.admissible
     rng = random.Random(seed)
     cover = _ExactCover(len(ctx.t_subspaces), ctx.cover)
-    found: list[Design] = []
+    found: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     attempts = previous = 0
     for count in counts:
@@ -475,7 +460,7 @@ def sample_steps(params: ParamSet, seed: int, counts: Iterable[int]):
             sols = cover.search(rng=rng, limit=1, node_budget=20000)
             if sols and sols[0] not in seen:
                 seen.add(sols[0])
-                found.append(Design(params, sols[0]))
+                found.append(sols[0])
         yield SampleResult(list(found), len(found) >= count, attempts)
 
 
@@ -483,16 +468,10 @@ def sample_steps(params: ParamSet, seed: int, counts: Iterable[int]):
 # incidence / inclusion matrices
 # ---------------------------------------------------------------------------
 
-def incidence_matrix(designs: Sequence[Design]) -> ExactMatrix:
+def incidence_matrix(params: ParamSet, designs: Sequence[Sequence[int]]) -> ExactMatrix:
     """0/1 matrix, rows = canonical Gr_{n,k}, columns = the given designs."""
-    if not designs:
-        raise ValueError("need at least one design to fix the parameters")
-    params = designs[0].params
-    if any(d.params != params for d in designs):
-        raise ValueError("designs with mixed parameters")
-    ctx = design_context(params)
-    size = len(ctx.k_subspaces)
-    cols = [set(d.blocks) for d in designs]
+    size = len(design_context(params).k_subspaces)
+    cols = [set(d) for d in designs]
     return ExactMatrix(
         [[1 if r in c else 0 for c in cols] for r in range(size)],
         cols=len(designs),
@@ -583,21 +562,19 @@ def gram_coefficients(n_designs: int, params: ParamSet) -> GramCoefficients:
     )
 
 
-def gram_matrix(params: ParamSet, designs: Sequence[Design]) -> ExactMatrix:
+def gram_matrix(params: ParamSet, designs: Sequence[Sequence[int]]) -> ExactMatrix:
     """U U^T built straight from the block lists, without forming U.
 
     Entry (x, y) counts the designs containing both blocks x and y, so the
     diagonal holds the row sums of U.  Costs N b^2 additions for N designs
     of b blocks each.
     """
-    if any(d.params != params for d in designs):
-        raise ValueError("designs with mixed parameters")
     size = len(design_context(params).k_subspaces)
     data = [[0] * size for _ in range(size)]
     for d in designs:
-        for x in d.blocks:
+        for x in d:
             row = data[x]
-            for y in d.blocks:
+            for y in d:
                 row[y] += 1
     return ExactMatrix(data, cols=size)
 
@@ -740,7 +717,7 @@ class RankCertificate:
         return {**asdict(self), "meets": self.meets}
 
 
-def rank_certificate(params: ParamSet, designs: Sequence[Design]) -> RankCertificate:
+def rank_certificate(params: ParamSet, designs: Sequence[Sequence[int]]) -> RankCertificate:
     """Two-sided certificate for the span of the characteristic vectors.
 
     Upper bound: W u = 1 for every verified design u, so the row
@@ -762,10 +739,8 @@ def rank_certificate(params: ParamSet, designs: Sequence[Design]) -> RankCertifi
     equals rank(U) over Q, is taken by Bareiss, and refused with ValueError
     when [n k] exceeds _GRAM_RANK_GUARD.
     """
-    if any(d.params != params for d in designs):
-        raise ValueError("designs with mixed parameters")
     size_k = int(gauss_binom(params.n, params.k, params.q))
-    annihilation_ok = all(verify_design_ids(d).ok for d in designs)
+    annihilation_ok = all(verify_design_ids(params, d).ok for d in designs)
     w_rank, row_diff_rank = _inclusion_ranks(params)
     upper_bound = size_k - w_rank + 1
     ceiling = min(len(designs), size_k)
@@ -774,7 +749,7 @@ def rank_certificate(params: ParamSet, designs: Sequence[Design]) -> RankCertifi
     # the F_2 rank is at most the rank over Q, so at most the ceiling: once
     # the basis holds that many rows no word can raise it, and the words go
     # in `ceiling` at a time, after the basis so far
-    words = (sum(1 << b for b in d.blocks) for d in designs)
+    words = (sum(1 << b for b in d) for d in designs)
     basis: dict[int, int] = {}
     while len(basis) < ceiling and (batch := list(islice(words, ceiling))):
         basis = _f2_eliminate(chain(basis.values(), batch))

@@ -11,6 +11,7 @@ from itertools import combinations, compress
 from math import comb
 from operator import mul
 from pathlib import Path
+from typing import Sequence
 
 from qsteiner.exactq import gauss_binom, q_valuation
 from qsteiner.gfspaces import (
@@ -30,7 +31,6 @@ from qsteiner.gfspaces import (
 from qsteiner.identities import kernel_sum
 from qsteiner.linalg import ExactMatrix, Scalar
 from qsteiner.steiner import (
-    Design,
     ParamSet,
     VerificationResult,
     _ExactCover,
@@ -79,11 +79,15 @@ def mat_mul_schoolbook(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(out, cols=b.cols)
 
 
-def per_intersection_counts(design: Design, i: int) -> set[int]:
+def block_subspaces(params: ParamSet, blocks: Sequence[int]) -> list[Subspace]:
+    """The k-subspaces of a design given as canonical block indices."""
+    k_subspaces = design_context(params).k_subspaces
+    return [k_subspaces[b] for b in blocks]
+
+
+def per_intersection_counts(params: ParamSet, blocks: Sequence[int], i: int) -> set[int]:
     """#{Y != X : X ^ Y = I} over all blocks X and i-subspaces I of X."""
-    params = design.params
-    ctx = design_context(params)
-    blocks = [ctx.k_subspaces[b] for b in design.blocks]
+    blocks = block_subspaces(params, blocks)
     counts = set()
     for x, bx in enumerate(blocks):
         for key in _coverage_keys(bx, i):

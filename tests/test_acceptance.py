@@ -45,6 +45,7 @@ from qsteiner.steiner import (
 )
 
 from oracles import (
+    block_subspaces,
     count_fixed_intersection_bruteforce,
     kernel_sum_valuation,
     per_intersection_counts,
@@ -95,7 +96,7 @@ def test_criterion_3_pg32_pipeline():
     designs = enumerate_steiner(params)
     n_designs = len(designs)
     ok = n_designs == 56
-    ok = ok and all(verify_design_ids(d).ok for d in designs)
+    ok = ok and all(verify_design_ids(params, d).ok for d in designs)
 
     gram = gram_matrix(params, designs)
     coeffs = gram_coefficients(n_designs, params)
@@ -110,7 +111,7 @@ def test_criterion_3_pg32_pipeline():
     ok = ok and [str(v) for _, v, _ in spec.spectrum] == ["40", "0", "12"]
     ok = ok and [m for _, _, m in spec.spectrum] == [1, 14, 20]
     ok = ok and spec.ok
-    u = incidence_matrix(designs)
+    u = incidence_matrix(params, designs)
     ok = ok and gram == mat_mul(u, transpose(u))
     ok = ok and gram.trace() == 280 == 35 * 8
 
@@ -168,17 +169,17 @@ def test_criterion_5_counting_oracles():
     # per-design intersection profiles
     pg32 = ParamSet(t=1, k=2, n=4, q=2)
     for design in enumerate_steiner(pg32):
-        if per_intersection_counts(design, 0) != {4}:
+        if per_intersection_counts(pg32, design, 0) != {4}:
             ok = False
     ok = ok and intersect_count(pg32, 0) == 4
     pg33 = ParamSet(t=1, k=2, n=4, q=3)
     for design in sample_steiner(pg33, seed=5, count=10).designs:
-        if per_intersection_counts(design, 0) != {int(intersect_count(pg33, 0))}:
+        if per_intersection_counts(pg33, design, 0) != {int(intersect_count(pg33, 0))}:
             ok = False
     pg52 = ParamSet(t=1, k=2, n=6, q=2)
     ok = ok and intersect_count(pg52, 0) == 20
     for design in sample_steiner(pg52, seed=5, count=3).designs:
-        if per_intersection_counts(design, 0) != {20}:
+        if per_intersection_counts(pg52, design, 0) != {20}:
             ok = False
     _finish(5, "counting-lemma oracles (spanning, fixed-intersection, per-design)",
             ok, t0, 600)
@@ -245,7 +246,7 @@ def test_criterion_7_file_verification_substitute(tmp_path):
     pg32 = ParamSet(t=1, k=2, n=4, q=2)
     spread = enumerate_steiner(pg32)[0]
     good = tmp_path / "spread.json"
-    save_design_file(good, pg32, spread.block_subspaces())
+    save_design_file(good, pg32, block_subspaces(pg32, spread))
     lp, lb = load_design_file(good)[0]
     ok = ok and verify_design(lb, lp).ok
 

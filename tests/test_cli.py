@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ from qsteiner.cli import main
 from qsteiner.exactq import gauss_binom
 from qsteiner.steiner import ParamSet, enumerate_steiner
 
-from oracles import save_design_file
+from oracles import block_subspaces, save_design_file
 
 
 def test_identities_writes_report_and_exits_zero(tmp_path, capsys):
@@ -326,6 +327,17 @@ def test_identities_rejects_q_that_is_not_a_prime_power(qs, message):
     assert "Traceback" not in done.stderr
 
 
+def test_readme_library_example_runs():
+    """README.md's one python block, run as a script with PYTHONPATH=src."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    done = subprocess.run([sys.executable, "-c", example],
+                          env={**os.environ, "PYTHONPATH": str(root / "src")},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_scheme_command(tmp_path):
     out = tmp_path / "s.json"
     code = main(["scheme", "--n", "4", "--k", "2", "--q", "2", "--out", str(out)])
@@ -411,7 +423,7 @@ def test_enumerate_and_verify_round_trip(tmp_path, capsys):
 def test_verify_design_failure_prints_witness(tmp_path, capsys):
     params = ParamSet(t=1, k=2, n=4, q=2)
     design = enumerate_steiner(params)[0]
-    blocks = design.block_subspaces()[:-1]  # drop one block
+    blocks = block_subspaces(params, design)[:-1]  # drop one block
     path = tmp_path / "broken.json"
     save_design_file(path, params, blocks)
     code = main(["verify-design", "--designs", str(path)])
@@ -442,7 +454,7 @@ def _set_entry(obj, value, old):
 def test_verify_design_rejects_non_integers(tmp_path, capsys, edit, message):
     params = ParamSet(t=1, k=2, n=4, q=2)
     path = tmp_path / "design.json"
-    save_design_file(path, params, enumerate_steiner(params)[0].block_subspaces())
+    save_design_file(path, params, block_subspaces(params, enumerate_steiner(params)[0]))
     obj = json.loads(path.read_text())
     edit(obj)
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -462,7 +474,7 @@ def test_verify_design_rejects_bad_f2_rows(tmp_path, capsys, edit, message):
     # F_2 rows are validated while they are packed, with the same messages
     params = ParamSet(t=1, k=2, n=4, q=2)
     path = tmp_path / "design.json"
-    save_design_file(path, params, enumerate_steiner(params)[0].block_subspaces())
+    save_design_file(path, params, block_subspaces(params, enumerate_steiner(params)[0]))
     obj = json.loads(path.read_text())
     edit(obj)
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -539,7 +551,7 @@ def test_verify_design_names_each_bad_entry(entry, message, tmp_path, capsys):
     # the bad entry is the last one of the block, after rows that pack
     params = ParamSet(t=1, k=2, n=4, q=2)
     path = tmp_path / "design.json"
-    save_design_file(path, params, enumerate_steiner(params)[0].block_subspaces())
+    save_design_file(path, params, block_subspaces(params, enumerate_steiner(params)[0]))
     obj = json.loads(path.read_text())
     obj["blocks"][0][1][3] = entry
     path.write_text(json.dumps(obj), encoding="utf-8")
@@ -654,7 +666,7 @@ def test_whole_list_ingest_names_what_the_per_block_walk_names(edit, message, tm
 
 def _spread_object(q: int) -> dict:
     params = ParamSet(t=1, k=2, n=4, q=q)
-    blocks = steiner.sample_steiner(params, 1, 1).designs[0].block_subspaces()
+    blocks = block_subspaces(params, steiner.sample_steiner(params, 1, 1).designs[0])
     return steiner.design_to_dict(params, blocks)
 
 

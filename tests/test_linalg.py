@@ -114,7 +114,7 @@ def test_mat_mul_dimension_mismatch():
 
 def test_spread_gram_matrix_structure():
     params = ParamSet(t=1, k=2, n=4, q=2)
-    u = incidence_matrix(enumerate_steiner(params))
+    u = incidence_matrix(params, enumerate_steiner(params))
     assert (u.rows, u.cols) == (35, 56)
     gram = mat_mul(u, transpose(u))
     assert {gram.data[i][i] for i in range(35)} == {8}
@@ -130,7 +130,7 @@ def test_rank_trivial():
 
 def test_rank_of_spread_incidence_matrix():
     params = ParamSet(t=1, k=2, n=4, q=2)
-    u = incidence_matrix(enumerate_steiner(params))
+    u = incidence_matrix(params, enumerate_steiner(params))
     assert rank_exact(u) == 21  # = [4 2]_2 - [4 1]_2 + 1
     assert rank_mod_p(u, 1000003) == 21
 

@@ -26,7 +26,6 @@ from qsteiner.grassmann import (
 )
 from qsteiner.linalg import mat_mul, rank_exact, rank_mod_p
 from qsteiner.steiner import (
-    Design,
     _ExactCover,
     _class_maps,
     _first_miss,
@@ -58,6 +57,7 @@ from qsteiner.steiner import (
 )
 
 from oracles import (
+    block_subspaces,
     col_sums,
     enumerate_plain,
     per_intersection_counts,
@@ -70,6 +70,12 @@ from oracles import (
 
 PG32 = ParamSet(t=1, k=2, n=4, q=2)
 PG33 = ParamSet(t=1, k=2, n=4, q=3)
+
+
+def _sorted_distinct_ints(designs) -> bool:
+    """Every design is a tuple of ints, strictly increasing."""
+    return all(type(d) is tuple and all(type(b) is int for b in d)
+               and list(d) == sorted(set(d)) for d in designs)
 
 
 def test_param_validation():
@@ -98,11 +104,11 @@ def test_lambda_i_examples():
 def test_enumeration_count_and_canonical_order():
     designs = enumerate_steiner(PG32)
     assert len(designs) == 56
-    assert all(len(d.blocks) == 5 for d in designs)
-    assert designs == sorted(designs, key=lambda d: d.blocks)
-    assert len({d.blocks for d in designs}) == 56
+    assert all(len(d) == 5 for d in designs)
+    assert designs == sorted(designs)
+    assert len(set(designs)) == 56
     # re-running produces identical output
-    assert [d.blocks for d in enumerate_steiner(PG32)] == [d.blocks for d in designs]
+    assert enumerate_steiner(PG32) == designs
 
 
 @pytest.mark.parametrize("params, classes, per_class, class_nodes", [
@@ -116,9 +122,10 @@ def test_enumeration_through_one_block_is_the_plain_search(params, classes, per_
     budget refuses the same instances."""
     ctx = design_context(params)
     designs = enumerate_steiner(params)
-    assert [d.blocks for d in designs] == enumerate_plain(params)
+    assert designs == enumerate_plain(params)
+    assert _sorted_distinct_ints(designs)
     assert len(designs) == classes * per_class
-    assert sum(0 in d.blocks for d in designs) == per_class
+    assert sum(0 in d for d in designs) == per_class
     plain = _ExactCover(len(ctx.t_subspaces), ctx.cover)
     assert plain.search(node_budget=classes * class_nodes) is not None
     assert plain.search(node_budget=classes * class_nodes - 1) is None
@@ -169,8 +176,8 @@ def test_enumeration_guard():
 
 def test_every_enumerated_design_verifies():
     for d in enumerate_steiner(PG32):
-        assert verify_design_ids(d).ok
-        assert verify_design(d.block_subspaces(), PG32).ok
+        assert verify_design_ids(PG32, d).ok
+        assert verify_design(block_subspaces(PG32, d), PG32).ok
 
 
 def test_verify_design_trivial_design():
@@ -182,8 +189,7 @@ def test_verify_design_trivial_design():
 
 
 def test_verify_design_detects_corruption():
-    design = enumerate_steiner(PG32)[0]
-    blocks = design.block_subspaces()
+    blocks = block_subspaces(PG32, enumerate_steiner(PG32)[0])
     # swap one block for a line meeting another block
     ctx = design_context(PG32)
     replacement = next(
@@ -199,42 +205,44 @@ def test_verify_design_detects_corruption():
     assert result.witness.dim == 1
 
 
-def _swap_last_block(design):
-    taken = set(design.blocks)
-    spare = next(i for i in range(len(design_context(design.params).k_subspaces))
-                 if i not in taken)
-    return Design(design.params, design.blocks[:-1] + (spare,))
+def _swap_last_block(params, design):
+    spare = next(i for i in range(len(design_context(params).k_subspaces)) if i not in design)
+    return design[:-1] + (spare,)
 
 
 def test_both_verifiers_give_the_same_verdict_and_witness():
     """verify_design_ids reads the counts out of packed slots; the inputs
     include every slot at its maximum [n-t k-t] (all 35 lines of PG(3,2)
     cover each point 7 times) and one slot at it (the 7 lines through a
-    point)."""
+    point).  The 50 random index tuples come unsorted, and give the verdict
+    and witness of their sorted copies."""
     pg32 = enumerate_steiner(PG32)
     ctx = design_context(PG32)
     n_lines = len(ctx.k_subspaces)
     rng = random.Random(35)
     designs = [
-        *pg32,
-        Design(PG32, tuple(range(5))),
-        _swap_last_block(pg32[0]),
-        _swap_last_block(enumerate_steiner(PG33)[0]),
-        Design(PG32, tuple(range(n_lines))),
-        Design(PG32, tuple(kid for kid in range(n_lines) if 0 in ctx.cover[kid])),
-        *(Design(PG32, tuple(rng.sample(range(n_lines), rng.randint(1, n_lines))))
+        *((PG32, d) for d in pg32),
+        (PG32, tuple(range(5))),
+        (PG32, _swap_last_block(PG32, pg32[0])),
+        (PG33, _swap_last_block(PG33, enumerate_steiner(PG33)[0])),
+        (PG32, tuple(range(n_lines))),
+        (PG32, tuple(kid for kid in range(n_lines) if 0 in ctx.cover[kid])),
+        *((PG32, tuple(rng.sample(range(n_lines), rng.randint(1, n_lines))))
           for _ in range(50)),
     ]
+    assert sum(list(d) != sorted(d) for _, d in designs[-50:]) >= 45
     failures = 0
-    for d in designs:
-        by_ids = verify_design_ids(d)
-        by_blocks = verify_design(d.block_subspaces(), d.params)
+    for params, d in designs:
+        by_ids = verify_design_ids(params, d)
+        by_sorted = verify_design_ids(params, tuple(sorted(d)))
+        by_blocks = verify_design(block_subspaces(params, d), params)
         assert (by_ids.ok, by_ids.witness, by_ids.coverage, by_ids.message) == (
+            by_sorted.ok, by_sorted.witness, by_sorted.coverage, by_sorted.message) == (
             by_blocks.ok, by_blocks.witness, by_blocks.coverage, by_blocks.message)
         failures += not by_ids.ok
     assert failures == 3 + 2 + 50
-    for d in designs[-52:-50]:  # all lines, and the lines through point 0
-        result = verify_design_ids(d)
+    for params, d in designs[-52:-50]:  # all lines, and the lines through point 0
+        result = verify_design_ids(params, d)
         assert (result.witness, result.coverage) == (ctx.t_subspaces[0], 7)
 
 
@@ -287,7 +295,7 @@ def _witness_by_iter_subspaces(blocks, params):
 @pytest.mark.parametrize("params", [PG32, PG33, ParamSet(t=2, k=3, n=5, q=2)])
 def test_key_walk_finds_the_iter_subspaces_witness(params):
     if params.t == 1:
-        blocks = sample_steiner(params, 1, 1).designs[0].block_subspaces()
+        blocks = block_subspaces(params, sample_steiner(params, 1, 1).designs[0])
     else:
         blocks = list(grassmannian(params.n, params.k, params.q))
     universe = grassmannian(params.n, params.k, params.q)
@@ -307,35 +315,42 @@ def test_key_walk_finds_the_iter_subspaces_witness(params):
 
 
 def test_verify_design_rejects_malformed():
-    blocks = enumerate_steiner(PG32)[0].block_subspaces()
+    blocks = block_subspaces(PG32, enumerate_steiner(PG32)[0])
     with pytest.raises(ValueError):
         verify_design(blocks + [blocks[0]], PG32)  # duplicate
     point = grassmannian(4, 1, 2)[0]
     with pytest.raises(ValueError):
         verify_design(blocks[:-1] + [point], PG32)  # wrong dimension
-    # a negative index would alias another block and break the packed slots
-    for ids in [(-1, 0, 1, 2, 3), (0, 1, 2, 3, len(design_context(PG32).k_subspaces))]:
+    # a negative index would alias another block and break the packed slots,
+    # and so would a repeated one; neither is missed when the indices are
+    # unsorted and the first and last are in range
+    n_lines = len(design_context(PG32).k_subspaces)
+    for ids in [(-1, 0, 1, 2, 3), (0, 1, 2, 3, n_lines),
+                (0, 1, -1, 2, 3), (0, n_lines, 1, 2, 3)]:
         with pytest.raises(ValueError, match="block index outside"):
-            verify_design_ids(Design(PG32, ids))
+            verify_design_ids(PG32, ids)
+    for ids in [(0, 0, 1, 2, 3), (3, 0, 2, 1, 0)]:
+        with pytest.raises(ValueError, match="duplicate block index"):
+            verify_design_ids(PG32, ids)
 
 
 def test_sampling_is_deterministic_and_valid():
     res1 = sample_steiner(PG32, seed=1, count=5)
     res2 = sample_steiner(PG32, seed=1, count=5)
-    assert [d.blocks for d in res1.designs] == [d.blocks for d in res2.designs]
+    assert res1.designs == res2.designs
     assert res1.complete and len(res1.designs) == 5
-    assert len({d.blocks for d in res1.designs}) == 5
+    assert len(set(res1.designs)) == 5
     for d in res1.designs:
-        assert verify_design_ids(d).ok
+        assert verify_design_ids(PG32, d).ok
 
 
 def test_sampling_prefix_property_and_empty():
     small = sample_steiner(PG33, seed=11, count=5)
     large = sample_steiner(PG33, seed=11, count=20)
-    assert [d.blocks for d in small.designs] == [d.blocks for d in large.designs[:5]]
+    assert small.designs == large.designs[:5]
     assert large.complete and len(large.designs) == 20
     for d in large.designs:
-        assert verify_design_ids(d).ok
+        assert verify_design_ids(PG33, d).ok
     assert sample_steiner(PG32, seed=3, count=0).designs == []
 
 
@@ -351,7 +366,7 @@ def test_sample_steps_extend_one_stream(params, seed, expected):
     assert [(step.attempts, step.complete) for step in steps] == expected
     for step, count in zip(steps, counts):
         fresh = sample_steiner(params, seed, count)
-        assert [d.blocks for d in step.designs] == [d.blocks for d in fresh.designs]
+        assert step.designs == fresh.designs
         assert (step.complete, step.attempts) == (fresh.complete, fresh.attempts)
 
 
@@ -359,7 +374,7 @@ def test_sample_steps_take_repeated_counts_and_refuse_decreasing_ones():
     counts = (3, 3, 5)
     for step, count in zip(sample_steps(PG33, 1, counts), counts):
         fresh = sample_steiner(PG33, 1, count)
-        assert [d.blocks for d in step.designs] == [d.blocks for d in fresh.designs]
+        assert step.designs == fresh.designs
         assert (step.complete, step.attempts) == (fresh.complete, fresh.attempts)
     steps = sample_steps(PG33, 1, (5, 3))
     assert len(next(steps).designs) == 5
@@ -425,9 +440,9 @@ _PINNED_MEMO_SIZES = {(3, 4, 1): 830, (3, 4, 7): 353, (2, 6, 1): 578}
 def test_sampled_designs_are_pinned(params, seed, count, attempts, digest, monkeypatch):
     """The exact-cover traversal (branch column, candidate order, shuffles,
     node budget) fixes which designs a seed draws; these are the pinned
-    draws, as sha256 of the repr of the list of block tuples, and the
-    pinned size of the branch memo they leave, every key a chosen-row
-    tuple shorter than _BRANCH_MEMO_DEPTH."""
+    draws, as sha256 of the repr of the list of block tuples (each sorted
+    and distinct), and the pinned size of the branch memo they leave, every
+    key a chosen-row tuple shorter than _BRANCH_MEMO_DEPTH."""
     made = []
 
     class Recorded(_ExactCover):
@@ -436,7 +451,8 @@ def test_sampled_designs_are_pinned(params, seed, count, attempts, digest, monke
             made.append(self)
     monkeypatch.setattr(steiner, "_ExactCover", Recorded)
     res = sample_steiner(params, seed, count)
-    blocks = repr([d.blocks for d in res.designs]).encode()
+    blocks = repr(res.designs).encode()
+    assert _sorted_distinct_ints(res.designs)
     assert res.complete and res.attempts == attempts
     assert hashlib.sha256(blocks).hexdigest() == digest
     [cover] = made
@@ -446,28 +462,28 @@ def test_sampled_designs_are_pinned(params, seed, count, attempts, digest, monke
 
 def test_incidence_matrix_shapes_and_sums():
     designs = enumerate_steiner(PG32)
-    u = incidence_matrix(designs)
+    u = incidence_matrix(PG32, designs)
     assert (u.rows, u.cols) == (35, 56)
     assert set(col_sums(u)) == {5}
     assert set(row_sums(u)) == {8}
-    one = incidence_matrix(designs[:1])
+    one = incidence_matrix(PG32, designs[:1])
     assert col_sums(one) == [5]
 
 
 def test_gram_matrix_matches_dense_product():
     designs = enumerate_steiner(PG32)
-    u = incidence_matrix(designs)
+    u = incidence_matrix(PG32, designs)
     gram = gram_matrix(PG32, designs)
     assert gram == mat_mul(u, transpose(u))
     assert rank_exact(gram) == rank_exact(u) == 21
     few = designs[:3]
-    u_few = incidence_matrix(few)
+    u_few = incidence_matrix(PG32, few)
     gram_few = gram_matrix(PG32, few)
     assert gram_few == mat_mul(u_few, transpose(u_few))
     assert rank_exact(gram_few) == rank_exact(u_few) == 3
     sampled = sample_steiner(PG33, seed=5, count=200)
     assert sampled.complete
-    u = incidence_matrix(sampled.designs)
+    u = incidence_matrix(PG33, sampled.designs)
     assert gram_matrix(PG33, sampled.designs) == mat_mul(u, transpose(u))
 
 
@@ -475,12 +491,11 @@ def test_gram_matrix_empty_and_mixed():
     empty = gram_matrix(PG32, [])
     assert empty == zeros(35, 35)
     assert rank_exact(empty) == 0
-    pg32 = enumerate_steiner(PG32)[:1]
-    pg33 = sample_steiner(PG33, seed=1, count=1).designs
-    with pytest.raises(ValueError, match="mixed"):
-        gram_matrix(PG32, pg32 + pg33)
-    with pytest.raises(ValueError, match="mixed"):
-        gram_matrix(PG33, pg32)
+    # a design is its block indices alone: a PG(3,2) spread read under PG(3,3)
+    # parameters is 5 of its 130 lines, which fails verification
+    spread = enumerate_steiner(PG32)[0]
+    assert (not verify_design_ids(PG33, spread).ok
+            and rank_certificate(PG33, [spread]).annihilation_ok is False)
 
 
 def test_kappa_formulas():
@@ -514,7 +529,7 @@ def test_empirical_kappa_matches_formula():
 def test_per_intersection_counts_match_formula():
     designs = enumerate_steiner(PG32)
     for d in designs[::8]:
-        assert per_intersection_counts(d, 0) == {4}
+        assert per_intersection_counts(PG32, d, 0) == {4}
     # pair partition: every block sees lambda_0 - 1 others
     total = sum(
         int(gauss_binom(PG32.k, i, PG32.q)) * int(intersect_count(PG32, i))
@@ -533,7 +548,7 @@ def test_gram_check_and_corruption():
 
     assert check(gram_matrix(PG32, designs), coeffs)
     # flip one bit of U
-    bad = incidence_matrix(designs)
+    bad = incidence_matrix(PG32, designs)
     bad.data[0][0] = 1 - bad.data[0][0]
     assert not check(mat_mul(bad, transpose(bad)), coeffs)
     # empty design set: 0 = 0*I + 0
@@ -595,7 +610,7 @@ def test_inclusion_matrix_properties():
     assert (w.rows, w.cols) == (15, 35)
     assert rank_exact(w) == 15
     designs = enumerate_steiner(PG32)
-    u = incidence_matrix(designs)
+    u = incidence_matrix(PG32, designs)
     wu = mat_mul(w, u)
     assert all(x == 1 for row in wu.data for x in row)
 
@@ -620,10 +635,10 @@ def test_rank_certificate_with_few_designs_stays_open():
 def test_rank_certificate_annihilation_matches_w_times_u():
     w = inclusion_matrix(PG32)
     designs = enumerate_steiner(PG32)[:3]
-    not_a_spread = Design(PG32, tuple(range(5)))
-    assert not verify_design_ids(not_a_spread).ok
+    not_a_spread = tuple(range(5))
+    assert not verify_design_ids(PG32, not_a_spread).ok
     for ds, expected in ((designs, True), (designs + [not_a_spread], False)):
-        wu = mat_mul(w, incidence_matrix(ds))
+        wu = mat_mul(w, incidence_matrix(PG32, ds))
         assert all(x == 1 for row in wu.data for x in row) is expected
         assert rank_certificate(PG32, ds).annihilation_ok is expected
 
@@ -669,13 +684,13 @@ def test_rank_certificate_falls_back_below_the_rational_rank(monkeypatch):
     F_2 rank misses the ceiling of 14 designs and Bareiss decides."""
     spreads = enumerate_steiner(PG32)
     designs = [spreads[i] for i in (0, 2, 4, 9, 16, 21, 25, 26, 34, 36, 37, 43, 48, 55)]
-    words = [sum(1 << b for b in d.blocks) for d in designs]
+    words = [sum(1 << b for b in d) for d in designs]
     assert len(_f2_eliminate(words)) == 13
     steiner._inclusion_ranks(PG32)
     calls = _counting_rank_exact(monkeypatch)
     cert = rank_certificate(PG32, designs)
     assert len(calls) == 1
-    assert cert.lower_bound == rank_exact(incidence_matrix(designs)) == 14
+    assert cert.lower_bound == rank_exact(incidence_matrix(PG32, designs)) == 14
     assert cert.annihilation_ok and not cert.meets
 
 
@@ -700,7 +715,7 @@ def test_rank_certificate_stops_the_f2_rank_at_its_ceiling(monkeypatch):
     basis holds the ceiling's 21 rows no word can raise it, so the
     elimination stops early, at the full list's rank."""
     designs = enumerate_steiner(PG32) * 10
-    words = [sum(1 << b for b in d.blocks) for d in designs]
+    words = [sum(1 << b for b in d) for d in designs]
     assert len(_f2_eliminate(words)) == 21
     fed = []
 
@@ -756,7 +771,7 @@ def test_w_rank_mod_p_is_the_rational_rank_on_every_admitted_input():
 
 
 def test_verify_design_names_a_duplicate_block():
-    blocks = list(enumerate_steiner(PG32)[0].block_subspaces())
+    blocks = block_subspaces(PG32, enumerate_steiner(PG32)[0])
     with pytest.raises(ValueError, match="^block 5 duplicates block 2$"):
         verify_design(blocks + [blocks[2]], PG32)
 
@@ -780,7 +795,7 @@ def test_full_pipeline_pg33_enumeration():
     ]
     assert rank_exact(gram) == 91 == dimension_formula(PG33)
     # independent check on U itself, 130 x 8424
-    u = incidence_matrix(designs)
+    u = incidence_matrix(PG33, designs)
     assert rank_exact(u) == 91
 
 
@@ -799,13 +814,13 @@ def test_gram_spectrum_ranks_match_bareiss(params):
 def test_design_file_round_trip(tmp_path):
     design = enumerate_steiner(PG32)[10]
     path = tmp_path / "spread.json"
-    save_design_file(path, PG32, design.block_subspaces())
+    save_design_file(path, PG32, block_subspaces(PG32, design))
     loaded = load_design_file(path)
     assert len(loaded) == 1
     params, blocks = loaded[0]
     assert params == PG32
     assert sorted(b.basis for b in blocks) == sorted(
-        b.basis for b in design.block_subspaces()
+        b.basis for b in block_subspaces(PG32, design)
     )
     assert verify_design(blocks, params).ok
 
@@ -895,7 +910,7 @@ def test_mu_spectrum_multiplicities_sum():
 
 def test_design_to_dict_schema():
     design = enumerate_steiner(PG32)[0]
-    obj = design_to_dict(PG32, design.block_subspaces())
+    obj = design_to_dict(PG32, block_subspaces(PG32, design))
     assert set(obj) == {"q", "n", "k", "t", "blocks"}
     assert json.dumps(obj)  # serializable
     assert all(len(b) == 2 and len(b[0]) == 4 for b in obj["blocks"])
@@ -924,7 +939,9 @@ def test_verify_design_matches_the_per_block_walk_on_every_f2_triple():
                 lists = [[], blocks, blocks[-1:], rng.sample(blocks, min(9, len(blocks))),
                          blocks[:4] + blocks[:1], blocks[:3] + [grassmannian(n, k - 1, 2)[-1]]]
                 if t == 1 and (k, n) in spreads:
-                    design = sample_steiner(params, 1, 1).designs[0].block_subspaces()
+                    sampled = sample_steiner(params, 1, 1).designs
+                    assert _sorted_distinct_ints(sampled)
+                    design = block_subspaces(params, sampled[0])
                     others = [b for b in blocks if b not in design]
                     lists += [design, design[:-1], design[1:] + [others[0]]]
                 for block_list in lists:
@@ -949,7 +966,7 @@ def test_verify_design_matches_the_per_block_products_over_f3_and_f4():
                              blocks[:4] + blocks[:1],
                              blocks[:3] + [grassmannian(n, k - 1, q)[-1]]]
                     if (t, k, n) == (1, 2, 4):
-                        design = sample_steiner(params, 1, 1).designs[0].block_subspaces()
+                        design = block_subspaces(params, sample_steiner(params, 1, 1).designs[0])
                         others = [b for b in blocks if b not in design]
                         lists += [design, design[:-1], design[1:] + [others[0]]]
                     for block_list in lists:
@@ -969,7 +986,8 @@ def test_design_from_dict_gives_the_same_blocks_on_both_routes(tmp_path, monkeyp
     spreadgen.write_design(tmp_path / "spread.json", spread.dim, spread.blocks)
     objs = [json.loads((tmp_path / "spread.json").read_text())]
     for params in (PG32, PG33):
-        obj = design_to_dict(params, sample_steiner(params, 1, 1).designs[0].block_subspaces())
+        design = sample_steiner(params, 1, 1).designs[0]
+        obj = design_to_dict(params, block_subspaces(params, design))
         obj["blocks"] = [mat[::-1] for mat in obj["blocks"]]  # spanning sets, not RREF
         objs.append(obj)
     paths = [tmp_path / f"design-{i}.json" for i in range(len(objs))]
