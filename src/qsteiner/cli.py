@@ -334,7 +334,7 @@ def run_dimension(config: argparse.Namespace) -> int:
 def run_verify_design(config: argparse.Namespace) -> int:
     if not config.designs:
         raise CLIError("--designs <file> is required for 'verify-design'")
-    # A design file is read into acyclic subspaces, tuples and ints (lists
+    # A design file is read into acyclic block keys, tuples and ints (lists
     # on the json.loads route), which refcounting frees; the cyclic
     # collector would only rescan them as they are built, so it is paused.
     gc_was_enabled = gc.isenabled()

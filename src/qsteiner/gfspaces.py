@@ -11,17 +11,16 @@ column sets in colexicographic order, then the free entries read row-major
 as base-q digits.  ``grassmannian`` holds each Grassmannian in exactly that
 order, and ``_canonical_keys`` walks it lazily, with no Subspace built.
 
-Elimination has one kernel per field kind, and ``rref``, ``rows_rank``,
-``Subspace.contains`` and ``intersection_dim`` all reduce through it.  Over
-F_2 a row is held packed into an int, bit j holding column j, and
-``_f2_eliminate`` runs on xor; a Subspace is its packed RREF rows, and its
-tuple basis is unpacked only when read.  Every other field goes through
-``_fq_eliminate``, which works on whole rows with the field's ``row_sub``
-and ``row_scale``.
-
-F_2 designs are read from the text of their block list:
+Elimination has one kernel per field kind.  Over F_2 a row is packed into
+an int, bit j holding column j, and ``_f2_eliminate`` runs on xor for
+``rows_rank``, ``Subspace.contains``, ``intersection_dim`` and the RREF key
+of a spanning set: its packed rows, which a Subspace unpacks into its tuple
+basis when built.  Other fields, and ``rref`` over every field, go through
+``_fq_eliminate``, on whole rows with the field's ``row_sub`` and
+``row_scale``.  F_2 designs are read from the text of their block list:
 ``_f2_text_blocks`` compares it with a fixed-width template, packs each
-row's digits with ``int`` and reduces each block with ``_f2_eliminate``.
+row's digits with ``int`` and reduces each block with ``_f2_eliminate``
+into its key, with no Subspace built.
 ``_coverage_columns`` is the one coverage kernel, for every field: it forms
 the keys of the i-subspaces of every block one row of W at a time, across
 all blocks.  One block's coverage keys and the ``_inner_indices`` tables
@@ -242,15 +241,10 @@ def rref(rows, fld: FieldSpec) -> tuple[tuple[tuple[int, ...], ...], tuple[int, 
     """Reduced row echelon form over F_q.
 
     Returns (nonzero rows as tuples, pivot columns).  Idempotent on its own
-    output; the zero space comes back as an empty row tuple.  F_2 rows are
-    checked and reduced by ``subspace_from_rows``, then unpacked; other
-    fields go through ``_fq_eliminate``, whose padded rows then have the
-    entries above each pivot cleared, last pivot first.
+    output; the zero space comes back as an empty row tuple.  The rows go
+    through ``_fq_eliminate`` over every field, F_2 included, and its padded
+    rows then have the entries above each pivot cleared, last pivot first.
     """
-    if fld.q == 2:
-        rows = list(rows)
-        s = subspace_from_rows(rows, len(rows[0]) if rows else 0, 2)
-        return s.basis, s.pivots
     tails = _fq_eliminate(rows, fld)
     pivots = sorted(tails)
     reduced = {piv: [0] * piv + list(tails[piv]) for piv in pivots}
@@ -275,30 +269,16 @@ class Subspace:
     """A subspace of F_q^n held as its canonical RREF, ``key``: over F_2 one
     int per row, bit j holding column j, rows in pivot order; otherwise the
     RREF basis.  Equality and hashing go through (ambient, q, key).  Over
-    F_2 ``basis`` is unpacked from the key, and ``pivots`` read off it, when
-    first asked for."""
+    F_2 ``basis`` is unpacked from the key, and ``pivots`` is read off it."""
 
-    __slots__ = ("ambient", "q", "key", "_pivots", "_basis")
+    __slots__ = ("ambient", "q", "key", "basis", "pivots")
 
-    def __init__(self, ambient: int, q: int, key: tuple, pivots: tuple | None = None):
+    def __init__(self, ambient: int, q: int, key: tuple):
         self.ambient = ambient
         self.q = q
         self.key = key
-        self._pivots = pivots
-        self._basis = None if q == 2 else key
-
-    @property
-    def basis(self) -> tuple[tuple[int, ...], ...]:
-        if self._basis is None:
-            self._basis = tuple([_unpack(word, self.ambient) for word in self.key])
-        return self._basis
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        if self._pivots is None:
-            self._pivots = tuple([(w & -w).bit_length() - 1 for w in self.key] if self.q == 2
-                                 else [row.index(1) for row in self.key])
-        return self._pivots
+        self.basis = tuple([_unpack(word, ambient) for word in key]) if q == 2 else key
+        self.pivots = tuple([row.index(1) for row in self.basis])
 
     @property
     def dim(self) -> int:
@@ -332,10 +312,10 @@ _ONE_AS_ZERO = bytes.maketrans(b"1", b"0")
 _TEXT_STEP = 1 << 16
 
 
-def _f2_text_blocks(text: str, start: int, end: int, n: int, k: int) -> list[Subspace] | None:
-    """The k-subspaces of F_2^n that the JSON array text[start:end] of
-    k x n 0/1 matrices spans, in list order; None unless the array holds at
-    least one matrix, exactly in that form, and every block has rank k.
+def _f2_text_blocks(text: str, start: int, end: int, n: int, k: int) -> list[tuple] | None:
+    """The RREF keys of the k-subspaces of F_2^n that the JSON array
+    text[start:end] of k x n 0/1 matrices spans, in list order; None unless
+    it holds a matrix, all exactly in that form, and every block has rank k.
 
     With JSON whitespace deleted and each 1 read as 0, the array must equal,
     byte for byte, the fixed-width template of its blocks: k rows of n
@@ -366,7 +346,7 @@ def _f2_text_blocks(text: str, start: int, end: int, n: int, k: int) -> list[Sub
         for reduced in map(_f2_eliminate, zip(*[iter(words)] * k)):
             if len(reduced) != k:
                 return None
-            blocks.append(Subspace(n, 2, tuple([reduced[piv] for piv in sorted(reduced)])))
+            blocks.append(tuple([reduced[piv] for piv in sorted(reduced)]))
     return blocks if blocks and not rest else None
 
 
@@ -383,18 +363,23 @@ def _check_rows(rows, n: int, q: int) -> None:
                 raise ValueError("entry outside 0..q-1")
 
 
-def subspace_from_rows(rows, n: int, q: int, expect_dim: int | None = None) -> Subspace:
-    """Canonicalize a spanning set into a Subspace of F_q^n: check the rows,
+def _rref_key(rows, n: int, q: int, expect_dim: int | None = None) -> tuple:
+    """The canonical RREF key of the span of rows in F_q^n: check the rows,
     naming the first bad entry, then reduce them, packed over F_2."""
     _check_rows(rows, n, q)
     if q == 2:
         reduced = _f2_eliminate(map(_pack, rows))
-        key, pivots = tuple([reduced[piv] for piv in sorted(reduced)]), None
+        key = tuple([reduced[piv] for piv in sorted(reduced)])
     else:
-        key, pivots = rref(rows, field(q))
+        key = rref(rows, field(q))[0]
     if expect_dim is not None and len(key) != expect_dim:
         raise ValueError(f"expected dimension {expect_dim}, got {len(key)}")
-    return Subspace(n, q, key, pivots)
+    return key
+
+
+def subspace_from_rows(rows, n: int, q: int, expect_dim: int | None = None) -> Subspace:
+    """Canonicalize a spanning set into a Subspace of F_q^n (``_rref_key``)."""
+    return Subspace(n, q, _rref_key(rows, n, q, expect_dim))
 
 
 def _pivot_sets_colex(n: int, k: int):
@@ -441,8 +426,8 @@ def _basis_for(pivots: tuple[int, ...], digits, n: int,
 
 def iter_subspaces(n: int, k: int, q: int):
     """Lazily yield the k-dim subspaces of F_q^n in canonical order."""
-    for key, pivots in _canonical_keys(n, k, q):
-        yield Subspace(n, q, key, pivots)
+    for key, _ in _canonical_keys(n, k, q):
+        yield Subspace(n, q, key)
 
 
 def _canonical_keys(n: int, k: int, q: int):

@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,6 +32,7 @@ from .gfspaces import (
     _f2_eliminate,
     _f2_text_blocks,
     _inner_indices,
+    _rref_key,
     field,
     gf_matmul,
     grassmannian,
@@ -161,40 +161,43 @@ def _first_miss(coverage, witness=lambda s: s) -> VerificationResult:
     return VerificationResult(True)
 
 
-def verify_design(blocks: Sequence[Subspace], params: ParamSet) -> VerificationResult:
-    """Check that every t-subspace lies in exactly one of the given blocks.
+def verify_design(blocks: Sequence[tuple], params: ParamSet) -> VerificationResult:
+    """Check that every t-subspace lies in exactly one of the given blocks,
+    each the canonical RREF key of a k-subspace (``Subspace.key``).
 
-    Works directly on the block subspaces (no global enumeration), so large
-    ambient spaces are fine as long as the block list itself is walkable.
-    On failure the witness t-subspace and its actual coverage come back.
-    Malformed blocks (wrong ambient, wrong dimension, duplicates) raise, and
-    so do blocks of more than _BLOCK_COVER_GUARD t-subspaces each, decided
-    by ``gauss_binom_guard`` before any coverage is built, and so does any
-    q over that guard, whose witness walk would hold range(q) as a tuple.
+    Works on the keys alone (no global enumeration), so large ambient
+    spaces are fine as long as the block list itself is walkable.  On
+    failure the witness t-subspace, the one Subspace built here, and its
+    coverage come back.  Raises for malformed blocks (wrong dimension,
+    duplicates, a row outside F_q^n: over F_2 a packed int of more than n
+    bits, otherwise not n entries in 0..q-1), for blocks of more than
+    _BLOCK_COVER_GUARD t-subspaces each, decided by ``gauss_binom_guard``
+    before any coverage is built, and for any q over that guard, whose
+    witness walk would hold range(q) as a tuple.
 
-    The blocks are checked as one list, and walked in order only to name
-    the first bad one.  The coverage keys are canonical keys of t-subspaces,
-    so at most [n t] of them are distinct: the design is exact iff no key
-    repeats and [n t] <= the number of distinct keys, which
-    ``gauss_binom_guard`` decides without building [n t] when it is huge.
-    The keys come from ``_coverage_columns`` across all blocks at once.
-    The one Counter of the keys decides and, on failure, serves the
-    witness walk.
+    The blocks are checked as one list, by passes in C over the chained
+    rows, and walked in order only to name the first bad one.  The coverage
+    keys are canonical keys of t-subspaces, so at most [n t] are distinct:
+    the design is exact iff no key repeats and [n t] <= the number of
+    distinct keys, which ``gauss_binom_guard`` decides without building
+    [n t] when it is huge.  The keys come from ``_coverage_columns`` across
+    all blocks at once; their one Counter decides and serves the witness.
     """
     t, k, n, q = params.t, params.k, params.n, params.q
     if q > _BLOCK_COVER_GUARD:
         raise ValueError(f"coverage guard exceeded: q {q} (<= {_BLOCK_COVER_GUARD})")
-    keys = list(map(attrgetter("key"), blocks))
-    if (set(map(attrgetter("ambient"), blocks)) - {n} or set(map(attrgetter("q"), blocks)) - {q}
-            or set(map(len, keys)) - {k} or len(set(keys)) != len(keys)):
+    if set(map(len, blocks)) - {k} or len(set(blocks)) != len(blocks):
         seen: dict[tuple, int] = {}
-        for idx, b in enumerate(blocks):
-            if b.ambient != n or b.q != q:
-                raise ValueError(f"block ambient/order mismatch: {b.ambient}, q={b.q}")
-            if b.dim != k:
-                raise ValueError(f"block of dimension {b.dim}, expected {k}")
-            if (first := seen.setdefault(b.key, idx)) != idx:
+        for idx, key in enumerate(blocks):
+            if len(key) != k:
+                raise ValueError(f"block of dimension {len(key)}, expected {k}")
+            if (first := seen.setdefault(key, idx)) != idx:
                 raise ValueError(f"block {idx} duplicates block {first}")
+    rows = chain.from_iterable
+    entries, top = (rows, 1 << n) if q == 2 else (lambda b: rows(rows(b)), q)
+    if (q != 2 and set(map(len, rows(blocks))) - {n}
+            or min(entries(blocks), default=0) < 0 or max(entries(blocks), default=0) >= top):
+        raise ValueError(f"block row outside F_{q}^{n}")
 
     coverage = Counter()
     if blocks:  # with no blocks the kernel would build Gr(k, t) for nothing
@@ -202,15 +205,21 @@ def verify_design(blocks: Sequence[Subspace], params: ParamSet) -> VerificationR
         if not fits:
             raise ValueError(f"coverage guard exceeded: [k t] {size} t-subspaces "
                              f"per block (<= {_BLOCK_COVER_GUARD})")
-        coverage.update(chain.from_iterable(_coverage_columns(keys, k, t, q)))
+        coverage.update(chain.from_iterable(_coverage_columns(blocks, k, t, q)))
     distinct = len(coverage)
     if distinct == coverage.total() and gauss_binom_guard(n, t, q, distinct)[0]:
         return VerificationResult(True)
-    # the walk reads only coverage keys; the witness alone becomes a Subspace
     return _first_miss(
         ((s, coverage.get(s[0], 0)) for s in _canonical_keys(n, t, q)),
-        witness=lambda s: Subspace(n, q, *s),
+        witness=lambda s: Subspace(n, q, s[0]),
     )
+
+
+def _check_block_indices(size: int, designs: Sequence[Sequence[int]]) -> None:
+    """Refuse any index outside 0..size-1 in the designs, as verify_design_ids does."""
+    ids = set(chain.from_iterable(designs))
+    if ids and not 0 <= min(ids) <= max(ids) < size:
+        raise ValueError(f"block index outside 0..{size - 1}")
 
 
 def verify_design_ids(params: ParamSet, blocks: Sequence[int]) -> VerificationResult:
@@ -471,6 +480,7 @@ def sample_steps(params: ParamSet, seed: int, counts: Iterable[int]):
 def incidence_matrix(params: ParamSet, designs: Sequence[Sequence[int]]) -> ExactMatrix:
     """0/1 matrix, rows = canonical Gr_{n,k}, columns = the given designs."""
     size = len(design_context(params).k_subspaces)
+    _check_block_indices(size, designs)
     cols = [set(d) for d in designs]
     return ExactMatrix(
         [[1 if r in c else 0 for c in cols] for r in range(size)],
@@ -567,9 +577,10 @@ def gram_matrix(params: ParamSet, designs: Sequence[Sequence[int]]) -> ExactMatr
 
     Entry (x, y) counts the designs containing both blocks x and y, so the
     diagonal holds the row sums of U.  Costs N b^2 additions for N designs
-    of b blocks each.
+    of b blocks each.  An index outside the k-subspaces raises.
     """
     size = len(design_context(params).k_subspaces)
+    _check_block_indices(size, designs)
     data = [[0] * size for _ in range(size)]
     for d in designs:
         for x in d:
@@ -785,9 +796,10 @@ def design_to_dict(params: ParamSet, blocks: Sequence[Subspace]) -> dict:
     }
 
 
-def design_from_dict(obj: dict) -> tuple[ParamSet, list[Subspace]]:
-    """Parse and canonicalize one design object; raises ValueError on any
-    schema, dimension, or field-encoding problem."""
+def design_from_dict(obj: dict) -> tuple[ParamSet, list[tuple]]:
+    """Parse one design object into its parameters and the canonical RREF
+    key of each block (``Subspace.key``), with no Subspace built; raises
+    ValueError on any schema, dimension, or field-encoding problem."""
     if not isinstance(obj, dict):
         raise ValueError("design object must be a JSON object")
     missing = {"q", "n", "k", "t", "blocks"} - obj.keys()
@@ -808,7 +820,7 @@ def design_from_dict(obj: dict) -> tuple[ParamSet, list[Subspace]]:
         ):
             raise ValueError(f"block {idx}: expected a {k}x{n} integer matrix")
         try:
-            blocks.append(subspace_from_rows(mat, n, q, expect_dim=k))
+            blocks.append(_rref_key(mat, n, q, expect_dim=k))
         except ValueError as exc:
             raise ValueError(f"block {idx}: {exc}") from exc
     return params, blocks
@@ -818,7 +830,7 @@ _SKIP_SPACE = json.decoder.WHITESPACE.match
 _SCAN = json.JSONDecoder().scan_once
 
 
-def _read_f2_designs(text: str) -> list[tuple[ParamSet, list[Subspace]]] | None:
+def _read_f2_designs(text: str) -> list[tuple[ParamSet, list[tuple]]] | None:
     """The designs of a design file's text when every one is over F_2 and
     its block list is a plain 0/1 array, read with no nested lists built;
     None for any other text.
@@ -881,9 +893,11 @@ def _read_f2_designs(text: str) -> list[tuple[ParamSet, list[Subspace]]] | None:
     return designs if i == len(text) else None
 
 
-def load_design_file(path: str | Path) -> list[tuple[ParamSet, list[Subspace]]]:
-    """Load one design object or an array of them from a JSON file; a
-    design in an array that fails to parse is named by its position.
+def load_design_file(path: str | Path) -> list[tuple[ParamSet, list[tuple]]]:
+    """Load one design object or an array of them from a JSON file, as
+    (params, block keys) pairs: each block is its canonical RREF key, the
+    input ``verify_design`` takes.  A design in an array that fails to parse
+    is named by its position.
 
     A file of F_2 designs is read from its text by ``_read_f2_designs``:
     each block list, JSON whitespace deleted and each 1 read as 0, must be

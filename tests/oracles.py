@@ -85,6 +85,12 @@ def block_subspaces(params: ParamSet, blocks: Sequence[int]) -> list[Subspace]:
     return [k_subspaces[b] for b in blocks]
 
 
+def block_keys(params: ParamSet, blocks: Sequence[int]) -> list[tuple]:
+    """The RREF keys of the k-subspaces of a design given as canonical block
+    indices: the blocks as ``verify_design`` and the file loader take them."""
+    return [s.key for s in block_subspaces(params, blocks)]
+
+
 def per_intersection_counts(params: ParamSet, blocks: Sequence[int], i: int) -> set[int]:
     """#{Y != X : X ^ Y = I} over all blocks X and i-subspaces I of X."""
     blocks = block_subspaces(params, blocks)

@@ -226,7 +226,7 @@ def test_criterion_7_file_verification_substitute(tmp_path):
     save_design_file(path, params13, blocks)
     loaded_params, loaded_blocks = load_design_file(path)[0]
     ok = ok and loaded_params == params13
-    ok = ok and [b.basis for b in loaded_blocks] == [b.basis for b in blocks]
+    ok = ok and loaded_blocks == [b.key for b in blocks]
 
     # synthetic non-design data is rejected with a concrete witness
     result = verify_design(loaded_blocks, params13)
@@ -253,6 +253,6 @@ def test_criterion_7_file_verification_substitute(tmp_path):
     # the format also survives a dict-level round trip at the (2,3,13) shape
     obj = design_to_dict(params13, blocks)
     params_again, blocks_again = design_from_dict(obj)
-    ok = ok and params_again == params13 and blocks_again == blocks
+    ok = ok and params_again == params13 and blocks_again == [b.key for b in blocks]
     _finish(7, "(2,3,13)-shaped file round trip; non-designs rejected with witness",
             ok, t0, 60)

@@ -9,6 +9,7 @@ import pytest
 from qsteiner import steiner
 from qsteiner.exactq import gauss_binom, gauss_binom_guard
 from qsteiner.gfspaces import (
+    Subspace,
     _coverage_keys,
     _f2_eliminate,
     field,
@@ -57,6 +58,7 @@ from qsteiner.steiner import (
 )
 
 from oracles import (
+    block_keys,
     block_subspaces,
     col_sums,
     enumerate_plain,
@@ -177,13 +179,13 @@ def test_enumeration_guard():
 def test_every_enumerated_design_verifies():
     for d in enumerate_steiner(PG32):
         assert verify_design_ids(PG32, d).ok
-        assert verify_design(block_subspaces(PG32, d), PG32).ok
+        assert verify_design(block_keys(PG32, d), PG32).ok
 
 
 def test_verify_design_trivial_design():
     # the full Grassmannian covers every point [n-t k-t] times
     blocks = grassmannian(4, 2, 2)
-    result = verify_design(blocks, PG32)
+    result = verify_design([b.key for b in blocks], PG32)
     assert not result.ok
     assert result.coverage == gauss_binom(3, 1, 2)
 
@@ -198,7 +200,7 @@ def test_verify_design_detects_corruption():
         if s not in blocks and any(b.contains(s) is False for b in blocks)
     )
     broken = blocks[:-1] + [replacement]
-    result = verify_design(broken, PG32)
+    result = verify_design([b.key for b in broken], PG32)
     assert not result.ok
     assert result.witness is not None
     assert result.coverage != 1
@@ -235,7 +237,7 @@ def test_both_verifiers_give_the_same_verdict_and_witness():
     for params, d in designs:
         by_ids = verify_design_ids(params, d)
         by_sorted = verify_design_ids(params, tuple(sorted(d)))
-        by_blocks = verify_design(block_subspaces(params, d), params)
+        by_blocks = verify_design(block_keys(params, d), params)
         assert (by_ids.ok, by_ids.witness, by_ids.coverage, by_ids.message) == (
             by_sorted.ok, by_sorted.witness, by_sorted.coverage, by_sorted.message) == (
             by_blocks.ok, by_blocks.witness, by_blocks.coverage, by_blocks.message)
@@ -271,14 +273,14 @@ def test_verify_design_multi_row_keys_match_containment(n, q):
         (doubled, (False, 2)),
     ] + [(rng.sample(solids, rng.randint(1, len(solids))), None) for _ in range(4)]
     for blocks, expected in cases:
-        result = verify_design(blocks, params)
+        result = verify_design([b.key for b in blocks], params)
         ok, witness, coverage = _verdict_by_containment(blocks, params)
         assert (result.ok, result.witness, result.coverage) == (ok, witness, coverage)
         if expected is not None:
             assert (result.ok, result.coverage) == expected
         if not ok:
             assert result.message == f"t-subspace covered {coverage} times, expected 1"
-    assert verify_design(doubled, params).witness == planes[0]
+    assert verify_design([b.key for b in doubled], params).witness == planes[0]
 
 
 def _witness_by_iter_subspaces(blocks, params):
@@ -306,7 +308,7 @@ def test_key_walk_finds_the_iter_subspaces_witness(params):
     cases += [rng.sample(universe, rng.randint(1, len(universe))) for _ in range(6)]
     misses = 0
     for case in cases:
-        result = verify_design(case, params)
+        result = verify_design([b.key for b in case], params)
         expected = _witness_by_iter_subspaces(case, params)
         assert (result.ok, result.witness, result.coverage, result.message) == (
             expected.ok, expected.witness, expected.coverage, expected.message)
@@ -315,12 +317,12 @@ def test_key_walk_finds_the_iter_subspaces_witness(params):
 
 
 def test_verify_design_rejects_malformed():
-    blocks = block_subspaces(PG32, enumerate_steiner(PG32)[0])
+    blocks = block_keys(PG32, enumerate_steiner(PG32)[0])
     with pytest.raises(ValueError):
         verify_design(blocks + [blocks[0]], PG32)  # duplicate
     point = grassmannian(4, 1, 2)[0]
     with pytest.raises(ValueError):
-        verify_design(blocks[:-1] + [point], PG32)  # wrong dimension
+        verify_design(blocks[:-1] + [point.key], PG32)  # wrong dimension
     # a negative index would alias another block and break the packed slots,
     # and so would a repeated one; neither is missed when the indices are
     # unsorted and the first and last are in range
@@ -332,6 +334,31 @@ def test_verify_design_rejects_malformed():
     for ids in [(0, 0, 1, 2, 3), (3, 0, 2, 1, 0)]:
         with pytest.raises(ValueError, match="duplicate block index"):
             verify_design_ids(PG32, ids)
+
+
+def test_verify_design_refuses_a_key_outside_f_q_n():
+    # the 21 keys of a line spread of F_2^6 are 21 keys of 2 rows each, but
+    # some packed rows reach 2^4, so they are no design of F_2^4 at all
+    spread = block_keys(ParamSet(t=1, k=2, n=6, q=2),
+                        sample_steiner(ParamSet(t=1, k=2, n=6, q=2), 1, 1).designs[0])
+    assert len(spread) == 21 and max(max(key) for key in spread) >= 1 << 4
+    with pytest.raises(ValueError, match=r"^block row outside F_2\^4$"):
+        verify_design(spread, PG32)
+    blocks = block_keys(PG33, enumerate_steiner(PG33)[0])
+    assert verify_design(blocks, PG33).ok
+    first, second = blocks[0]
+    for bad in [(first + (0,), second), (first, second[:-1] + (3,))]:
+        with pytest.raises(ValueError, match=r"^block row outside F_3\^4$"):
+            verify_design(blocks[1:] + [bad], PG33)
+
+
+@pytest.mark.parametrize("build", [gram_matrix, incidence_matrix])
+def test_gram_and_incidence_matrices_refuse_an_index_outside_the_lines(build):
+    # -1 would index the last row of U U^T, and [n k] would be dropped from U
+    n_lines = len(design_context(PG32).k_subspaces)
+    for design in [(-1, 0), (0, n_lines)]:
+        with pytest.raises(ValueError, match=rf"^block index outside 0\.\.{n_lines - 1}$"):
+            build(PG32, [enumerate_steiner(PG32)[0], design])
 
 
 def test_sampling_is_deterministic_and_valid():
@@ -771,7 +798,7 @@ def test_w_rank_mod_p_is_the_rational_rank_on_every_admitted_input():
 
 
 def test_verify_design_names_a_duplicate_block():
-    blocks = block_subspaces(PG32, enumerate_steiner(PG32)[0])
+    blocks = block_keys(PG32, enumerate_steiner(PG32)[0])
     with pytest.raises(ValueError, match="^block 5 duplicates block 2$"):
         verify_design(blocks + [blocks[2]], PG32)
 
@@ -819,9 +846,7 @@ def test_design_file_round_trip(tmp_path):
     assert len(loaded) == 1
     params, blocks = loaded[0]
     assert params == PG32
-    assert sorted(b.basis for b in blocks) == sorted(
-        b.basis for b in block_subspaces(PG32, design)
-    )
+    assert sorted(blocks) == sorted(block_keys(PG32, design))
     assert verify_design(blocks, params).ok
 
 
@@ -835,8 +860,8 @@ def test_design_file_loader_canonicalizes():
         "blocks": [[[1, 1, 0, 0], [0, 1, 1, 0]]],
     }
     params, blocks = design_from_dict(obj)
-    assert blocks[0] == subspace_from_rows([[1, 1, 0, 0], [0, 1, 1, 0]], 4, 2)
-    assert blocks[0].basis == ((1, 0, 1, 0), (0, 1, 1, 0))
+    assert blocks[0] == subspace_from_rows([[1, 1, 0, 0], [0, 1, 1, 0]], 4, 2).key
+    assert Subspace(4, 2, blocks[0]).basis == ((1, 0, 1, 0), (0, 1, 1, 0))
 
 
 def test_design_file_errors(tmp_path):
@@ -885,7 +910,7 @@ def test_steiner_shaped_13_dim_file_checks(tmp_path):
     save_design_file(path, params, blocks)
     loaded_params, loaded_blocks = load_design_file(path)[0]
     assert loaded_params == params
-    assert [b.basis for b in loaded_blocks] == [b.basis for b in blocks]
+    assert loaded_blocks == [b.key for b in blocks]
     result = verify_design(loaded_blocks, params)
     assert not result.ok
     assert result.witness is not None and result.witness.dim == 2
@@ -899,7 +924,7 @@ def test_steiner_shaped_13_dim_file_checks(tmp_path):
         13,
         2,
     )
-    result = verify_design([overlap, other], params)
+    result = verify_design([overlap.key, other.key], params)
     assert not result.ok
 
 
@@ -945,7 +970,7 @@ def test_verify_design_matches_the_per_block_walk_on_every_f2_triple():
                     others = [b for b in blocks if b not in design]
                     lists += [design, design[:-1], design[1:] + [others[0]]]
                 for block_list in lists:
-                    assert (_result(verify_design, block_list, params)
+                    assert (_result(verify_design, [b.key for b in block_list], params)
                             == _result(verify_design_per_block, block_list, params))
                     cases += 1
     assert cases == 35 * 6 + 3 * 3
@@ -970,7 +995,7 @@ def test_verify_design_matches_the_per_block_products_over_f3_and_f4():
                         others = [b for b in blocks if b not in design]
                         lists += [design, design[:-1], design[1:] + [others[0]]]
                     for block_list in lists:
-                        assert (_result(verify_design, block_list, params)
+                        assert (_result(verify_design, [b.key for b in block_list], params)
                                 == _result(verify_design_per_block, block_list, params))
                         cases += 1
     assert cases == 2 * (10 * 6 + 3)
@@ -978,7 +1003,7 @@ def test_verify_design_matches_the_per_block_products_over_f3_and_f4():
 
 def test_design_from_dict_gives_the_same_blocks_on_both_routes(tmp_path, monkeypatch):
     # over F_2 a valid file is read from its text, with no per-block
-    # subspace_from_rows call; the json route gives equal subspaces
+    # _rref_key call; the json route gives equal keys
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import spreadgen
 
@@ -994,13 +1019,12 @@ def test_design_from_dict_gives_the_same_blocks_on_both_routes(tmp_path, monkeyp
     for obj, path in zip(objs, paths):
         path.write_text(json.dumps(obj), encoding="utf-8")
     calls = []
-    real = steiner.subspace_from_rows
-    monkeypatch.setattr(steiner, "subspace_from_rows",
+    real = steiner._rref_key
+    monkeypatch.setattr(steiner, "_rref_key",
                         lambda *args, **kw: calls.append(args) or real(*args, **kw))
     text = [load_design_file(path) for path in paths]
     assert len(calls) == len(objs[2]["blocks"])  # PG(3,3) only
     monkeypatch.setattr(steiner, "_read_f2_designs", lambda text: None)
     for obj, path, [(params, blocks)] in zip(objs, paths, text):
         assert load_design_file(path) == [design_from_dict(obj)] == [(params, blocks)]
-        assert [b.pivots for b in blocks] == [b.pivots for b in design_from_dict(obj)[1]]
     assert len(text[0][0][1]) == 341 and verify_design(text[0][0][1], text[0][0][0]).ok
