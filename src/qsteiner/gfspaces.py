@@ -319,11 +319,13 @@ def _f2_text_blocks(text: str, start: int, end: int, n: int, k: int) -> list[tup
 
     With JSON whitespace deleted and each 1 read as 0, the array must equal,
     byte for byte, the fixed-width template of its blocks: k rows of n
-    one-character slots each (``steiner.load_design_file`` says why that
-    check is exact).  Each row's digits, reversed, are its packed word (bit
-    j is column j), and each block is reduced by ``_f2_eliminate``.  The
-    text is read a fixed number of characters at a time, so no copy of the
-    whole array is held.
+    one-character slots each.  Whitespace only sits between tokens, so that
+    is exact: a split number (``1 0``) leaves two digits side by side, and
+    ``-0``, ``01``, ``1.0``, ``true``, a comma too many or too few and a
+    wrong row length each change a byte.  Each row's digits, reversed, are
+    its packed word (bit j is column j), and each block is reduced by
+    ``_f2_eliminate``.  The text is read a fixed number of characters at a
+    time, so no copy of the whole array is held.
     """
     size = k * (2 * n + 2) + 2  # one block and its comma
     if size > end - start:

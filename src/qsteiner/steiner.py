@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
+from operator import and_, lt, neg
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -161,6 +163,12 @@ def _first_miss(coverage, witness=lambda s: s) -> VerificationResult:
     return VerificationResult(True)
 
 
+def _leading_one(row: tuple) -> int:
+    """The column of a row's leading entry if that entry is 1, else -1."""
+    p = row.index(1) if 1 in row else -1
+    return -1 if any(row[:p]) else p
+
+
 def verify_design(blocks: Sequence[tuple], params: ParamSet) -> VerificationResult:
     """Check that every t-subspace lies in exactly one of the given blocks,
     each the canonical RREF key of a k-subspace (``Subspace.key``).
@@ -170,7 +178,8 @@ def verify_design(blocks: Sequence[tuple], params: ParamSet) -> VerificationResu
     failure the witness t-subspace, the one Subspace built here, and its
     coverage come back.  Raises for malformed blocks (wrong dimension,
     duplicates, a row outside F_q^n: over F_2 a packed int of more than n
-    bits, otherwise not n entries in 0..q-1), for blocks of more than
+    bits, otherwise not n entries in 0..q-1, and a key that is not a
+    rank-k RREF, which ``_coverage_columns`` needs), for blocks of more than
     _BLOCK_COVER_GUARD t-subspaces each, decided by ``gauss_binom_guard``
     before any coverage is built, and for any q over that guard, whose
     witness walk would hold range(q) as a tuple.
@@ -193,11 +202,20 @@ def verify_design(blocks: Sequence[tuple], params: ParamSet) -> VerificationResu
                 raise ValueError(f"block of dimension {len(key)}, expected {k}")
             if (first := seen.setdefault(key, idx)) != idx:
                 raise ValueError(f"block {idx} duplicates block {first}")
-    rows = chain.from_iterable
-    entries, top = (rows, 1 << n) if q == 2 else (lambda b: rows(rows(b)), q)
-    if (q != 2 and set(map(len, rows(blocks))) - {n}
-            or min(entries(blocks), default=0) < 0 or max(entries(blocks), default=0) >= top):
+    flat = list(chain.from_iterable(blocks))
+    entries, top = (flat, 1 << n) if q == 2 else (list(chain.from_iterable(flat)), q)
+    if (q != 2 and set(map(len, flat)) - {n}
+            or min(entries, default=0) < 0 or max(entries, default=0) >= top):
         raise ValueError(f"block row outside F_{q}^{n}")
+    # an RREF with no zero row: the pivots (lowest set bits over F_2) rise down
+    # each block, and no row is nonzero at a later row's pivot; flat[i::k] is row i
+    if q == 2:
+        pivots, at, bad = list(map(and_, flat, map(neg, flat))), and_, 0
+    else:
+        pivots, at, bad = list(map(_leading_one, flat)), tuple.__getitem__, -1
+    if (bad in pivots or not all(all(map(lt, pivots[i::k], pivots[i + 1::k])) for i in range(k - 1))
+            or any(any(map(at, flat[i::k], pivots[j::k])) for j in range(k) for i in range(j))):
+        raise ValueError(f"block not a rank-{k} RREF")
 
     coverage = Counter()
     if blocks:  # with no blocks the kernel would build Gr(k, t) for nothing
@@ -826,100 +844,56 @@ def design_from_dict(obj: dict) -> tuple[ParamSet, list[tuple]]:
     return params, blocks
 
 
-_SKIP_SPACE = json.decoder.WHITESPACE.match
-_SCAN = json.JSONDecoder().scan_once
-
-
 def _read_f2_designs(text: str) -> list[tuple[ParamSet, list[tuple]]] | None:
     """The designs of a design file's text when every one is over F_2 and
     its block list is a plain 0/1 array, read with no nested lists built;
-    None for any other text.
+    None for any other text, text that is not JSON included.
 
-    The top level is walked as one design object or an array of them, and
-    every key and every member value but ``blocks`` is read by json's own
-    scanner, so escapes, number forms, duplicate keys (the last wins), extra
-    keys and member order all behave as in ``json.loads``.  A block list is
-    the text from its ``[`` to the last ``]`` before the next ``"`` or ``}``,
-    which neither it nor the whitespace and comma after it can hold.  Once
-    the object's n and k are read, ``_f2_text_blocks`` checks that span
-    against its exact template, so each design this returns is the one
-    ``design_from_dict`` makes of the parsed object.
+    Each block list, from the ``[`` after a ``"blocks"`` key to the last
+    ``]`` before the next ``"`` or ``}``, is cut out for a ``NaN``, which
+    ``json.loads`` reads as the cut's (start, end).  The text is taken only
+    if the cuts are the designs' ``blocks``, one each, with no other
+    constant, and each matches its template (``_f2_text_blocks``).
     """
+    cuts = []
+    for match in re.finditer(r'"blocks"[ \t\n\r]*:[ \t\n\r]*\[', text):
+        i = match.end() - 1
+        brace = text.find("}", i)
+        quote = text.find('"', i, brace)
+        if end := text.rfind("]", i, brace if quote < 0 else quote) + 1:
+            cuts.append((i, end))
+    bounds = [0, *chain.from_iterable(cuts), len(text)]
+    marks, other = iter(cuts), []
+    try:
+        obj = json.loads("NaN".join(text[a:b] for a, b in zip(bounds[::2], bounds[1::2])),
+                         parse_constant=lambda name: next(marks, None) or other.append(name))
+    except ValueError:
+        return None
+    objs = obj if type(obj) is list else [obj]
+    if other or not cuts or [type(o) is dict and o.get("blocks") for o in objs] != cuts:
+        return None
     designs = []
-    i = _SKIP_SPACE(text).end()
-    array = text.startswith("[", i)
-    while True:
-        if array:
-            i = _SKIP_SPACE(text, i + 1).end()
-        if not text.startswith("{", i):
-            return None
-        obj = {}
-        while True:  # one member: key, colon, value
-            i = _SKIP_SPACE(text, i + 1).end()
-            if not text.startswith('"', i):
-                return None
-            key, i = _SCAN(text, i)
-            i = _SKIP_SPACE(text, i).end()
-            if not text.startswith(":", i):
-                return None
-            i = _SKIP_SPACE(text, i + 1).end()
-            if key != "blocks":
-                obj[key], i = _SCAN(text, i)
-            else:
-                brace = text.find("}", i)
-                quote = text.find('"', i, brace)
-                end = text.rfind("]", i, brace if quote < 0 else quote) + 1
-                if "blocks" in obj or brace < 0 or not end or not text.startswith("[", i):
-                    return None
-                obj[key], i = (i, end), end
-            i = _SKIP_SPACE(text, i).end()
-            if not text.startswith(",", i):
-                break
-        q, n, k, t = map(obj.get, "qnkt")
-        if (not text.startswith("}", i) or "blocks" not in obj
-                or any(type(v) is not int for v in (q, n, k, t)) or q != 2 or not 1 <= t < k <= n):
-            return None
-        blocks = _f2_text_blocks(text, *obj["blocks"], n, k)
-        if blocks is None:
+    for o in objs:
+        q, n, k, t = map(o.get, "qnkt")
+        if (any(type(v) is not int for v in (q, n, k, t)) or q != 2 or not 1 <= t < k <= n
+                or (blocks := _f2_text_blocks(text, *o["blocks"], n, k)) is None):
             return None
         designs.append((ParamSet(t=t, k=k, n=n, q=q), blocks))
-        i = _SKIP_SPACE(text, i + 1).end()
-        if not (array and text.startswith(",", i)):
-            break
-    if array:
-        if not text.startswith("]", i):
-            return None
-        i = _SKIP_SPACE(text, i + 1).end()
-    return designs if i == len(text) else None
+    return designs
 
 
 def load_design_file(path: str | Path) -> list[tuple[ParamSet, list[tuple]]]:
     """Load one design object or an array of them from a JSON file, as
     (params, block keys) pairs: each block is its canonical RREF key, the
-    input ``verify_design`` takes.  A design in an array that fails to parse
-    is named by its position.
-
-    A file of F_2 designs is read from its text by ``_read_f2_designs``:
-    each block list, JSON whitespace deleted and each 1 read as 0, must be
-    byte for byte the fixed-width template of its blocks.  That is exact,
-    because whitespace only sits between tokens: whitespace that split a
-    number (``1 0``) leaves two digits side by side, which no template has,
-    and ``-0``, ``01``, ``1.0``, ``true``, a missing or extra comma and a
-    wrong row length each change a byte.
-
-    Any file that route does not take (another field, a block list in any
-    other form, a rank-deficient block, bad parameters, an empty array, a
-    byte order mark, text that is not JSON) is parsed by ``json.loads``
-    instead, which names what is wrong.  Both read the same decoded text,
-    newlines translated as ``read_text`` does, so parse errors name the
-    same line, column and character.
+    input ``verify_design`` takes.  A file of F_2 designs is read from its
+    text (``_read_f2_designs``); any other file (another field, a block list
+    in any other form, a rank-deficient block, bad parameters, an empty
+    array, a byte order mark, text that is not JSON) is parsed by
+    ``json.loads`` and walked block by block, which names what is wrong,
+    and a design in an array by its position.
     """
     text = Path(path).read_text(encoding="utf-8")
-    try:
-        designs = _read_f2_designs(text)
-    except (StopIteration, ValueError):  # json's scanner found no value, or a bad one
-        designs = None
-    if designs is not None:
+    if (designs := _read_f2_designs(text)) is not None:
         return designs
     try:
         obj = json.loads(text)

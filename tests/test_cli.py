@@ -685,6 +685,7 @@ def _rank_deficient() -> dict:
 
 
 _SPREAD = json.dumps(_spread_object(2))
+_BLOCK = "[[[1, 0, 0, 0], [0, 1, 0, 0]]]"  # one block list, for keys other than a design's
 _INDENTED = json.dumps(_spread_object(2), indent=2)
 
 
@@ -711,10 +712,19 @@ _INDENTED = json.dumps(_spread_object(2), indent=2)
      '[0, 0, 1, 0], [0, 0, 0, 1]]]}', True, 0),
     (json.dumps(_rank_deficient()), False, 2),
     ('{"q": 2, "n": 4, "k": 2, "t": 1, "blocks": []}', False, 1),
+    ('{"note": NaN, ' + _SPREAD[1:], False, 0),
+    (_SPREAD[:-1] + ', "note": NaN}', False, 0),
+    ('{"bound": Infinity, ' + _SPREAD[1:], False, 0),
+    (_SPREAD[:-1] + f', "meta": {{"blocks": {_BLOCK}}}}}', False, 0),
+    (_SPREAD.replace('"blocks"', '"\\u0062locks"'), False, 0),
+    (f'{{"q": 2, "n": 4, "k": 2, "t": 1, "blocks": 0, "meta": {{"blocks": {_BLOCK}}}}}',
+     False, 2),
 ], ids=["minus-zero", "split-number", "leading-zero", "float", "true", "comma-in-row",
         "comma-after-last-block", "sorted-indented", "duplicate-n-first", "duplicate-n-last",
         "extra-key", "escaped-q", "bom", "crlf", "crlf-error-on-line-3", "array-of-two",
-        "array-q2-q3", "n-1", "k-equals-n", "rank-deficient-late", "empty-blocks"])
+        "array-q2-q3", "n-1", "k-equals-n", "rank-deficient-late", "empty-blocks",
+        "nan-before-blocks", "nan-after-blocks", "infinity", "nested-blocks",
+        "escaped-blocks", "blocks-zero-beside-nested-list"])
 def test_text_route_and_json_route_give_the_same_run(text, taken, code, tmp_path, capsys,
                                                      monkeypatch):
     # a file the text route reads gives the run the json route gives it, and

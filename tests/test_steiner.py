@@ -352,6 +352,28 @@ def test_verify_design_refuses_a_key_outside_f_q_n():
             verify_design(blocks[1:] + [bad], PG33)
 
 
+def test_verify_design_refuses_a_key_not_in_rref():
+    # coverage reads each key as an RREF: PG(3,3) block 1 with every entry
+    # doubled, in place of block 0, covers block 1's line twice and block 0's
+    # not at all, and would pass if the keys were trusted
+    blocks = block_keys(PG33, enumerate_steiner(PG33)[0])
+    assert blocks[1] == ((1, 0, 0, 1), (0, 1, 1, 0))
+    bad3 = [((2, 0, 0, 2), (0, 2, 2, 0)),  # leading entries 2
+            ((0, 1, 1, 0), (1, 0, 0, 1)),  # pivots falling
+            ((1, 1, 0, 0), (0, 1, 0, 0)),  # nonzero above a pivot
+            ((1, 0, 0, 0), (0, 0, 0, 0))]  # a zero row
+    for bad in bad3:
+        with pytest.raises(ValueError, match=r"^block not a rank-2 RREF$"):
+            verify_design(blocks[1:] + [bad], PG33)
+    # over F_2 a key is packed rows, bit j holding column j: 9 and 15 share
+    # pivot 0, 2 comes before 1, 3 is set at 2's pivot, and 0 is a zero row
+    blocks = block_keys(PG32, enumerate_steiner(PG32)[0])
+    assert blocks[0] == (1, 2)
+    for bad in [(9, 15), (2, 1), (3, 2), (1, 0)]:
+        with pytest.raises(ValueError, match=r"^block not a rank-2 RREF$"):
+            verify_design(blocks[1:] + [bad], PG32)
+
+
 @pytest.mark.parametrize("build", [gram_matrix, incidence_matrix])
 def test_gram_and_incidence_matrices_refuse_an_index_outside_the_lines(build):
     # -1 would index the last row of U U^T, and [n k] would be dropped from U
