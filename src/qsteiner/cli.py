@@ -24,17 +24,17 @@ from pathlib import Path
 from . import identities as ident
 from .exactq import prime_power_parts
 from .grassmann import SchemeInstance, verify_spectrum
-from .linalg import rank_exact
+from .linalg import ExactMatrix, rank_exact
 from .steiner import (
     ParamSet,
     design_context,
     design_to_dict,
+    designs_through_one_block,
     dimension_formula,
     empirical_pair_counts,
     enumerate_steiner,
     gram_check,
     gram_coefficients,
-    gram_matrix,
     load_design_file,
     rank_certificate,
     sample_steiner,
@@ -210,30 +210,47 @@ def _admissibility_error(params: ParamSet) -> str:
     return "inadmissible parameters"
 
 
+def _row_b0_gram(designs: list[tuple[int, ...]],
+                 scheme: SchemeInstance) -> tuple[dict[int, set[int]], ExactMatrix | None]:
+    """Row B0 of U U^T (entry Y: the designs through B0 that contain Y),
+    bucketed by dim(B0 ^ Y), and U U^T = sum_d c_d A_(k-d) if every bucket
+    holds one value c_d, else None.  U U^T commutes with GL(n,q), which is
+    transitive on the pairs of k-subspaces meeting in each dimension, so row
+    B0 fixes every entry; two values in a bucket mean that fails here."""
+    row = [0] * scheme.size
+    for d in designs:
+        for y in d:
+            row[y] += 1
+    buckets = empirical_pair_counts(ExactMatrix([row]), scheme)
+    if any(len(entries) != 1 for entries in buckets.values()):
+        return buckets, None
+    by_relation = {scheme.k - d: c for d, (c,) in buckets.items()}
+    gram = [list(map(by_relation.__getitem__, rel)) for rel in scheme.relation]
+    return buckets, ExactMatrix(gram)
+
+
 def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
-    designs = enumerate_steiner(params)
-    n_designs = len(designs)
+    designs, classes = designs_through_one_block(params)
+    n_designs = classes * len(designs)
     report["mode"] = "enumerate"
     report["N"] = n_designs
     if n_designs == 0:
         report["error"] = "no designs exist for these parameters"
         return False
-    designs_ok = all(verify_design_ids(params, d).ok for d in designs)
+    # GL(n,q) maps these onto all designs; a list, so every index is checked before the row count
+    designs_ok = all([verify_design_ids(params, d).ok and 0 in d for d in designs])
     report["designs_verified"] = designs_ok
 
-    gram = gram_matrix(params, designs)
     coeffs = gram_coefficients(n_designs, params)
-    buckets = empirical_pair_counts(gram, SchemeInstance(params.n, params.k, params.q))
-    diagonal = {params.k: buckets.pop(params.k)}
-    kappa_ok = gram_check(diagonal, coeffs, params.k)
+    buckets, gram = _row_b0_gram(designs, SchemeInstance(params.n, params.k, params.q))
+    kappa_ok = gram_check({params.k: buckets.pop(params.k)}, coeffs, params.k)
     kappa_i_ok = gram_check(buckets, coeffs, params.k)
-    report["kappa"] = _frac(coeffs.kappa)
-    report["kappa_empirical_matches"] = kappa_ok
-    report["kappa_i"] = [_frac(v) for v in coeffs.kappa_i]
-    report["kappa_i_empirical_matches"] = kappa_i_ok
-    # the diagonal and off-diagonal buckets together are every entry
-    gram_ok = kappa_ok and kappa_i_ok
-    report["gram_check"] = gram_ok
+    gram_ok = kappa_ok and kappa_i_ok  # row B0's buckets fix every entry of U U^T
+    report.update(kappa=_frac(coeffs.kappa), kappa_empirical_matches=kappa_ok,
+                  kappa_i=[_frac(v) for v in coeffs.kappa_i],
+                  kappa_i_empirical_matches=kappa_i_ok, gram_check=gram_ok)
+    if gram is None:  # row B0 does not fix U U^T, so the report stops here
+        return False
 
     spectrum_report = verify_gram_spectrum(params, gram, coeffs.kappa)
     report["mu"] = [_frac(v) for _, v, _ in spectrum_report.spectrum]
@@ -247,14 +264,10 @@ def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
     if rank_u is None:
         rank_u = rank_exact(gram)
     target = dimension_formula(params)
-    report["rank_U"] = rank_u
-    report["dimension_formula"] = target
-    report["rank_matches_dimension"] = rank_u == target
+    report.update(rank_U=rank_u, dimension_formula=target,
+                  rank_matches_dimension=rank_u == target)
 
-    return all(
-        [designs_ok, kappa_ok, kappa_i_ok, gram_ok, spectrum_report.ok,
-         rank_u == target]
-    )
+    return designs_ok and gram_ok and spectrum_report.ok and rank_u == target
 
 
 def _dimension_sample(params: ParamSet, config: argparse.Namespace,

@@ -540,13 +540,6 @@ def _coverage_columns(keys: list, k: int, i: int, q: int) -> list:
             for w in grassmannian(k, i, q)]
 
 
-def _coverage_keys(block: Subspace, i: int):
-    """The key of each i-subspace of the block, in the canonical order of
-    the i-subspaces of F_q^k: the one-block case of ``_coverage_columns``."""
-    return list(itertools.chain.from_iterable(
-        _coverage_columns([block.key], block.dim, i, block.q)))
-
-
 def intersection_dim(a: Subspace, b: Subspace) -> int:
     """dim(a ^ b) via dim a + dim b - rank of the stacked bases."""
     if a.ambient != b.ambient or a.q != b.q:

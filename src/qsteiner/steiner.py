@@ -369,19 +369,16 @@ def _class_maps(params: ParamSet) -> dict[int, list[int]]:
     k-subspace indices by g_j, which maps B0 onto B_j.
 
     T0 and B0 are t- and k-subspace 0, span(e_0..e_(t-1)) and
-    span(e_0..e_(k-1)) in canonical order.  g_j maps e_i to row i of B_j's
-    RREF basis for i < k and the other e_i, in order, to the unit rows of
-    B_j's non-pivot columns: together those rows are a basis of F_q^n.
-    g_j permutes the t-subspaces, and a block is the span of its
-    t-subspaces, so its image is the block whose t-subspace set is the
-    image of its own.
+    span(e_0..e_(k-1)), as ``designs_through_one_block`` checks.  g_j maps
+    e_i to row i of B_j's RREF basis for i < k and the other e_i, in order,
+    to the unit rows of B_j's non-pivot columns: together those rows are a
+    basis of F_q^n.  g_j permutes the t-subspaces, and a block is the span
+    of its t-subspaces, so its image is the block whose t-subspace set is
+    the image of its own.
     """
-    t, k, n, q = params.t, params.k, params.n, params.q
+    n, q = params.n, params.q
     ctx = design_context(params)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    t0, b0 = ctx.t_subspaces[0].basis, ctx.k_subspaces[0].basis
-    if t0 != tuple(units[:t]) or b0 != tuple(units[:k]):
-        raise RuntimeError("canonical order does not start with span(e_0..e_(k-1))")
     fld = field(q)
     tid = {s.key: i for i, s in enumerate(ctx.t_subspaces)}
     kid = {tuple(sorted(tids)): b for b, tids in enumerate(ctx.cover)}
@@ -396,31 +393,29 @@ def _class_maps(params: ParamSet) -> dict[int, list[int]]:
     return maps
 
 
-def enumerate_steiner(params: ParamSet) -> list[tuple[int, ...]]:
-    """Every labeled design with these parameters, exactly once.
+def designs_through_one_block(params: ParamSet) -> tuple[list[tuple[int, ...]], int]:
+    """The designs through B0 = span(e_0..e_(k-1)), in search order, and
+    the number of classes, [n-t k-t]_q.
 
-    Every design has exactly one block through T0 = span(e_0..e_(t-1)), so
-    the designs fall into [n-t k-t]_q classes, one per block B_j through T0.
-    GL(n,q) maps designs to designs, so g_j (``_class_maps``), which maps B0
-    = span(e_0..e_(k-1)) onto B_j, maps class 0 one-to-one onto class j.
-    Only class 0 is searched: the exact cover keeps B0 and no other row
-    through T0.  A row with no columns is never a candidate, so those rows
-    are emptied, not dropped, and the search's row indices stay canonical.
-
-    Output is the sorted list of the designs' sorted block-index tuples, so
-    repeated runs are identical.  Inadmissible parameter sets come back
-    empty without searching (no exact cover can exist).  A search that
-    tries more than _ENUMERATION_NODE_BUDGET // [n-t k-t]_q blocks raises
-    ValueError rather than run on for hours.  On PG(3,2) and PG(3,3) the
-    plain search over all classes takes exactly [n-t k-t]_q times the nodes
-    of class 0's, so this refuses what the plain search's 500,000 would.
+    Every design has one block through T0 = span(e_0..e_(t-1)), so the
+    designs fall into one class per block B_j through T0, and GL(n,q) maps
+    class 0 one-to-one onto each (``_class_maps``): N = classes * N0.  The
+    search keeps B0 and empties every other row through T0, so row indices
+    stay canonical.  Inadmissible parameters give no designs, unsearched;
+    over _ENUMERATION_NODE_BUDGET // classes nodes raise ValueError (on
+    PG(3,2) and PG(3,3) the plain search takes exactly classes times class
+    0's nodes); RuntimeError if T0 or B0 is not subspace 0.
     """
-    if params.n < 2 * params.k:
+    t, k, n = params.t, params.k, params.n
+    if n < 2 * k:
         raise ValueError("nontrivial enumeration needs n >= 2k")
     ctx = design_context(params)
-    if not params.admissible:
-        return []
+    units = tuple(tuple(int(i == j) for j in range(n)) for i in range(k))
+    if ctx.t_subspaces[0].basis != units[:t] or ctx.k_subspaces[0].basis != units:
+        raise RuntimeError("canonical order does not start with span(e_0..e_(k-1))")
     classes = sum(1 for tids in ctx.cover if 0 in tids)
+    if not params.admissible:
+        return [], classes
     budget = _ENUMERATION_NODE_BUDGET // classes
     rows = [() if b and 0 in tids else tids for b, tids in enumerate(ctx.cover)]
     found = _ExactCover(len(ctx.t_subspaces), rows).search(node_budget=budget)
@@ -429,8 +424,16 @@ def enumerate_steiner(params: ParamSet) -> list[tuple[int, ...]]:
             f"enumeration gave up after {budget} exact-cover nodes, {_ENUMERATION_NODE_BUDGET} // "
             f"{classes} for the designs through one block; use dimension --sample instead"
         )
-    return sorted(tuple(sorted(map(perm.__getitem__, s)))
-                  for perm in _class_maps(params).values() for s in found)
+    return found, classes
+
+
+def enumerate_steiner(params: ParamSet) -> list[tuple[int, ...]]:
+    """Every labeled design, exactly once, as the sorted list of sorted
+    block-index tuples: each design through B0 (``designs_through_one_block``)
+    mapped by every g_j of ``_class_maps``.  Inadmissible parameters give []."""
+    found, _ = designs_through_one_block(params)
+    maps = _class_maps(params).values() if found else ()
+    return sorted(tuple(sorted(map(perm.__getitem__, s))) for perm in maps for s in found)
 
 
 @dataclass
@@ -610,15 +613,17 @@ def gram_matrix(params: ParamSet, designs: Sequence[Sequence[int]]) -> ExactMatr
 
 def empirical_pair_counts(gram: ExactMatrix,
                           scheme: SchemeInstance) -> dict[int, set[int]]:
-    """Every entry of U U^T, bucketed by the intersection dimension of its
-    two blocks; the diagonal is bucket k.
+    """Every entry of U U^T, or of its leading rows (such as row B0 alone),
+    bucketed by the intersection dimension of its two blocks; the diagonal
+    is bucket k.
 
     Entry (x, y) counts the designs containing both blocks, so constancy per
     bucket is the empirical well-definedness of kappa and the pair
-    coefficients.
+    coefficients.  Raises unless there are [n k] columns and at most [n k]
+    rows.
     """
-    if gram.rows != scheme.size:
-        raise ValueError("Gram matrix rows do not match the scheme size")
+    if gram.cols != scheme.size or gram.rows > scheme.size:
+        raise ValueError("Gram matrix shape does not match the scheme size")
     buckets: dict[int, set[int]] = {}
     for row, relations in zip(gram.data, scheme.relation):
         for entry, i in zip(row, relations):

@@ -7,7 +7,7 @@ here so that the checks built on it stay independent of the code under test.
 import json
 from collections import Counter
 from functools import cache
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from math import comb
 from operator import mul
 from pathlib import Path
@@ -16,7 +16,7 @@ from typing import Sequence
 from qsteiner.exactq import gauss_binom, q_valuation
 from qsteiner.gfspaces import (
     Subspace,
-    _coverage_keys,
+    _coverage_columns,
     _free_positions,
     _pivot_sets_colex,
     field,
@@ -91,12 +91,18 @@ def block_keys(params: ParamSet, blocks: Sequence[int]) -> list[tuple]:
     return [s.key for s in block_subspaces(params, blocks)]
 
 
+def coverage_keys(block: Subspace, i: int) -> list[tuple]:
+    """The key of each i-subspace of the block, in the canonical order of
+    the i-subspaces of F_q^k: the one-block case of ``_coverage_columns``."""
+    return list(chain.from_iterable(_coverage_columns([block.key], block.dim, i, block.q)))
+
+
 def per_intersection_counts(params: ParamSet, blocks: Sequence[int], i: int) -> set[int]:
     """#{Y != X : X ^ Y = I} over all blocks X and i-subspaces I of X."""
     blocks = block_subspaces(params, blocks)
     counts = set()
     for x, bx in enumerate(blocks):
-        for key in _coverage_keys(bx, i):
+        for key in coverage_keys(bx, i):
             ispace = Subspace(params.n, params.q, key)
             c = 0
             for y, by in enumerate(blocks):

@@ -14,7 +14,14 @@ import qsteiner
 from qsteiner import cli, steiner
 from qsteiner.cli import main
 from qsteiner.exactq import gauss_binom
-from qsteiner.steiner import ParamSet, enumerate_steiner
+from qsteiner.grassmann import SchemeInstance
+from qsteiner.steiner import (
+    ParamSet,
+    designs_through_one_block,
+    empirical_pair_counts,
+    enumerate_steiner,
+    gram_matrix,
+)
 
 from oracles import block_subspaces, save_design_file
 
@@ -69,13 +76,15 @@ def test_reports_are_byte_identical(tmp_path):
 @pytest.mark.parametrize("argv, digest", [
     (["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "2"],
      "16e645d844117ed36fa0646192f6dfe3858c5cbb32f2b4ccec81395930ad4714"),
+    (["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3"],
+     "155a5eb05811511efc887653ecb3e729b6d54d27da79d1a67a668948235ceda3"),
     (["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3", "--sample", "--seed", "7"],
      "eca7da2d6e4c4141c89db2163adf3ad438d08aec35aad4e3f487a2d516c680a0"),
     (["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3", "--sample", "--seed", "3"],
      "b0652bf9d9fec9eb20082ab4e8edeaeb581377af11f20bb39d91a1dc200c2bab"),
     (["scheme", "--n", "4", "--k", "2", "--q", "3"],
      "29b4567b8c5d3c3dd8d1f07bd2dbb37832a67caee68667e451b974723299cdf7"),
-], ids=["pg32", "pg33-sample-seed7", "pg33-sample-seed3", "scheme-4-2-3"])
+], ids=["pg32", "pg33", "pg33-sample-seed7", "pg33-sample-seed3", "scheme-4-2-3"])
 def test_reports_match_pinned_digests(argv, digest, capsys):
     """The stdout reports, byte for byte, as pinned by their sha256."""
     assert main(argv) == 0
@@ -159,6 +168,74 @@ def test_rank_u_does_not_trust_the_closed_form(tmp_path, monkeypatch):
     assert report["all_pass"] is False
     checks = report["spectral_rank_checks"]
     assert checks and not any(c["ok"] for c in checks)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_row_b0_gram_is_the_gram_matrix_of_all_designs(q):
+    """The fast path against the exact path: U U^T rebuilt from row B0 of
+    the designs through B0 is U U^T summed over every enumerated design,
+    entry for entry, with the same buckets and N = classes * N0."""
+    params = ParamSet(t=1, k=2, n=4, q=q)
+    scheme = SchemeInstance(4, 2, q)
+    found, classes = designs_through_one_block(params)
+    every = enumerate_steiner(params)
+    full = gram_matrix(params, every)
+    buckets, gram = cli._row_b0_gram(found, scheme)
+    assert classes * len(found) == len(every)
+    assert gram == full
+    assert buckets == empirical_pair_counts(full, scheme)
+
+
+def _one_off_b0(found):
+    """The last design swapped for one through another block of T0."""
+    params = ParamSet(t=1, k=2, n=4, q=2)
+    return found[:-1] + [next(d for d in enumerate_steiner(params) if 0 not in d)]
+
+
+@pytest.mark.parametrize("fault, flag", [
+    (lambda found: found[:-1], "kappa_i_empirical_matches"),
+    (_one_off_b0, "designs_verified"),
+    (lambda found: found + found[:1], "kappa_i_empirical_matches"),
+], ids=["dropped", "not-through-b0", "bucket-two-values"])
+def test_dimension_catches_a_faulty_search_through_one_block(fault, flag, tmp_path, capsys,
+                                                            monkeypatch):
+    """A class-0 search that drops a design, returns one not through B0 or
+    counts one twice fails the run with exit 1 and a report, not a
+    traceback.  Each also leaves a row-B0 bucket with two values: row B0
+    then does not fix U U^T, so gram_check is false and the report stops
+    before the spectrum."""
+    real = cli.designs_through_one_block
+
+    def faulty(params):
+        found, classes = real(params)
+        return fault(found), classes
+
+    monkeypatch.setattr(cli, "designs_through_one_block", faulty)
+    out = tmp_path / "d.json"
+    assert main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "2",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "dimension (1,2,4,2): FAILED\n"
+    report = json.loads(out.read_text())
+    assert report[flag] is False
+    assert report["all_pass"] is False
+    assert report["gram_check"] is False
+    assert "mu" not in report and "rank_U" not in report
+
+
+def test_dimension_builds_no_gram_from_all_designs(monkeypatch, capsys):
+    """Enumerate mode reads U U^T from the designs through one block: it
+    never maps them onto the other classes nor sums N b^2 increments."""
+    calls = []
+    for name in ("gram_matrix", "_class_maps"):
+        real = getattr(steiner, name)
+        monkeypatch.setattr(steiner, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    assert main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["N"] == 8424
+    assert calls == []
+    assert not hasattr(cli, "gram_matrix") and not hasattr(cli, "_class_maps")
+    enumerate_steiner(ParamSet(t=1, k=2, n=4, q=2))  # the spy sees a caller
+    assert calls == ["_class_maps"]
 
 
 def test_dimension_sampling_certificate(tmp_path):

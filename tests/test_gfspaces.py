@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     canonical_index,
     count_fixed_intersection_bruteforce,
+    coverage_keys,
     mobius_delta_check,
     span_coverage_keys,
     spanning_count_bruteforce,
@@ -17,7 +18,6 @@ from qsteiner.gfspaces import (
     _basis_for,
     _canonical_keys,
     _coverage_columns,
-    _coverage_keys,
     _free_positions,
     _inner_indices,
     _pivot_sets_colex,
@@ -178,7 +178,7 @@ def test_contains_matches_inner_subspaces():
         for block in grassmannian(4, 2, q):
             for i in range(5):
                 subs = grassmannian(4, i, q)
-                inside = set(_coverage_keys(block, i)) if i <= block.dim else set()
+                inside = set(coverage_keys(block, i)) if i <= block.dim else set()
                 for s in subs:
                     assert block.contains(s) == (s.key in inside)
                     cases += 1
@@ -344,7 +344,7 @@ def test_packed_coverage_keys_match_gf_matmul():
         for k in range(n + 1):
             for block in grassmannian(n, k, 2):
                 for i in range(k + 1):
-                    keys = list(_coverage_keys(block, i))
+                    keys = list(coverage_keys(block, i))
                     subs = grassmannian(k, i, 2)
                     assert len(keys) == len(subs)
                     for key, w in zip(keys, subs):
@@ -455,7 +455,7 @@ def test_one_coverage_kernel_matches_per_block_tables():
                         for b in blocks]
                     columns = _coverage_columns([b.key for b in blocks], k, i, q)
                     assert [list(keys) for keys in zip(*columns)] == expected
-                    assert [_coverage_keys(b, i) for b in blocks] == expected
+                    assert [coverage_keys(b, i) for b in blocks] == expected
                     index = {s.key: j for j, s in enumerate(grassmannian(n, i, q))}
                     assert _inner_indices(n, k, i, q) == tuple(
                         tuple(index[key] for key in keys) for keys in expected)

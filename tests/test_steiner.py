@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,6 @@ from qsteiner import steiner
 from qsteiner.exactq import gauss_binom, gauss_binom_guard
 from qsteiner.gfspaces import (
     Subspace,
-    _coverage_keys,
     _f2_eliminate,
     field,
     gf_matmul,
@@ -25,7 +25,7 @@ from qsteiner.grassmann import (
     eisfeld_eigenvalue,
     rank_checks,
 )
-from qsteiner.linalg import mat_mul, rank_exact, rank_mod_p
+from qsteiner.linalg import ExactMatrix, mat_mul, rank_exact, rank_mod_p
 from qsteiner.steiner import (
     _ExactCover,
     _class_maps,
@@ -34,6 +34,7 @@ from qsteiner.steiner import (
     design_context,
     design_from_dict,
     design_to_dict,
+    designs_through_one_block,
     dimension_formula,
     empirical_pair_counts,
     enumerate_steiner,
@@ -61,6 +62,7 @@ from oracles import (
     block_keys,
     block_subspaces,
     col_sums,
+    coverage_keys,
     enumerate_plain,
     per_intersection_counts,
     row_sums,
@@ -128,6 +130,9 @@ def test_enumeration_through_one_block_is_the_plain_search(params, classes, per_
     assert _sorted_distinct_ints(designs)
     assert len(designs) == classes * per_class
     assert sum(0 in d for d in designs) == per_class
+    found, n_classes = designs_through_one_block(params)
+    assert n_classes == classes
+    assert sorted(found) == [d for d in designs if 0 in d]
     plain = _ExactCover(len(ctx.t_subspaces), ctx.cover)
     assert plain.search(node_budget=classes * class_nodes) is not None
     assert plain.search(node_budget=classes * class_nodes - 1) is None
@@ -167,6 +172,18 @@ def test_class_maps_are_the_block_maps_of_g_j(params):
 
 def test_enumeration_inadmissible_is_empty():
     assert enumerate_steiner(ParamSet(t=1, k=2, n=5, q=2)) == []
+    assert designs_through_one_block(ParamSet(t=1, k=2, n=5, q=2)) == ([], 15)
+
+
+def test_search_through_one_block_refuses_another_canonical_order(monkeypatch):
+    """B0 and T0 must be k- and t-subspace 0, the unit spans; an order that
+    starts elsewhere raises before any search."""
+    ctx = design_context(PG32)
+    shuffled = SimpleNamespace(**vars(ctx))
+    shuffled.k_subspaces = ctx.k_subspaces[::-1]
+    monkeypatch.setattr(steiner, "design_context", lambda params: shuffled)
+    with pytest.raises(RuntimeError, match="canonical order"):
+        designs_through_one_block(PG32)
 
 
 def test_enumeration_guard():
@@ -287,7 +304,7 @@ def _witness_by_iter_subspaces(blocks, params):
     """The witness walk that builds a Subspace for every t-subspace."""
     coverage = {}
     for b in blocks:
-        for key in _coverage_keys(b, params.t):
+        for key in coverage_keys(b, params.t):
             coverage[key] = coverage.get(key, 0) + 1
     return _first_miss(
         ((s, coverage.get(s.key, 0))
@@ -573,6 +590,23 @@ def test_empirical_kappa_matches_formula():
     assert buckets[0] == {2}  # disjoint pairs lie in exactly two spreads
     assert buckets[1] == {0}  # meeting pairs never share a spread
     assert buckets[0] == {kappa_i_formula(56, 0, PG32)}
+
+
+@pytest.mark.parametrize("leading", [1, 3, 35])
+def test_empirical_pair_counts_takes_leading_rows(leading):
+    """Row B0 alone, or any leading rows of U U^T, give the full matrix's
+    buckets on PG(3,2): every relation occurs in every row."""
+    gram = gram_matrix(PG32, enumerate_steiner(PG32))
+    rows = ExactMatrix(gram.data[:leading], cols=gram.cols)
+    assert empirical_pair_counts(rows, SchemeInstance(4, 2, 2)) == {2: {8}, 1: {0}, 0: {2}}
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 34), (1, 36), (35, 34), (36, 35), (0, 0)])
+def test_empirical_pair_counts_refuses_a_shape_off_the_scheme(rows, cols):
+    """[n k] columns and at most [n k] rows, or ValueError."""
+    with pytest.raises(ValueError, match="shape"):
+        empirical_pair_counts(ExactMatrix([[0] * cols] * rows, cols=cols),
+                              SchemeInstance(4, 2, 2))
 
 
 def test_per_intersection_counts_match_formula():
