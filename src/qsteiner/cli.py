@@ -211,12 +211,13 @@ def _admissibility_error(params: ParamSet) -> str:
 
 
 def _row_b0_gram(designs: list[tuple[int, ...]],
-                 scheme: SchemeInstance) -> tuple[dict[int, set[int]], ExactMatrix | None]:
+                 scheme: SchemeInstance) -> tuple[dict[int, set[int]], list[int] | None]:
     """Row B0 of U U^T (entry Y: the designs through B0 that contain Y),
-    bucketed by dim(B0 ^ Y), and U U^T = sum_d c_d A_(k-d) if every bucket
-    holds one value c_d, else None.  U U^T commutes with GL(n,q), which is
-    transitive on the pairs of k-subspaces meeting in each dimension, so row
-    B0 fixes every entry; two values in a bucket mean that fails here."""
+    bucketed by dim(B0 ^ Y), and the coefficients c_0..c_k of
+    U U^T = sum_d c_d A_(k-d) if every bucket holds one value c_d, else
+    None.  U U^T commutes with GL(n,q), which is transitive on the pairs of
+    k-subspaces meeting in each dimension, so row B0 fixes every entry; two
+    values in a bucket mean that fails here."""
     row = [0] * scheme.size
     for d in designs:
         for y in d:
@@ -224,9 +225,7 @@ def _row_b0_gram(designs: list[tuple[int, ...]],
     buckets = empirical_pair_counts(ExactMatrix([row]), scheme)
     if any(len(entries) != 1 for entries in buckets.values()):
         return buckets, None
-    by_relation = {scheme.k - d: c for d, (c,) in buckets.items()}
-    gram = [list(map(by_relation.__getitem__, rel)) for rel in scheme.relation]
-    return buckets, ExactMatrix(gram)
+    return buckets, [min(buckets.get(d, {0})) for d in range(scheme.k + 1)]
 
 
 def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
@@ -242,27 +241,30 @@ def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
     report["designs_verified"] = designs_ok
 
     coeffs = gram_coefficients(n_designs, params)
-    buckets, gram = _row_b0_gram(designs, SchemeInstance(params.n, params.k, params.q))
+    scheme = SchemeInstance(params.n, params.k, params.q)
+    buckets, coefficients = _row_b0_gram(designs, scheme)
     kappa_ok = gram_check({params.k: buckets.pop(params.k)}, coeffs, params.k)
     kappa_i_ok = gram_check(buckets, coeffs, params.k)
     gram_ok = kappa_ok and kappa_i_ok  # row B0's buckets fix every entry of U U^T
     report.update(kappa=_frac(coeffs.kappa), kappa_empirical_matches=kappa_ok,
                   kappa_i=[_frac(v) for v in coeffs.kappa_i],
                   kappa_i_empirical_matches=kappa_i_ok, gram_check=gram_ok)
-    if gram is None:  # row B0 does not fix U U^T, so the report stops here
+    if coefficients is None:  # row B0 does not fix U U^T, so the report stops here
         return False
 
-    spectrum_report = verify_gram_spectrum(params, gram, coeffs.kappa)
+    spectrum_report = verify_gram_spectrum(params, coefficients, coeffs.kappa)
     report["mu"] = [_frac(v) for _, v, _ in spectrum_report.spectrum]
     report["multiplicities"] = [m for _, _, m in spectrum_report.spectrum]
     report["spectral_rank_checks"] = [c.to_dict() for c in spectrum_report.checks]
     report["trace_check"] = spectrum_report.trace_ok
 
     # rank(U) == rank(U U^T) over Q; the value-0 rank check has already
-    # ranked U U^T - 0*I, and the closed form need not contain 0.
+    # ranked U U^T - 0*I, and the closed form need not contain 0: then a
+    # proven spectrum leaves U U^T full rank, and an unproven one is ranked
     rank_u = next((c.rank for c in spectrum_report.checks if c.value == 0), None)
     if rank_u is None:
-        rank_u = rank_exact(gram)
+        dense = spectrum_report.dense
+        rank_u = scheme.size if dense is None else rank_exact(dense)
     target = dimension_formula(params)
     report.update(rank_U=rank_u, dimension_formula=target,
                   rank_matches_dimension=rank_u == target)

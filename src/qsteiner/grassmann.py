@@ -6,7 +6,10 @@ agree.  Spectrum verification never computes an eigenvector: for each
 relation the shifted matrix A_i - v*I must lose exactly the predicted
 multiplicity of rank, with exactly-equal eigenvalues grouped first.  Those
 ranks are proven by the annihilating polynomial of the candidate values,
-with Bareiss elimination as the fallback (``rank_checks``).
+with Bareiss elimination as the fallback: on dense matrices
+(``rank_checks``), or for an element sum_i x_i A_i of the scheme's
+Bose-Mesner algebra on its (k+1)-vector x, with the counted and checked
+intersection numbers as structure constants (``element_rank_checks``).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import prod
 from operator import mul
 
@@ -100,6 +104,50 @@ class SchemeInstance:
         relation_of = {(q**i - 1) // (q - 1): k - i for i in range(k + 1)}
         return [[relation_of[(mx & my).bit_count()] for my in masks] for mx in masks]
 
+    @cached_property
+    def intersection_numbers(self) -> list[list[list[int]]] | None:
+        """p[h][i][j] = |R_i(x) ^ R_j(y)| for every pair (x, y) in relation h,
+        so that A_i A_j = sum_h p[h][i][j] A_h; None when the relations do
+        not form a symmetric association scheme.
+
+        Each p[h] is counted on one pair (B0, Y_h), all zero for an empty
+        relation h.  Then, with one bit mask R_i(x) per point and relation,
+        every row must have B0's valencies, summing to [n k], with
+        R_0(x) = {x}; every pair x < y must have a symmetric relation h and
+        |R_i(x) ^ R_j(y)| = p[h][i][j] for 1 <= i, j < k; and each p[h] must
+        be symmetric in i, j, which carries the pairs x < y over to y > x.
+        The other entries follow: i or j = 0 from R_0(x) = {x}, i or j = k
+        from the row sums (R_0(y), ..., R_k(y) partition the points, so
+        sum_j |R_i(x) ^ R_j(y)| = v_i), and the pairs x = y from the
+        valencies.
+        """
+        rel, k = self.relation, self.k
+        if [list(col) for col in zip(*rel)] != rel:
+            return None
+        tables = [bytes(49 if v == i else 48 for v in range(256)) for i in range(k + 1)]
+        masks = [[int(word.translate(t), 2) for t in tables]
+                 for word in (bytes(reversed(row)) for row in rel)]
+        valencies = [m.bit_count() for m in masks[0]]
+        if sum(valencies) != len(rel) or any(
+                row[0] != 1 << x or [m.bit_count() for m in row] != valencies
+                for x, row in enumerate(masks)):
+            return None
+        first = {h: rel[0].index(h) for h in set(rel[0])}
+        p = [[[(mi & mj).bit_count() for mj in masks[first[h]]] for mi in masks[0]]
+             if h in first else [[0] * (k + 1) for _ in range(k + 1)]
+             for h in range(k + 1)]
+        if any([list(col) for col in zip(*p_h)] != p_h for p_h in p):
+            return None
+        columns = list(zip(*masks))
+        for i, j in product(range(1, k), repeat=2):
+            expected = [p_h[i][j] for p_h in p]
+            for x, row in enumerate(masks):
+                r_i = row[i]
+                if ([(r_i & m).bit_count() for m in columns[j][x + 1:]]
+                        != list(map(expected.__getitem__, rel[x][x + 1:]))):
+                    return None
+        return p
+
     def adjacency_matrix(self, i: int) -> ExactMatrix:
         if not 0 <= i <= self.k:
             raise ValueError(f"relation index {i} outside 0..{self.k}")
@@ -175,6 +223,22 @@ class SpectrumReport:
         }
 
 
+def _value_groups(values: list[tuple[int, Fraction, int]]) -> dict[Fraction, int]:
+    """The (r, value, multiplicity) triples' multiplicities summed per exact
+    value, in order of first appearance."""
+    groups: dict[Fraction, int] = {}
+    for _, v, m in values:
+        groups[v] = groups.get(v, 0) + m
+    return groups
+
+
+def _rank_checks(groups: dict[Fraction, int], size: int, ranks: list[int]) -> list[RankCheck]:
+    return [
+        RankCheck(v, grouped, size - grouped, rank)
+        for (v, grouped), rank in zip(groups.items(), ranks)
+    ]
+
+
 def rank_checks(matrix: ExactMatrix,
                 values: list[tuple[int, Fraction, int]]) -> list[RankCheck]:
     """One rank of matrix - v*I per distinct exact eigenvalue v.
@@ -188,9 +252,7 @@ def rank_checks(matrix: ExactMatrix,
     only M - vI = 0, which the first pivot scan of M - vI decides at the
     same cost, and any other outcome needs the elimination anyway.
     """
-    groups: dict[Fraction, int] = {}
-    for _, v, m in values:
-        groups[v] = groups.get(v, 0) + m
+    groups = _value_groups(values)
     size = matrix.rows
     mults = None
     if len(groups) > 1:
@@ -199,10 +261,25 @@ def rank_checks(matrix: ExactMatrix,
         ranks = [rank_exact(matrix.shifted(v)) for v in groups]
     else:
         ranks = [size - m for m in mults]
-    return [
-        RankCheck(v, grouped, size - grouped, rank)
-        for (v, grouped), rank in zip(groups.items(), ranks)
-    ]
+    return _rank_checks(groups, size, ranks)
+
+
+def element_rank_checks(scheme: SchemeInstance, element: list[int],
+                        values: list[tuple[int, Fraction, int]]
+                        ) -> tuple[list[RankCheck], ExactMatrix | None]:
+    """``rank_checks`` of X = sum_i element[i] A_i, proven in the scheme's
+    Bose-Mesner algebra (``_algebra_multiplicities``), and None.  When that
+    proof fails, X is expanded into a dense matrix, which comes back second,
+    and each shifted copy is ranked by Bareiss elimination, so a failing
+    report still shows the true ranks.
+    """
+    groups = _value_groups(values)
+    size = scheme.size
+    mults = _algebra_multiplicities(scheme, element, list(groups))
+    if mults is not None:
+        return _rank_checks(groups, size, [size - m for m in mults]), None
+    matrix = ExactMatrix([[element[i] for i in row] for row in scheme.relation])
+    return _rank_checks(groups, size, [rank_exact(matrix.shifted(v)) for v in groups]), matrix
 
 
 def _annihilator_multiplicities(matrix: ExactMatrix,
@@ -212,10 +289,8 @@ def _annihilator_multiplicities(matrix: ExactMatrix,
 
     The matrix must be integral and symmetric, hence diagonalizable, and the
     values integral.  With Q_j = (M - v_0 I)...(M - v_(j-1) I), Q_s(M) = 0
-    puts the spectrum inside the values.  The multiplicities m_i then solve
-    trace Q_j(M) = sum_i m_i Q_j(v_i) for j < s: the Vandermonde system of
-    the power traces written in Newton's basis, which is triangular because
-    Q_j(v_i) = 0 for i < j.  Each must come out a non-negative integer.
+    puts the spectrum inside the values, and the traces of Q_0..Q_(s-1) give
+    the multiplicities (``_newton_multiplicities``).
     """
     data = matrix.data
     size = matrix.rows
@@ -235,6 +310,49 @@ def _annihilator_multiplicities(matrix: ExactMatrix,
         q_j = mat_mul(matrix.shifted(v), q_j)
     if any(any(row) for row in q_j.data):
         return None
+    return _newton_multiplicities(points, traces)
+
+
+def _algebra_multiplicities(scheme: SchemeInstance, element: list[int],
+                            values: list[Fraction]) -> list[int] | None:
+    """``_annihilator_multiplicities`` of X = sum_i element[i] A_i, run on
+    its (k+1)-vector of coordinates; None when the proof does not go
+    through or the relations do not form a scheme.
+
+    X is symmetric, as every A_i is.  With p = ``intersection_numbers``, the
+    product of a and b is sum_h (sum_ij a_i b_j p[h][i][j]) e_h; the shift
+    by v changes coordinate 0 (A_0 = I); trace X = x_0 [n k]; and X = 0
+    when x_h = 0 on every relation h with nonzero valency.
+    """
+    p = scheme.intersection_numbers
+    if (
+        p is None
+        or not values
+        or len(element) != scheme.k + 1
+        or any(type(c) is not int for c in element)
+        or any(v.denominator != 1 for v in values)
+    ):
+        return None
+    points = [int(v) for v in values]
+    traces = [scheme.size]
+    q_j = [element[0] - points[0], *element[1:]]
+    for v in points[1:]:
+        traces.append(q_j[0] * scheme.size)
+        a = [element[0] - v, *element[1:]]
+        q_j = [sum(a_i * sum(map(mul, row, q_j)) for a_i, row in zip(a, p_h)) for p_h in p]
+    if any(x_h and p[0][h][h] for h, x_h in enumerate(q_j)):
+        return None
+    return _newton_multiplicities(points, traces)
+
+
+def _newton_multiplicities(points: list[int], traces: list[int]) -> list[int] | None:
+    """The m_i with trace Q_j = sum_i m_i Q_j(v_i) for j < s, where traces[j]
+    is trace Q_j of a diagonalizable M whose spectrum lies among the s
+    distinct points v_i; None unless each is a non-negative integer.
+
+    This is the Vandermonde system of the power traces written in Newton's
+    basis, triangular because Q_j(v_i) = 0 for i < j.
+    """
     mults = [0] * len(points)
     for j in reversed(range(len(points))):
         newton = [prod(x - v for v in points[:j]) for x in points]

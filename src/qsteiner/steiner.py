@@ -45,7 +45,7 @@ from .grassmann import (
     RankCheck,
     SchemeInstance,
     eigenspace_multiplicity,
-    rank_checks,
+    element_rank_checks,
 )
 from .identities import kernel_sum
 from .linalg import ExactMatrix, rank_exact, rank_mod_p
@@ -689,22 +689,28 @@ class GramSpectrumReport:
     spectrum: list[tuple[int, Fraction, int]]
     checks: list[RankCheck]
     trace_ok: bool
+    dense: ExactMatrix | None  # U U^T, built only when the algebra's proof fails
 
     @property
     def ok(self) -> bool:
         return self.trace_ok and all(c.ok for c in self.checks)
 
 
-def verify_gram_spectrum(params: ParamSet, gram: ExactMatrix,
+def verify_gram_spectrum(params: ParamSet, coefficients: list[int],
                          kappa: Fraction) -> GramSpectrumReport:
-    """Rank-deficiency test of U U^T against the closed-form spectrum.
+    """Rank-deficiency test of U U^T = sum_d coefficients[d] A_(k-d) against
+    the closed-form spectrum, proven in the scheme's Bose-Mesner algebra
+    (``element_rank_checks``).
 
     Exactly equal eigenvalues are grouped before asserting the deficiency;
-    the trace must equal [n k]_q * kappa.
+    the trace, coefficients[k] * [n k]_q, must equal [n k]_q * kappa.
     """
     spec = mu_spectrum(params, kappa)
-    trace_ok = gram.trace() == sum(v * m for _, v, m in spec) == gram.rows * Fraction(kappa)
-    return GramSpectrumReport(spec, rank_checks(gram, spec), trace_ok)
+    scheme = SchemeInstance(params.n, params.k, params.q)
+    checks, dense = element_rank_checks(scheme, coefficients[::-1], spec)
+    trace = coefficients[params.k] * scheme.size
+    trace_ok = trace == sum(v * m for _, v, m in spec) == scheme.size * Fraction(kappa)
+    return GramSpectrumReport(spec, checks, trace_ok, dense)
 
 
 def dimension_formula(params: ParamSet) -> int:
@@ -849,6 +855,14 @@ def design_from_dict(obj: dict) -> tuple[ParamSet, list[tuple]]:
     return params, blocks
 
 
+def _only_f2(obj: dict) -> dict:
+    """json's object hook in ``_read_f2_designs``: the parse stops at the
+    first object with a block list whose q is not the int 2."""
+    if "blocks" in obj and not (type(q := obj.get("q")) is int and q == 2):
+        raise ValueError("not a design over F_2")
+    return obj
+
+
 def _read_f2_designs(text: str) -> list[tuple[ParamSet, list[tuple]]] | None:
     """The designs of a design file's text when every one is over F_2 and
     its block list is a plain 0/1 array, read with no nested lists built;
@@ -858,7 +872,8 @@ def _read_f2_designs(text: str) -> list[tuple[ParamSet, list[tuple]]] | None:
     ``]`` before the next ``"`` or ``}``, is cut out for a ``NaN``, which
     ``json.loads`` reads as the cut's (start, end).  The text is taken only
     if the cuts are the designs' ``blocks``, one each, with no other
-    constant, and each matches its template (``_f2_text_blocks``).
+    constant, and each matches its template (``_f2_text_blocks``).  The
+    parse gives up at the first design over another field (``_only_f2``).
     """
     cuts = []
     for match in re.finditer(r'"blocks"[ \t\n\r]*:[ \t\n\r]*\[', text):
@@ -871,7 +886,8 @@ def _read_f2_designs(text: str) -> list[tuple[ParamSet, list[tuple]]] | None:
     marks, other = iter(cuts), []
     try:
         obj = json.loads("NaN".join(text[a:b] for a, b in zip(bounds[::2], bounds[1::2])),
-                         parse_constant=lambda name: next(marks, None) or other.append(name))
+                         parse_constant=lambda name: next(marks, None) or other.append(name),
+                         object_hook=_only_f2)
     except ValueError:
         return None
     objs = obj if type(obj) is list else [obj]

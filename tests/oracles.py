@@ -28,6 +28,7 @@ from qsteiner.gfspaces import (
     rows_rank,
     subspace_from_rows,
 )
+from qsteiner.grassmann import SchemeInstance
 from qsteiner.identities import kernel_sum
 from qsteiner.linalg import ExactMatrix, Scalar
 from qsteiner.steiner import (
@@ -77,6 +78,21 @@ def mat_mul_schoolbook(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         nonzero = [x for x in ra if x]
         out.append([sum(map(mul, nonzero, compress(cb, ra))) for cb in bt])
     return ExactMatrix(out, cols=b.cols)
+
+
+def dense_gram(scheme: SchemeInstance, coefficients: Sequence[int]) -> ExactMatrix:
+    """sum_d coefficients[d] A_(k-d), summed from the scheme's adjacency matrices."""
+    total = zeros(scheme.size, scheme.size).data
+    for d, c in enumerate(coefficients):
+        a = scheme.adjacency_matrix(scheme.k - d).data
+        total = [[t + c * e for t, e in zip(tr, ar)] for tr, ar in zip(total, a)]
+    return ExactMatrix(total, cols=scheme.size)
+
+
+def bucket_coefficients(buckets: dict[int, set[int]], k: int) -> list[int]:
+    """c_0..c_k of U U^T = sum_d c_d A_(k-d) from the buckets of
+    ``empirical_pair_counts``; raises unless each holds exactly one value."""
+    return [c for d in range(k + 1) for (c,) in [buckets[d]]]
 
 
 def block_subspaces(params: ParamSet, blocks: Sequence[int]) -> list[Subspace]:

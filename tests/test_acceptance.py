@@ -46,6 +46,7 @@ from qsteiner.steiner import (
 
 from oracles import (
     block_subspaces,
+    bucket_coefficients,
     count_fixed_intersection_bruteforce,
     kernel_sum_valuation,
     per_intersection_counts,
@@ -107,7 +108,7 @@ def test_criterion_3_pg32_pipeline():
 
     ok = ok and gram_check(buckets, coeffs, params.k)
 
-    spec = verify_gram_spectrum(params, gram, coeffs.kappa)
+    spec = verify_gram_spectrum(params, bucket_coefficients(buckets, 2), coeffs.kappa)
     ok = ok and [str(v) for _, v, _ in spec.spectrum] == ["40", "0", "12"]
     ok = ok and [m for _, _, m in spec.spectrum] == [1, 14, 20]
     ok = ok and spec.ok

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qsteiner
-from qsteiner import cli, steiner
+from qsteiner import cli, grassmann, steiner
 from qsteiner.cli import main
 from qsteiner.exactq import gauss_binom
 from qsteiner.grassmann import SchemeInstance
@@ -23,7 +23,7 @@ from qsteiner.steiner import (
     gram_matrix,
 )
 
-from oracles import block_subspaces, save_design_file
+from oracles import block_subspaces, dense_gram, save_design_file
 
 
 def test_identities_writes_report_and_exits_zero(tmp_path, capsys):
@@ -171,6 +171,51 @@ def test_rank_u_does_not_trust_the_closed_form(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [2, 3])
+def test_dimension_falls_back_to_dense_bareiss_without_the_algebra(q, monkeypatch, capsys):
+    """With no structure constants the spectrum proof fails, U U^T is
+    expanded densely and every shifted copy is ranked by Bareiss: the report
+    is byte for byte the algebra path's."""
+    argv = ["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", str(q)]
+    assert main(argv) == 0
+    proven = capsys.readouterr()
+    ranked = []
+    rank_exact = grassmann.rank_exact
+    monkeypatch.setattr(grassmann, "rank_exact", lambda m: ranked.append(m.rows) or rank_exact(m))
+    monkeypatch.setattr(grassmann.SchemeInstance, "intersection_numbers", None)
+    assert main(argv) == 0
+    assert capsys.readouterr() == proven
+    assert ranked == [gauss_binom(4, 2, q)] * 3
+
+
+def test_rank_u_is_the_size_when_0_is_proven_no_eigenvalue(monkeypatch, capsys):
+    """U U^T + I has the spectrum mu + 1, without 0: once the algebra proves
+    it, rank(U U^T + I) is the full size with no elimination at all."""
+    row_b0_gram, true_spectrum = cli._row_b0_gram, steiner.mu_spectrum
+
+    def plus_identity(designs, scheme):
+        buckets, coefficients = row_b0_gram(designs, scheme)
+        return buckets, [*coefficients[:-1], coefficients[-1] + 1]
+
+    monkeypatch.setattr(cli, "_row_b0_gram", plus_identity)
+    monkeypatch.setattr(
+        steiner, "mu_spectrum",
+        lambda params, kappa: [(r, v + 1, m) for r, v, m in true_spectrum(params, kappa)],
+    )
+    ranked = []
+    for module in (grassmann, cli):
+        monkeypatch.setattr(module, "rank_exact", lambda m: ranked.append(m) or 0)
+    assert main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert ranked == []
+    assert report["rank_U"] == 130
+    assert report["mu"] == ["6481", "1", "865"]
+    assert [c["rank"] for c in report["spectral_rank_checks"]] == [129, 91, 40]
+    assert all(c["ok"] for c in report["spectral_rank_checks"])
+    assert report["trace_check"] is False  # the trace is now [n k] (kappa + 1)
+    assert report["rank_matches_dimension"] is False
+
+
+@pytest.mark.parametrize("q", [2, 3])
 def test_row_b0_gram_is_the_gram_matrix_of_all_designs(q):
     """The fast path against the exact path: U U^T rebuilt from row B0 of
     the designs through B0 is U U^T summed over every enumerated design,
@@ -180,9 +225,9 @@ def test_row_b0_gram_is_the_gram_matrix_of_all_designs(q):
     found, classes = designs_through_one_block(params)
     every = enumerate_steiner(params)
     full = gram_matrix(params, every)
-    buckets, gram = cli._row_b0_gram(found, scheme)
+    buckets, coefficients = cli._row_b0_gram(found, scheme)
     assert classes * len(found) == len(every)
-    assert gram == full
+    assert dense_gram(scheme, coefficients) == full
     assert buckets == empirical_pair_counts(full, scheme)
 
 
@@ -818,6 +863,23 @@ def test_text_route_and_json_route_give_the_same_run(text, taken, code, tmp_path
     monkeypatch.setattr(steiner, "_read_f2_designs", lambda text: None)
     assert (main(argv), capsys.readouterr()) == run
     assert (read[0] is not None, run[0]) == (taken, code)
+
+
+def test_text_route_gives_up_at_the_first_design_over_another_field(tmp_path, capsys,
+                                                                    monkeypatch):
+    """The PG(3,3) enumerate file: the text route's parse stops at the first
+    design, whose q is 3, and the json route reads every design."""
+    path = tmp_path / "q3.json"
+    assert main(["enumerate", "--t", "1", "--k", "2", "--n", "4", "--q", "3",
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    hooked = []
+    real = steiner._only_f2
+    monkeypatch.setattr(steiner, "_only_f2", lambda obj: hooked.append(obj) or real(obj))
+    designs = steiner.load_design_file(path)
+    assert [obj["q"] for obj in hooked] == [3]
+    assert designs == [steiner.design_from_dict(o) for o in json.loads(path.read_text())]
+    assert len(designs) == 8424
 
 
 def test_an_empty_block_list_fails_with_the_first_point_as_witness(tmp_path, capsys):

@@ -7,10 +7,12 @@ from qsteiner.exactq import gauss_binom, q_pow
 from qsteiner.gfspaces import intersection_dim
 from qsteiner.grassmann import (
     SchemeInstance,
+    _algebra_multiplicities,
     _annihilator_multiplicities,
     eberlein_eigenvalue,
     eigenspace_multiplicity,
     eisfeld_eigenvalue,
+    element_rank_checks,
     rank_checks,
     verify_spectrum,
 )
@@ -19,6 +21,9 @@ from qsteiner.linalg import ExactMatrix, mat_mul, rank_exact
 from oracles import filled, identity, row_sums
 
 CRITERION_2_GRID = [(4, 2, 2), (5, 2, 2), (4, 2, 3)]
+# the schemes with [n k] <= 400 that the algebra is checked on, n < 2k included
+SMALL_SCHEMES = [(4, 2, 2), (4, 2, 3), (4, 2, 4), (5, 2, 2), (5, 3, 2), (4, 3, 2),
+                 (3, 1, 2), (4, 1, 3), (3, 1, 4)]
 
 
 def _bareiss_ranks(matrix, values):
@@ -122,6 +127,71 @@ def test_association_scheme_closure_structure_constants():
         assert all(len(vals) == 1 for vals in per_relation.values()), (i, j)
 
 
+@pytest.mark.parametrize("nkq", SMALL_SCHEMES)
+def test_intersection_numbers_multiply_the_adjacency_matrices(nkq):
+    """The counted p[h][i][j] against dense products, entry for entry:
+    A_i A_j = sum_h p[h][i][j] A_h."""
+    scheme = SchemeInstance(*nkq)
+    p = scheme.intersection_numbers
+    a = [scheme.adjacency_matrix(h) for h in range(scheme.k + 1)]
+    for i, j in itertools.product(range(scheme.k + 1), repeat=2):
+        expected = [[sum(p[h][i][j] * a[h].data[x][y] for h in range(scheme.k + 1))
+                     for y in range(scheme.size)] for x in range(scheme.size)]
+        assert mat_mul(a[i], a[j]) == ExactMatrix(expected), (nkq, i, j)
+
+
+@pytest.mark.parametrize("nkq", SMALL_SCHEMES)
+def test_algebra_ranks_match_the_dense_spectrum(nkq):
+    """Each A_i's multiplicities, proven on (k+1)-vectors, give the ranks
+    that verify_spectrum decides on the dense A_i."""
+    scheme = SchemeInstance(*nkq)
+    for rel in verify_spectrum(scheme).relations:
+        e_i = [int(h == rel.i) for h in range(scheme.k + 1)]
+        distinct = list(dict.fromkeys(v for _, v, _ in rel.eigenvalues))
+        assert _algebra_multiplicities(scheme, e_i, distinct) is not None, (nkq, rel.i)
+        checks, _ = element_rank_checks(scheme, e_i, rel.eigenvalues)
+        assert checks == rel.rank_checks, (nkq, rel.i)
+
+
+def _switched(relation):
+    """(a, b), (c, d) in relation 1 and (a, d), (c, b) in relation 2, both
+    ways round, exchanged: the relation stays symmetric and keeps every
+    valency, so only the intersection counts can catch it."""
+    size = len(relation)
+    a, b, c, d = next(
+        (0, b, c, d)
+        for b in range(size) if relation[0][b] == 1
+        for c in range(1, size) if c != b and relation[c][b] == 2
+        for d in range(1, size)
+        if d not in (b, c) and relation[c][d] == 1 and relation[0][d] == 2
+    )
+    for x, y, h in ((a, b, 2), (c, d, 2), (a, d, 1), (c, b, 1)):
+        relation[x][y] = relation[y][x] = h
+
+
+def _one_pair(relation):
+    y = relation[0].index(1)
+    relation[0][y] = relation[y][0] = 2
+
+
+def _one_row(relation):
+    """Row 0 alone with a relation-1 and a relation-2 entry swapped: its
+    valencies stay, but the relation is no longer symmetric."""
+    y1, y2 = relation[0].index(1), relation[0].index(2)
+    relation[0][y1], relation[0][y2] = 2, 1
+
+
+@pytest.mark.parametrize("change", [_switched, _one_pair, _one_row])
+def test_intersection_numbers_refuse_a_changed_relation(change):
+    scheme = SchemeInstance(4, 2, 2)
+    changed = [row[:] for row in scheme.relation]
+    change(changed)
+    assert changed != scheme.relation
+    scheme.relation = changed
+    assert scheme.intersection_numbers is None
+    assert _algebra_multiplicities(scheme, [0, 0, 1], [v for _, v, _ in A2_SPECTRUM]) is None
+
+
 def test_spectrum_report_serialization():
     report = verify_spectrum(SchemeInstance(4, 2, 2))
     d = report.to_dict()
@@ -171,10 +241,16 @@ A2_SPECTRUM = [(0, Fraction(16), 1), (1, Fraction(-4), 14), (2, Fraction(2), 20)
     ],
 )
 def test_rank_checks_fall_back_to_bareiss(values):
-    a_2 = SchemeInstance(4, 2, 2).adjacency_matrix(2)
+    scheme = SchemeInstance(4, 2, 2)
+    a_2 = scheme.adjacency_matrix(2)
     distinct = list(dict.fromkeys(v for _, v, _ in values))
     assert _annihilator_multiplicities(a_2, distinct) is None
     assert [c.rank for c in rank_checks(a_2, values)] == _bareiss_ranks(a_2, values)
+    # the same proof in the algebra fails too, and the dense A_2 is ranked
+    assert _algebra_multiplicities(scheme, [0, 0, 1], distinct) is None
+    checks, dense = element_rank_checks(scheme, [0, 0, 1], values)
+    assert dense == a_2
+    assert [c.rank for c in checks] == _bareiss_ranks(a_2, values)
 
 
 def test_rank_checks_fall_back_on_a_non_symmetric_matrix():
@@ -192,6 +268,13 @@ def test_annihilator_multiplicities_of_the_true_spectrum():
     values = A2_SPECTRUM + [(3, Fraction(7), 0)]
     assert _annihilator_multiplicities(a_2, [v for _, v, _ in values]) == [1, 14, 20, 0]
     assert [c.rank for c in rank_checks(a_2, values)] == [34, 21, 15, 35]
+    scheme = SchemeInstance(4, 2, 2)
+    assert _algebra_multiplicities(scheme, [0, 0, 1], [v for _, v, _ in values]) == [1, 14, 20, 0]
+    checks, dense = element_rank_checks(scheme, [0, 0, 1], values)
+    assert [c.rank for c in checks] == [34, 21, 15, 35] and dense is None
+    # an element of the wrong length or with a non-integer coordinate is not proven
+    for element in ([0, 1], [0, 0, 1, 0], [0, 0, Fraction(1)]):
+        assert _algebra_multiplicities(scheme, element, [v for _, v, _ in values]) is None
 
 
 @pytest.mark.parametrize(

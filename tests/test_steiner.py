@@ -21,8 +21,10 @@ from qsteiner.gfspaces import (
 )
 from qsteiner.grassmann import (
     SchemeInstance,
+    _algebra_multiplicities,
     _annihilator_multiplicities,
     eisfeld_eigenvalue,
+    element_rank_checks,
     rank_checks,
 )
 from qsteiner.linalg import ExactMatrix, mat_mul, rank_exact, rank_mod_p
@@ -60,6 +62,7 @@ from qsteiner.steiner import (
 
 from oracles import (
     block_keys,
+    bucket_coefficients,
     block_subspaces,
     col_sums,
     coverage_keys,
@@ -670,7 +673,8 @@ def test_mu_matches_scheme_combination_on_grid():
 def test_gram_spectrum_report():
     designs = enumerate_steiner(PG32)
     gram = gram_matrix(PG32, designs)
-    report = verify_gram_spectrum(PG32, gram, kappa_formula(56, PG32))
+    buckets = empirical_pair_counts(gram, SchemeInstance(4, 2, 2))
+    report = verify_gram_spectrum(PG32, bucket_coefficients(buckets, 2), kappa_formula(56, PG32))
     assert report.ok
     assert [m for _, _, m in report.spectrum] == [1, 14, 20]
     by_value = {c.value: c for c in report.checks}
@@ -871,7 +875,7 @@ def test_full_pipeline_pg33_enumeration():
     assert buckets[2] == {648}
     assert buckets[0] == {72} and buckets[1] == {0}
     assert gram_check(buckets, coeffs, PG33.k)
-    report = verify_gram_spectrum(PG33, gram, coeffs.kappa)
+    report = verify_gram_spectrum(PG33, bucket_coefficients(buckets, 2), coeffs.kappa)
     assert report.ok
     assert [(str(v), m) for _, v, m in report.spectrum] == [
         ("6480", 1), ("0", 39), ("864", 90)
@@ -884,14 +888,19 @@ def test_full_pipeline_pg33_enumeration():
 
 @pytest.mark.parametrize("params", [PG32, PG33], ids=["PG32", "PG33"])
 def test_gram_spectrum_ranks_match_bareiss(params):
+    """The Gram element's multiplicities, proven in the Bose-Mesner algebra,
+    against the dense annihilator and Bareiss on U U^T over all designs."""
     designs = enumerate_steiner(params)
     gram = gram_matrix(params, designs)
     spec = mu_spectrum(params, gram_coefficients(len(designs), params).kappa)
     values = list(dict.fromkeys(v for _, v, _ in spec))
     assert _annihilator_multiplicities(gram, values) is not None
-    assert [c.rank for c in rank_checks(gram, spec)] == [
-        rank_exact(gram.shifted(v)) for v in values
-    ]
+    checks = rank_checks(gram, spec)
+    assert [c.rank for c in checks] == [rank_exact(gram.shifted(v)) for v in values]
+    scheme = SchemeInstance(params.n, params.k, params.q)
+    element = bucket_coefficients(empirical_pair_counts(gram, scheme), params.k)[::-1]
+    assert _algebra_multiplicities(scheme, element, values) is not None
+    assert element_rank_checks(scheme, element, spec) == (checks, None)
 
 
 def test_design_file_round_trip(tmp_path):
