@@ -20,6 +20,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from . import identities as ident
 from .exactq import prime_power_parts
@@ -29,7 +30,7 @@ from .steiner import (
     ParamSet,
     design_context,
     design_to_dict,
-    designs_through_one_block,
+    designs_through_two_blocks,
     dimension_formula,
     empirical_pair_counts,
     enumerate_steiner,
@@ -210,18 +211,25 @@ def _admissibility_error(params: ParamSet) -> str:
     return "inadmissible parameters"
 
 
-def _row_b0_gram(designs: list[tuple[int, ...]],
+def _row_b0_gram(designs: list[tuple[int, ...]], maps: Iterable[list[int]],
                  scheme: SchemeInstance) -> tuple[dict[int, set[int]], list[int] | None]:
     """Row B0 of U U^T (entry Y: the designs through B0 that contain Y),
     bucketed by dim(B0 ^ Y), and the coefficients c_0..c_k of
     U U^T = sum_d c_d A_(k-d) if every bucket holds one value c_d, else
-    None.  U U^T commutes with GL(n,q), which is transitive on the pairs of
+    None.  The designs through B0 are the images of the given designs
+    through B0 and C0 under the maps h_j, which fix B0, so row B0 is the
+    given designs' row, row00, carried by each h_j: row[h_j[y]] += row00[y].
+    U U^T commutes with GL(n,q), which is transitive on the pairs of
     k-subspaces meeting in each dimension, so row B0 fixes every entry; two
     values in a bucket mean that fails here."""
-    row = [0] * scheme.size
+    row00 = [0] * scheme.size
     for d in designs:
         for y in d:
-            row[y] += 1
+            row00[y] += 1
+    row = [0] * scheme.size
+    for h in maps:
+        for y, count in zip(h, row00):
+            row[y] += count
     buckets = empirical_pair_counts(ExactMatrix([row]), scheme)
     if any(len(entries) != 1 for entries in buckets.values()):
         return buckets, None
@@ -229,20 +237,20 @@ def _row_b0_gram(designs: list[tuple[int, ...]],
 
 
 def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
-    designs, classes = designs_through_one_block(params)
-    n_designs = classes * len(designs)
+    designs, c0, classes, maps = designs_through_two_blocks(params)
+    n_designs = classes * len(maps) * len(designs)
     report["mode"] = "enumerate"
     report["N"] = n_designs
     if n_designs == 0:
         report["error"] = "no designs exist for these parameters"
         return False
     # GL(n,q) maps these onto all designs; a list, so every index is checked before the row count
-    designs_ok = all([verify_design_ids(params, d).ok and 0 in d for d in designs])
+    designs_ok = all([verify_design_ids(params, d).ok and 0 in d and c0 in d for d in designs])
     report["designs_verified"] = designs_ok
 
     coeffs = gram_coefficients(n_designs, params)
     scheme = SchemeInstance(params.n, params.k, params.q)
-    buckets, coefficients = _row_b0_gram(designs, scheme)
+    buckets, coefficients = _row_b0_gram(designs, maps.values(), scheme)
     kappa_ok = gram_check({params.k: buckets.pop(params.k)}, coeffs, params.k)
     kappa_i_ok = gram_check(buckets, coeffs, params.k)
     gram_ok = kappa_ok and kappa_i_ok  # row B0's buckets fix every entry of U U^T
@@ -252,7 +260,7 @@ def _dimension_enumerate(params: ParamSet, report: dict) -> bool:
     if coefficients is None:  # row B0 does not fix U U^T, so the report stops here
         return False
 
-    spectrum_report = verify_gram_spectrum(params, coefficients, coeffs.kappa)
+    spectrum_report = verify_gram_spectrum(params, scheme, coefficients, coeffs.kappa)
     report["mu"] = [_frac(v) for _, v, _ in spectrum_report.spectrum]
     report["multiplicities"] = [m for _, _, m in spectrum_report.spectrum]
     report["spectral_rank_checks"] = [c.to_dict() for c in spectrum_report.checks]

@@ -5,7 +5,7 @@ A design with parameters t-(n, k, 1)_q is an exact cover of the t-subspaces
 by the t-subspace sets of its blocks; here it is the sorted tuple of its
 blocks' distinct canonical k-subspace indices.  Enumeration and sampling
 both run on one backtracking exact-cover core; enumeration explores the
-designs through one block deterministically and maps them onto the rest by
+designs through two blocks deterministically and maps them onto the rest by
 GL(n,q), while sampling restarts randomized descents off a seeded
 generator.  The incidence matrix and Gram decomposition are exact rational
 arithmetic; the rank bounds are ranks over F_2 and mod a large prime, each
@@ -38,6 +38,7 @@ from .gfspaces import (
     field,
     gf_matmul,
     grassmannian,
+    rref,
     subspace_from_rows,
 )
 from .grassmann import (
@@ -59,10 +60,13 @@ _RANK_PRIME = 2147483629
 _BLOCK_COVER_GUARD = 1 << 16
 # Bareiss on the [n k]-square Gram matrix took 0.4 s at 130, 19 s at 357
 _GRAM_RANK_GUARD = 200
-# exact-cover nodes for all designs; enumeration searches the designs through
-# one block with this // [n-t k-t]_q: on PG(3,3), 3,682 of 38,461 nodes, and
-# the plain search over all 13 classes takes 13 times that, 47,866
+# exact-cover nodes for the designs through two blocks: PG(3,2) takes 8,
+# PG(3,3) 410, (1,3,6,2) 1,370 and PG(3,4) 133,598 (about 1 s); (1,2,6,2)
+# and (1,2,4,5) run past it, in about 1.4 s and 5 s
 _ENUMERATION_NODE_BUDGET = 500_000
+# blocks that enumeration writes, designs times blocks: PG(3,3) writes 84,240
+# (a 14 MB --out file), (1,3,6,2) would write 17,141,760 and PG(3,4) 86,639,616
+_ENUMERATION_OUTPUT_GUARD = 1_000_000
 # randomized searches memoize the branch column of nodes with fewer chosen
 # rows than this; across the 3867 attempts of sampling 3000 PG(3,3) spreads
 # it hits 100, 100, 97 and 82% of the nodes at depths 0-3, but 54% at 4
@@ -364,76 +368,114 @@ class _ExactCover:
         return solutions
 
 
-def _class_maps(params: ParamSet) -> dict[int, list[int]]:
-    """For each block B_j through T0, the permutation of the canonical
-    k-subspace indices by g_j, which maps B0 onto B_j.
+def _block_maps(params: ParamSet, row_sets: Iterable[Sequence[tuple]]) -> list[list[int]]:
+    """For each row set, the permutation of the canonical k-subspace indices
+    by the g that sends e_i to row i of the set and the other e_i, in order,
+    to the unit rows of the non-pivot columns of the set's span.
 
-    T0 and B0 are t- and k-subspace 0, span(e_0..e_(t-1)) and
-    span(e_0..e_(k-1)), as ``designs_through_one_block`` checks.  g_j maps
-    e_i to row i of B_j's RREF basis for i < k and the other e_i, in order,
-    to the unit rows of B_j's non-pivot columns: together those rows are a
-    basis of F_q^n.  g_j permutes the t-subspaces, and a block is the span
-    of its t-subspaces, so its image is the block whose t-subspace set is
-    the image of its own.
+    Independent rows and those unit rows are a basis of F_q^n, so g is
+    invertible; a dependent row set raises RuntimeError.  g permutes the
+    t-subspaces, and a block is the span of its t-subspaces, so its image
+    is the block whose t-subspace set is the image of its own.
     """
     n, q = params.n, params.q
     ctx = design_context(params)
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     fld = field(q)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     tid = {s.key: i for i, s in enumerate(ctx.t_subspaces)}
     kid = {tuple(sorted(tids)): b for b, tids in enumerate(ctx.cover)}
-    maps = {}
-    for b, tids in enumerate(ctx.cover):
-        if 0 in tids:
-            block = ctx.k_subspaces[b]
-            g = list(block.basis) + [units[c] for c in range(n) if c not in block.pivots]
-            image = [tid[subspace_from_rows(gf_matmul(s.basis, g, fld), n, q).key]
-                     for s in ctx.t_subspaces]
-            maps[b] = [kid[tuple(sorted(map(image.__getitem__, c)))] for c in ctx.cover]
+    maps = []
+    for rows in row_sets:
+        pivots = rref(rows, fld)[1]
+        if len(pivots) != len(rows):
+            raise RuntimeError("a block map's rows are dependent")
+        g = list(rows) + [units[c] for c in range(n) if c not in pivots]
+        image = [tid[subspace_from_rows(gf_matmul(s.basis, g, fld), n, q).key]
+                 for s in ctx.t_subspaces]
+        maps.append([kid[tuple(sorted(map(image.__getitem__, c)))] for c in ctx.cover])
     return maps
 
 
-def designs_through_one_block(params: ParamSet) -> tuple[list[tuple[int, ...]], int]:
-    """The designs through B0 = span(e_0..e_(k-1)), in search order, and
-    the number of classes, [n-t k-t]_q.
+def _class_maps(params: ParamSet) -> dict[int, list[int]]:
+    """For each block B_j through T0, the permutation of the canonical
+    k-subspace indices by g_j (``_block_maps``), which maps e_i to row i of
+    B_j's RREF basis for i < k, and so B0 onto B_j.  T0 and B0 are t- and
+    k-subspace 0, as ``designs_through_two_blocks`` checks."""
+    ctx = design_context(params)
+    through_t0 = [b for b, tids in enumerate(ctx.cover) if 0 in tids]
+    return dict(zip(through_t0, _block_maps(
+        params, [ctx.k_subspaces[b].basis for b in through_t0])))
 
-    Every design has one block through T0 = span(e_0..e_(t-1)), so the
-    designs fall into one class per block B_j through T0, and GL(n,q) maps
-    class 0 one-to-one onto each (``_class_maps``): N = classes * N0.  The
-    search keeps B0 and empties every other row through T0, so row indices
-    stay canonical.  Inadmissible parameters give no designs, unsearched;
-    over _ENUMERATION_NODE_BUDGET // classes nodes raise ValueError (on
-    PG(3,2) and PG(3,3) the plain search takes exactly classes times class
-    0's nodes); RuntimeError if T0 or B0 is not subspace 0.
+
+def designs_through_two_blocks(
+        params: ParamSet) -> tuple[list[tuple[int, ...]], int, int, dict[int, list[int]]]:
+    """The designs through B0 = span(e_0..e_(k-1)) and C0 = span(e_k..e_(2k-1)),
+    in search order; C0's index; the number of classes, [n-1 k-1]_q; and for
+    each block C_j through P = span(e_k) skew to B0, the permutation h_j of
+    the k-subspace indices (``_block_maps``) that fixes e_0..e_(k-1) and
+    maps e_(k+i) to row i of C_j's RREF basis, keyed by C_j.
+
+    For t = 1 a design is a spread.  Every design has one block B_j through
+    T0 = span(e_0), and g_j of ``_class_maps`` maps the designs through B0
+    one-to-one onto those through B_j.  Every design through B0 has one
+    block through P, and it is skew to B0, so it is one of the C_j; h_j
+    fixes B0 and maps C0 onto C_j, so it maps the designs through {B0, C0}
+    one-to-one onto those through {B0, C_j}.  Hence
+    N = classes * len(maps) * N00.  The search keeps B0 and C0 and empties
+    every other row through T0 or P, so row indices stay canonical.
+
+    Inadmissible parameters give no designs, unsearched; t >= 2 and over
+    _ENUMERATION_NODE_BUDGET nodes raise ValueError; RuntimeError if T0 or
+    B0 is not subspace 0, or C0 does not hold P or meets B0.
     """
-    t, k, n = params.t, params.k, params.n
+    t, k, n, q = params.t, params.k, params.n, params.q
     if n < 2 * k:
         raise ValueError("nontrivial enumeration needs n >= 2k")
     ctx = design_context(params)
-    units = tuple(tuple(int(i == j) for j in range(n)) for i in range(k))
-    if ctx.t_subspaces[0].basis != units[:t] or ctx.k_subspaces[0].basis != units:
+    if t != 1:
+        raise ValueError("two-level enumeration needs t = 1")
+    units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    if ctx.t_subspaces[0].basis != units[:t] or ctx.k_subspaces[0].basis != units[:k]:
         raise RuntimeError("canonical order does not start with span(e_0..e_(k-1))")
+    p = ctx.t_subspaces.index(subspace_from_rows(units[k:k + 1], n, q))
+    c0 = ctx.k_subspaces.index(subspace_from_rows(units[k:2 * k], n, q))
+    b0 = set(ctx.cover[0])
+    if p not in ctx.cover[c0] or not b0.isdisjoint(ctx.cover[c0]):
+        raise RuntimeError("C0 does not hold P = span(e_k) or meets B0")
     classes = sum(1 for tids in ctx.cover if 0 in tids)
     if not params.admissible:
-        return [], classes
-    budget = _ENUMERATION_NODE_BUDGET // classes
-    rows = [() if b and 0 in tids else tids for b, tids in enumerate(ctx.cover)]
-    found = _ExactCover(len(ctx.t_subspaces), rows).search(node_budget=budget)
+        return [], c0, classes, {}
+    rows = [() if b not in (0, c0) and (0 in tids or p in tids) else tids
+            for b, tids in enumerate(ctx.cover)]
+    found = _ExactCover(len(ctx.t_subspaces), rows).search(node_budget=_ENUMERATION_NODE_BUDGET)
     if found is None:
         raise ValueError(
-            f"enumeration gave up after {budget} exact-cover nodes, {_ENUMERATION_NODE_BUDGET} // "
-            f"{classes} for the designs through one block; use dimension --sample instead"
+            f"enumeration gave up after {_ENUMERATION_NODE_BUDGET} exact-cover nodes "
+            f"for the designs through two blocks; use dimension --sample instead"
         )
-    return found, classes
+    skew = [c for c, tids in enumerate(ctx.cover) if p in tids and b0.isdisjoint(tids)]
+    return found, c0, classes, dict(zip(skew, _block_maps(
+        params, [units[:k] + ctx.k_subspaces[c].basis for c in skew])))
 
 
 def enumerate_steiner(params: ParamSet) -> list[tuple[int, ...]]:
     """Every labeled design, exactly once, as the sorted list of sorted
-    block-index tuples: each design through B0 (``designs_through_one_block``)
-    mapped by every g_j of ``_class_maps``.  Inadmissible parameters give []."""
-    found, _ = designs_through_one_block(params)
-    maps = _class_maps(params).values() if found else ()
-    return sorted(tuple(sorted(map(perm.__getitem__, s))) for perm in maps for s in found)
+    block-index tuples: each design through B0 and C0
+    (``designs_through_two_blocks``) mapped by every h_j, then by every g_j
+    of ``_class_maps``.  Inadmissible parameters give []; more than
+    _ENUMERATION_OUTPUT_GUARD blocks in all raise ValueError before any
+    design is mapped."""
+    found, _, classes, pair_maps = designs_through_two_blocks(params)
+    if not found:
+        return []
+    n_designs = classes * len(pair_maps) * len(found)
+    if n_designs * len(found[0]) > _ENUMERATION_OUTPUT_GUARD:
+        raise ValueError(
+            f"enumeration output guard exceeded: {n_designs} designs of {len(found[0])} "
+            f"blocks (<= {_ENUMERATION_OUTPUT_GUARD} blocks in all); use dimension instead")
+    through_b0 = [tuple(map(h.__getitem__, d)) for h in pair_maps.values() for d in found]
+    return sorted(tuple(sorted(map(g.__getitem__, d)))
+                  for g in _class_maps(params).values() for d in through_b0)
 
 
 @dataclass
@@ -696,17 +738,16 @@ class GramSpectrumReport:
         return self.trace_ok and all(c.ok for c in self.checks)
 
 
-def verify_gram_spectrum(params: ParamSet, coefficients: list[int],
+def verify_gram_spectrum(params: ParamSet, scheme: SchemeInstance, coefficients: list[int],
                          kappa: Fraction) -> GramSpectrumReport:
     """Rank-deficiency test of U U^T = sum_d coefficients[d] A_(k-d) against
-    the closed-form spectrum, proven in the scheme's Bose-Mesner algebra
-    (``element_rank_checks``).
+    the closed-form spectrum, proven in the Bose-Mesner algebra of the
+    scheme of the parameters' k-subspaces (``element_rank_checks``).
 
     Exactly equal eigenvalues are grouped before asserting the deficiency;
     the trace, coefficients[k] * [n k]_q, must equal [n k]_q * kappa.
     """
     spec = mu_spectrum(params, kappa)
-    scheme = SchemeInstance(params.n, params.k, params.q)
     checks, dense = element_rank_checks(scheme, coefficients[::-1], spec)
     trace = coefficients[params.k] * scheme.size
     trace_ok = trace == sum(v * m for _, v, m in spec) == scheme.size * Fraction(kappa)

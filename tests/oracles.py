@@ -189,6 +189,17 @@ def save_design_file(path, params: ParamSet, blocks) -> None:
     )
 
 
+def designs_through_one_block(params: ParamSet) -> tuple[list[tuple[int, ...]], int]:
+    """The designs through B0 = k-subspace 0, in search order, and the
+    number of blocks through T0 = t-subspace 0: the exact-cover search over
+    every cover row with each other row through T0 emptied, and no node
+    budget."""
+    ctx = design_context(params)
+    rows = [() if b and 0 in tids else tids for b, tids in enumerate(ctx.cover)]
+    return (_ExactCover(len(ctx.t_subspaces), rows).search(),
+            sum(1 for tids in ctx.cover if 0 in tids))
+
+
 def enumerate_plain(params: ParamSet) -> list[tuple[int, ...]]:
     """Every design's sorted block tuple, sorted: the exact-cover search
     over all cover rows, with no class argument and no node budget."""

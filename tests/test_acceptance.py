@@ -101,14 +101,15 @@ def test_criterion_3_pg32_pipeline():
 
     gram = gram_matrix(params, designs)
     coeffs = gram_coefficients(n_designs, params)
-    buckets = empirical_pair_counts(gram, SchemeInstance(4, 2, 2))
+    scheme = SchemeInstance(4, 2, 2)
+    buckets = empirical_pair_counts(gram, scheme)
     ok = ok and buckets[2] == {8} and coeffs.kappa == 8
     ok = ok and buckets[0] == {2} and kappa_i_formula(n_designs, 0, params) == 2
     ok = ok and buckets.get(1, {0}) == {0}
 
     ok = ok and gram_check(buckets, coeffs, params.k)
 
-    spec = verify_gram_spectrum(params, bucket_coefficients(buckets, 2), coeffs.kappa)
+    spec = verify_gram_spectrum(params, scheme, bucket_coefficients(buckets, 2), coeffs.kappa)
     ok = ok and [str(v) for _, v, _ in spec.spectrum] == ["40", "0", "12"]
     ok = ok and [m for _, _, m in spec.spectrum] == [1, 14, 20]
     ok = ok and spec.ok

@@ -17,7 +17,7 @@ from qsteiner.exactq import gauss_binom
 from qsteiner.grassmann import SchemeInstance
 from qsteiner.steiner import (
     ParamSet,
-    designs_through_one_block,
+    designs_through_two_blocks,
     empirical_pair_counts,
     enumerate_steiner,
     gram_matrix,
@@ -192,8 +192,8 @@ def test_rank_u_is_the_size_when_0_is_proven_no_eigenvalue(monkeypatch, capsys):
     it, rank(U U^T + I) is the full size with no elimination at all."""
     row_b0_gram, true_spectrum = cli._row_b0_gram, steiner.mu_spectrum
 
-    def plus_identity(designs, scheme):
-        buckets, coefficients = row_b0_gram(designs, scheme)
+    def plus_identity(designs, maps, scheme):
+        buckets, coefficients = row_b0_gram(designs, maps, scheme)
         return buckets, [*coefficients[:-1], coefficients[-1] + 1]
 
     monkeypatch.setattr(cli, "_row_b0_gram", plus_identity)
@@ -217,45 +217,47 @@ def test_rank_u_is_the_size_when_0_is_proven_no_eigenvalue(monkeypatch, capsys):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_row_b0_gram_is_the_gram_matrix_of_all_designs(q):
-    """The fast path against the exact path: U U^T rebuilt from row B0 of
-    the designs through B0 is U U^T summed over every enumerated design,
-    entry for entry, with the same buckets and N = classes * N0."""
+    """The fast path against the exact path: U U^T rebuilt from row B0,
+    carried by the h_j from the designs through B0 and C0, is U U^T summed
+    over every enumerated design, entry for entry, with the same buckets
+    and N = classes * len(maps) * N00."""
     params = ParamSet(t=1, k=2, n=4, q=q)
     scheme = SchemeInstance(4, 2, q)
-    found, classes = designs_through_one_block(params)
+    found, _, classes, maps = designs_through_two_blocks(params)
     every = enumerate_steiner(params)
     full = gram_matrix(params, every)
-    buckets, coefficients = cli._row_b0_gram(found, scheme)
-    assert classes * len(found) == len(every)
+    buckets, coefficients = cli._row_b0_gram(found, maps.values(), scheme)
+    assert classes * len(maps) * len(found) == len(every)
     assert dense_gram(scheme, coefficients) == full
     assert buckets == empirical_pair_counts(full, scheme)
 
 
-def _one_off_b0(found):
-    """The last design swapped for one through another block of T0."""
-    params = ParamSet(t=1, k=2, n=4, q=2)
-    return found[:-1] + [next(d for d in enumerate_steiner(params) if 0 not in d)]
+def _swap_last(found, keep):
+    """The last design swapped for the first PG(3,2) spread that keep takes."""
+    every = enumerate_steiner(ParamSet(t=1, k=2, n=4, q=2))
+    return found[:-1] + [next(d for d in every if keep(d))]
 
 
 @pytest.mark.parametrize("fault, flag", [
-    (lambda found: found[:-1], "kappa_i_empirical_matches"),
-    (_one_off_b0, "designs_verified"),
-    (lambda found: found + found[:1], "kappa_i_empirical_matches"),
-], ids=["dropped", "not-through-b0", "bucket-two-values"])
+    (lambda found, c0: found[:-1], "kappa_i_empirical_matches"),
+    (lambda found, c0: _swap_last(found, lambda d: 0 not in d), "designs_verified"),
+    (lambda found, c0: _swap_last(found, lambda d: 0 in d and c0 not in d), "designs_verified"),
+    (lambda found, c0: found + found[:1], "kappa_i_empirical_matches"),
+], ids=["dropped", "not-through-b0", "not-through-c0", "bucket-two-values"])
 def test_dimension_catches_a_faulty_search_through_one_block(fault, flag, tmp_path, capsys,
                                                             monkeypatch):
-    """A class-0 search that drops a design, returns one not through B0 or
-    counts one twice fails the run with exit 1 and a report, not a
-    traceback.  Each also leaves a row-B0 bucket with two values: row B0
-    then does not fix U U^T, so gram_check is false and the report stops
-    before the spectrum."""
-    real = cli.designs_through_one_block
+    """A search through B0 and C0 that drops a design, returns one not
+    through B0 or not through C0, or counts one twice fails the run with
+    exit 1 and a report, not a traceback.  Each also leaves a row-B0 bucket
+    with two values once the h_j carry it: row B0 then does not fix U U^T,
+    so gram_check is false and the report stops before the spectrum."""
+    real = cli.designs_through_two_blocks
 
     def faulty(params):
-        found, classes = real(params)
-        return fault(found), classes
+        found, c0, classes, maps = real(params)
+        return fault(found, c0), c0, classes, maps
 
-    monkeypatch.setattr(cli, "designs_through_one_block", faulty)
+    monkeypatch.setattr(cli, "designs_through_two_blocks", faulty)
     out = tmp_path / "d.json"
     assert main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "2",
                  "--out", str(out)]) == 1
@@ -268,19 +270,56 @@ def test_dimension_catches_a_faulty_search_through_one_block(fault, flag, tmp_pa
 
 
 def test_dimension_builds_no_gram_from_all_designs(monkeypatch, capsys):
-    """Enumerate mode reads U U^T from the designs through one block: it
-    never maps them onto the other classes nor sums N b^2 increments."""
+    """Enumerate mode reads U U^T from the designs through two blocks: it
+    builds only the h_j, which fix B0, never a g_j onto another class, and
+    sums no N b^2 increments."""
     calls = []
-    for name in ("gram_matrix", "_class_maps"):
+    for name in ("gram_matrix", "_class_maps", "_block_maps"):
         real = getattr(steiner, name)
         monkeypatch.setattr(steiner, name,
-                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+                            lambda *args, name=name, real=real: calls.append((name, args)) or real(*args))
     assert main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["N"] == 8424
-    assert calls == []
+    [(name, (_, row_sets))] = calls
+    units = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert name == "_block_maps" and len(row_sets) == 9
+    assert all(rows[:2] == units[:2] for rows in row_sets)
     assert not hasattr(cli, "gram_matrix") and not hasattr(cli, "_class_maps")
+    calls.clear()
     enumerate_steiner(ParamSet(t=1, k=2, n=4, q=2))  # the spy sees a caller
-    assert calls == ["_class_maps"]
+    assert [name for name, _ in calls] == ["_block_maps", "_class_maps", "_block_maps"]
+
+
+def test_dimension_builds_one_scheme(monkeypatch, capsys):
+    """One SchemeInstance serves the row-B0 buckets and the spectrum proof,
+    so the relation table is built once per run."""
+    built = []
+    real = SchemeInstance.__init__
+    monkeypatch.setattr(SchemeInstance, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    assert main(["dimension", "--t", "1", "--k", "2", "--n", "4", "--q", "2"]) == 0
+    capsys.readouterr()
+    assert built == [(4, 2, 2)]
+
+
+@pytest.mark.parametrize("k, n, q, expected", [
+    pytest.param(2, 4, 4, {
+        "N": 5096448, "kappa": "242688", "kappa_i": ["15168", "0"],
+        "mu": ["4125696", "0", "303360"], "multiplicities": [1, 84, 272],
+        "rank_U": 273}, id="4-4"),
+    pytest.param(3, 6, 2, {
+        "N": 1904640, "kappa": "12288", "kappa_i": ["192", "0"],
+        "mu": ["110592", "0", "15360", "10752"], "multiplicities": [1, 62, 588, 744],
+        "rank_U": 1333}, id="3-6-2"),
+])
+def test_dimension_enumerates_pg34_and_1362(k, n, q, expected, capsys):
+    """PG(3,4) and (1,3,6,2), out of reach of the one-block search, pass
+    in enumerate mode through two blocks."""
+    assert main(["dimension", "--t", "1", "--k", str(k), "--n", str(n), "--q", str(q)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {key: report[key] for key in expected} == expected
+    assert report["dimension_formula"] == expected["rank_U"]
+    assert report["all_pass"] is True and report["designs_verified"] is True
 
 
 def test_dimension_sampling_certificate(tmp_path):
@@ -501,18 +540,15 @@ def test_json_only_commands_take_no_format(command, capsys):
     pytest.param("enumerate", 2, 6, 2, id="enumerate-6-2"),
     pytest.param("dimension", 2, 6, 2, id="dimension-6-2"),
     pytest.param("enumerate", 2, 4, 4, id="enumerate-4-4"),
-    pytest.param("dimension", 2, 4, 4, id="dimension-4-4"),
     pytest.param("enumerate", 3, 6, 2, id="enumerate-3-6-2"),
-    pytest.param("dimension", 3, 6, 2, id="dimension-3-6-2"),
 ])
 def test_enumeration_over_its_node_budget_exits_two(command, k, n, q, capsys):
-    """(1,2,6,2), (1,2,4,4) and (1,3,6,2) pass the size guards but have far
-    too many designs to enumerate; the search refuses at its node budget
-    instead of running on without output.  The budget is the one-block
-    search's share, 500,000 // [n-1 k-1]_q: (1,3,6,2)'s 12,288 designs
-    through one plane lie within 500,000 nodes, but its 1,904,640 designs
-    in all do not."""
-    budget = steiner._ENUMERATION_NODE_BUDGET // int(gauss_binom(n - 1, k - 1, q))
+    """(1,2,6,2), (1,2,4,4) and (1,3,6,2) pass the size guards, but their
+    designs are too many to write or, for (1,2,6,2), to search for: the
+    search through two blocks refuses (1,2,6,2) at its node budget of
+    500,000 under both commands, and enumerate refuses the other two at
+    its output guard, before any design is mapped, instead of running on
+    without output."""
     start = time.perf_counter()
     code = main([command, "--t", "1", "--k", str(k), "--n", str(n), "--q", str(q)])
     elapsed = time.perf_counter() - start
@@ -520,8 +556,13 @@ def test_enumeration_over_its_node_budget_exits_two(command, k, n, q, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"error: enumeration gave up after {budget} exact-cover nodes")
-    assert "--sample" in captured.err
+    if n == 6 and k == 2:
+        budget = steiner._ENUMERATION_NODE_BUDGET
+        assert captured.err.startswith(f"error: enumeration gave up after {budget} exact-cover nodes")
+        assert "--sample" in captured.err
+    else:
+        assert captured.err.startswith("error: enumeration output guard exceeded")
+        assert f"<= {steiner._ENUMERATION_OUTPUT_GUARD} blocks" in captured.err
     assert elapsed < 10
 
 

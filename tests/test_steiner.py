@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,13 +32,14 @@ from qsteiner.grassmann import (
 from qsteiner.linalg import ExactMatrix, mat_mul, rank_exact, rank_mod_p
 from qsteiner.steiner import (
     _ExactCover,
+    _block_maps,
     _class_maps,
     _first_miss,
     ParamSet,
     design_context,
     design_from_dict,
     design_to_dict,
-    designs_through_one_block,
+    designs_through_two_blocks,
     dimension_formula,
     empirical_pair_counts,
     enumerate_steiner,
@@ -66,6 +69,7 @@ from oracles import (
     block_subspaces,
     col_sums,
     coverage_keys,
+    designs_through_one_block,
     enumerate_plain,
     per_intersection_counts,
     row_sums,
@@ -77,6 +81,7 @@ from oracles import (
 
 PG32 = ParamSet(t=1, k=2, n=4, q=2)
 PG33 = ParamSet(t=1, k=2, n=4, q=3)
+P1362 = ParamSet(t=1, k=3, n=6, q=2)
 
 
 def _sorted_distinct_ints(designs) -> bool:
@@ -125,8 +130,7 @@ def test_enumeration_through_one_block_is_the_plain_search(params, classes, per_
                                                            class_nodes):
     """The designs through B0, mapped by each g_j, are exactly the plain
     search's designs: N = [n-t k-t]_q * N0.  The plain search takes
-    exactly [n-t k-t]_q times the one-block search's nodes, so the scaled
-    budget refuses the same instances."""
+    exactly [n-t k-t]_q times the one-block search's nodes."""
     ctx = design_context(params)
     designs = enumerate_steiner(params)
     assert designs == enumerate_plain(params)
@@ -143,6 +147,48 @@ def test_enumeration_through_one_block_is_the_plain_search(params, classes, per_
     one_block = _ExactCover(len(ctx.t_subspaces), rows)
     assert len(one_block.search(node_budget=class_nodes)) == per_class
     assert one_block.search(node_budget=class_nodes - 1) is None
+
+
+@pytest.mark.parametrize("params, classes, pair_classes, n00, nodes", [
+    (PG32, 7, 4, 2, 8), (PG33, 13, 9, 72, 410), (P1362, 155, 64, 192, 1370),
+], ids=["PG32", "PG33", "1362"])
+def test_search_through_two_blocks_takes_its_pinned_nodes(params, classes, pair_classes,
+                                                          n00, nodes, monkeypatch):
+    """The designs through B0 and C0 all hold both, and the search finds
+    them in exactly ``nodes`` nodes: a budget one smaller refuses."""
+    found, c0, n_classes, maps = designs_through_two_blocks(params)
+    assert (n_classes, len(maps), len(found)) == (classes, pair_classes, n00)
+    assert _sorted_distinct_ints(found) and len(set(found)) == n00
+    assert all(0 in d and c0 in d for d in found)
+    monkeypatch.setattr(steiner, "_ENUMERATION_NODE_BUDGET", nodes)
+    assert designs_through_two_blocks(params)[0] == found
+    monkeypatch.setattr(steiner, "_ENUMERATION_NODE_BUDGET", nodes - 1)
+    with pytest.raises(ValueError, match=f"gave up after {nodes - 1} exact-cover nodes"):
+        designs_through_two_blocks(params)
+
+
+@pytest.mark.parametrize("params", [PG32, PG33], ids=["PG32", "PG33"])
+def test_two_levels_mapped_are_the_plain_search(params):
+    """The g_j o h_l images of the designs through B0 and C0 are the plain
+    search's designs, each once: N = classes * len(maps) * N00."""
+    found, _, classes, maps = designs_through_two_blocks(params)
+    images = [tuple(sorted(g[h[b]] for b in d))
+              for g in _class_maps(params).values() for h in maps.values() for d in found]
+    assert sorted(images) == enumerate_plain(params)
+    assert len(set(images)) == len(images) == classes * len(maps) * len(found)
+
+
+def test_two_levels_match_one_level_on_1362():
+    """On (1,3,6,2) the h_j images of the 192 designs through B0 and C0 are
+    the one-level search's 12,288 designs through B0, so row B0 is the same."""
+    one_level, classes = designs_through_one_block(P1362)
+    found, _, n_classes, maps = designs_through_two_blocks(P1362)
+    assert classes == n_classes == 155
+    assert len(one_level) == 12288 == len(maps) * len(found) == 64 * 192
+    images = [tuple(sorted(map(h.__getitem__, d))) for h in maps.values() for d in found]
+    assert sorted(images) == sorted(one_level)
+    assert (Counter(h[y] for h in maps.values() for d in found for y in d)
+            == Counter(chain.from_iterable(one_level)))
 
 
 @pytest.mark.parametrize("params", [PG32, PG33], ids=["PG32", "PG33"])
@@ -173,9 +219,58 @@ def test_class_maps_are_the_block_maps_of_g_j(params):
             assert t_set == set(ctx.cover[perm[b]])
 
 
+@pytest.mark.parametrize("params", [PG32, PG33], ids=["PG32", "PG33"])
+def test_pair_maps_are_the_block_maps_of_h_j(params):
+    """Each h_j permutes the k-subspaces, fixes B0, maps C0 onto C_j, one of
+    the blocks through P = span(e_k) skew to B0, maps every block onto the
+    RREF of its basis times h_j, and every block's t-subspace set onto that
+    image's t-subspace set."""
+    k, n, q = params.k, params.n, params.q
+    ctx = design_context(params)
+    fld = field(q)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def image(s, h):
+        return subspace_from_rows(gf_matmul(s.basis, h, fld), n, q)
+
+    _, c0, _, maps = designs_through_two_blocks(params)
+    assert ctx.k_subspaces[c0] == subspace_from_rows(units[k:2 * k], n, q)
+    p = ctx.t_subspaces.index(subspace_from_rows(units[k:k + 1], n, q))
+    b0 = set(ctx.cover[0])
+    assert sorted(maps) == [c for c, tids in enumerate(ctx.cover)
+                            if p in tids and not b0 & set(tids)]
+    assert len(maps) == q ** 2  # the lines through a point of PG(3,q) off a line, skew to it
+    for j, perm in maps.items():
+        assert sorted(perm) == list(range(len(ctx.k_subspaces)))
+        assert perm[0] == 0 and perm[c0] == j
+        h = units[:k] + [list(row) for row in ctx.k_subspaces[j].basis]
+        assert rows_rank(h, fld) == n
+        for b, s in enumerate(ctx.k_subspaces):
+            assert ctx.k_subspaces[perm[b]] == image(s, h)
+            t_set = {ctx.t_subspaces.index(image(ctx.t_subspaces[tid], h)) for tid in ctx.cover[b]}
+            assert t_set == set(ctx.cover[perm[b]])
+
+
+def test_block_maps_complete_the_rows_and_refuse_dependent_ones():
+    """For n > 2k the rows of B0 and a C through P skew to B0 are completed
+    by unit rows to an invertible g, whose block map fixes B0 and sends C0
+    to C; dependent rows raise instead of giving a map."""
+    params = ParamSet(t=1, k=2, n=5, q=2)
+    ctx = design_context(params)
+    units = tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+    c0 = ctx.k_subspaces.index(subspace_from_rows(units[2:4], 5, 2))
+    c = subspace_from_rows([(1, 0, 1, 0, 1), (0, 1, 0, 1, 1)], 5, 2)
+    [perm] = _block_maps(params, [units[:2] + c.basis])
+    assert sorted(perm) == list(range(len(ctx.k_subspaces)))
+    assert perm[0] == 0 and ctx.k_subspaces[perm[c0]] == c
+    with pytest.raises(RuntimeError, match="dependent"):
+        _block_maps(params, [units[:2] + units[1:3]])
+
+
 def test_enumeration_inadmissible_is_empty():
     assert enumerate_steiner(ParamSet(t=1, k=2, n=5, q=2)) == []
-    assert designs_through_one_block(ParamSet(t=1, k=2, n=5, q=2)) == ([], 15)
+    found, _, classes, maps = designs_through_two_blocks(ParamSet(t=1, k=2, n=5, q=2))
+    assert (found, classes, maps) == ([], 15, {})
 
 
 def test_search_through_one_block_refuses_another_canonical_order(monkeypatch):
@@ -186,7 +281,28 @@ def test_search_through_one_block_refuses_another_canonical_order(monkeypatch):
     shuffled.k_subspaces = ctx.k_subspaces[::-1]
     monkeypatch.setattr(steiner, "design_context", lambda params: shuffled)
     with pytest.raises(RuntimeError, match="canonical order"):
-        designs_through_one_block(PG32)
+        designs_through_two_blocks(PG32)
+
+
+def test_search_through_two_blocks_refuses_a_c0_off_p_or_on_b0(monkeypatch):
+    """C0 = span(e_k..e_(2k-1)) must hold P = span(e_k) and miss B0 in the
+    cover table the search runs on; a table that says otherwise raises
+    before any search."""
+    _, c0, _, _ = designs_through_two_blocks(PG32)
+    ctx = design_context(PG32)
+    broken = SimpleNamespace(**vars(ctx))
+    broken.cover = tuple(ctx.cover[0] if b == c0 else tids for b, tids in enumerate(ctx.cover))
+    monkeypatch.setattr(steiner, "design_context", lambda params: broken)
+    with pytest.raises(RuntimeError, match="C0"):
+        designs_through_two_blocks(PG32)
+
+
+def test_two_level_search_needs_t_one(monkeypatch):
+    """Every t >= 2 instance is over design_context's guards; past them the
+    search, whose argument is about spreads, refuses it."""
+    monkeypatch.setattr(steiner, "design_context", lambda params: None)
+    with pytest.raises(ValueError, match="needs t = 1"):
+        designs_through_two_blocks(ParamSet(t=2, k=3, n=6, q=2))
 
 
 def test_enumeration_guard():
@@ -673,8 +789,10 @@ def test_mu_matches_scheme_combination_on_grid():
 def test_gram_spectrum_report():
     designs = enumerate_steiner(PG32)
     gram = gram_matrix(PG32, designs)
-    buckets = empirical_pair_counts(gram, SchemeInstance(4, 2, 2))
-    report = verify_gram_spectrum(PG32, bucket_coefficients(buckets, 2), kappa_formula(56, PG32))
+    scheme = SchemeInstance(4, 2, 2)
+    buckets = empirical_pair_counts(gram, scheme)
+    report = verify_gram_spectrum(PG32, scheme, bucket_coefficients(buckets, 2),
+                                  kappa_formula(56, PG32))
     assert report.ok
     assert [m for _, _, m in report.spectrum] == [1, 14, 20]
     by_value = {c.value: c for c in report.checks}
@@ -871,11 +989,12 @@ def test_full_pipeline_pg33_enumeration():
     gram = gram_matrix(PG33, designs)
     coeffs = gram_coefficients(n_designs, PG33)
     assert coeffs.kappa == 648 and coeffs.kappa_i[0] == 72
-    buckets = empirical_pair_counts(gram, SchemeInstance(4, 2, 3))
+    scheme = SchemeInstance(4, 2, 3)
+    buckets = empirical_pair_counts(gram, scheme)
     assert buckets[2] == {648}
     assert buckets[0] == {72} and buckets[1] == {0}
     assert gram_check(buckets, coeffs, PG33.k)
-    report = verify_gram_spectrum(PG33, bucket_coefficients(buckets, 2), coeffs.kappa)
+    report = verify_gram_spectrum(PG33, scheme, bucket_coefficients(buckets, 2), coeffs.kappa)
     assert report.ok
     assert [(str(v), m) for _, v, m in report.spectrum] == [
         ("6480", 1), ("0", 39), ("864", 90)
