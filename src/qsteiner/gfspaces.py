@@ -18,9 +18,10 @@ of a spanning set: its packed rows, which a Subspace unpacks into its tuple
 basis when built.  Other fields, and ``rref`` over every field, go through
 ``_fq_eliminate``, on whole rows with the field's ``row_sub`` and
 ``row_scale``.  F_2 designs are read from the text of their block list:
-``_f2_text_blocks`` compares it with a fixed-width template, packs each
-row's digits with ``int`` and reduces each block with ``_f2_eliminate``
-into its key, with no Subspace built.
+``_f2_text_blocks`` compares it with a fixed-width template and packs each
+row's digits with ``int``, and ``_f2_reduce_blocks`` reduces all the blocks
+so read into their keys together, in k passes over the whole list, with no
+Subspace built and no ``_f2_eliminate`` call per block.
 ``_coverage_columns`` is the one coverage kernel, for every field: it forms
 the keys of the i-subspaces of every block one row of W at a time, across
 all blocks.  One block's coverage keys and the ``_inner_indices`` tables
@@ -194,7 +195,8 @@ def _unpack(word: int, n: int) -> tuple[int, ...]:
 
 
 def _f2_eliminate(words) -> dict[int, int]:
-    """Gauss-Jordan elimination of packed F_2 rows, the one F_2 kernel.
+    """Gauss-Jordan elimination of packed F_2 rows, the one general F_2
+    kernel (a design file's block list is reduced by ``_f2_reduce_blocks``).
 
     Returns {pivot bit: row}: each row's lowest set bit is its pivot, and
     every row is zero in the pivot columns of the others, so the rows sorted
@@ -323,9 +325,10 @@ def _f2_text_blocks(text: str, start: int, end: int, n: int, k: int) -> list[tup
     is exact: a split number (``1 0``) leaves two digits side by side, and
     ``-0``, ``01``, ``1.0``, ``true``, a comma too many or too few and a
     wrong row length each change a byte.  Each row's digits, reversed, are
-    its packed word (bit j is column j), and each block is reduced by
-    ``_f2_eliminate``.  The text is read a fixed number of characters at a
-    time, so no copy of the whole array is held.
+    its packed word (bit j is column j).  The text is read a fixed number of
+    characters at a time, so no copy of the whole array is held, and the
+    words of the blocks in each piece are reduced together
+    (``_f2_reduce_blocks``).
     """
     size = k * (2 * n + 2) + 2  # one block and its comma
     if size > end - start:
@@ -345,11 +348,45 @@ def _f2_text_blocks(text: str, start: int, end: int, n: int, k: int) -> list[tup
             return None
         digits = body.translate(None, b"[],")[::-1]
         words = [int(digits[i:i + n], 2) for i in range(0, len(digits), n)][::-1]
-        for reduced in map(_f2_eliminate, zip(*[iter(words)] * k)):
-            if len(reduced) != k:
-                return None
-            blocks.append(tuple([reduced[piv] for piv in sorted(reduced)]))
+        keys = _f2_reduce_blocks(words, k)
+        if keys is None:
+            return None
+        blocks += keys
     return blocks if blocks and not rest else None
+
+
+def _f2_reduce_blocks(words: list[int], k: int) -> list[tuple[int, ...]] | None:
+    """The RREF keys of the blocks of k consecutive packed F_2 rows in
+    words, in list order; None unless every block has rank k.
+
+    Gauss-Jordan elimination on all blocks at once, in k passes over the
+    whole list: pass j clears the pivots of rows 0..j-1 from row j of every
+    block, takes its lowest set bit as its pivot (a zero row means a block
+    of lower rank), and clears that pivot from rows 0..j-1.  The rows of
+    each block are then sorted by pivot with k(k-1)/2 adjacent
+    compare-exchanges.  RREF is unique, so each key is the one
+    ``_f2_eliminate`` gives for its block alone.
+    """
+    rows = [words[j::k] for j in range(k)]
+    pivots = []
+    for j in range(k):
+        row = rows[j]
+        for i in range(j):
+            row = [x ^ y if x & p else x for x, y, p in zip(row, rows[i], pivots[i])]
+        if 0 in row:
+            return None
+        pivot = [x & -x for x in row]
+        for i in range(j):
+            rows[i] = [x ^ y if x & p else x for x, y, p in zip(rows[i], row, pivot)]
+        rows[j] = row
+        pivots.append(pivot)
+    for top in range(k - 1, 0, -1):
+        for i in range(top):
+            low = [a if a & -a < b & -b else b for a, b in zip(rows[i], rows[i + 1])]
+            # of a and b, the one that low does not hold
+            rows[i + 1] = [a ^ b ^ c for a, b, c in zip(rows[i], rows[i + 1], low)]
+            rows[i] = low
+    return list(zip(*rows))
 
 
 def _check_rows(rows, n: int, q: int) -> None:

@@ -827,8 +827,8 @@ def test_whole_list_ingest_names_what_the_per_block_walk_names(edit, message, tm
     assert captured.err == f"error: {path}: {message}\n"
 
 
-def _spread_object(q: int) -> dict:
-    params = ParamSet(t=1, k=2, n=4, q=q)
+def _spread_object(q: int, k: int = 2, n: int = 4) -> dict:
+    params = ParamSet(t=1, k=k, n=n, q=q)
     blocks = block_subspaces(params, steiner.sample_steiner(params, 1, 1).designs[0])
     return steiner.design_to_dict(params, blocks)
 
@@ -844,6 +844,22 @@ def _with_entry(raw: str, col: int = 1) -> str:
 def _rank_deficient() -> dict:
     obj = _spread_object(2)
     obj["blocks"][-1][1] = list(obj["blocks"][-1][0])
+    return obj
+
+
+def _k3_spanning_sets() -> dict:
+    """The seed-1 (1,3,6,2) spread with each block a spanning set that is
+    not in RREF: row 0 ^= row 1, then rows 1 and 2 swapped."""
+    obj = _spread_object(2, k=3, n=6)
+    obj["blocks"] = [[[a ^ b for a, b in zip(r0, r1)], r2, r1] for r0, r1, r2 in obj["blocks"]]
+    return obj
+
+
+def _k3_rank_deficient() -> dict:
+    """``_k3_spanning_sets`` with row 2 of its last block set to row 0 ^ row 1."""
+    obj = _k3_spanning_sets()
+    r0, r1, _ = obj["blocks"][-1]
+    obj["blocks"][-1][2] = [a ^ b for a, b in zip(r0, r1)]
     return obj
 
 
@@ -874,6 +890,8 @@ _INDENTED = json.dumps(_spread_object(2), indent=2)
     ('{"q": 2, "n": 4, "k": 4, "t": 1, "blocks": [[[1, 0, 0, 0], [0, 1, 0, 0], '
      '[0, 0, 1, 0], [0, 0, 0, 1]]]}', True, 0),
     (json.dumps(_rank_deficient()), False, 2),
+    (json.dumps(_k3_spanning_sets()), True, 0),
+    (json.dumps(_k3_rank_deficient()), False, 2),
     ('{"q": 2, "n": 4, "k": 2, "t": 1, "blocks": []}', False, 1),
     ('{"note": NaN, ' + _SPREAD[1:], False, 0),
     (_SPREAD[:-1] + ', "note": NaN}', False, 0),
@@ -885,7 +903,8 @@ _INDENTED = json.dumps(_spread_object(2), indent=2)
 ], ids=["minus-zero", "split-number", "leading-zero", "float", "true", "comma-in-row",
         "comma-after-last-block", "sorted-indented", "duplicate-n-first", "duplicate-n-last",
         "extra-key", "escaped-q", "bom", "crlf", "crlf-error-on-line-3", "array-of-two",
-        "array-q2-q3", "n-1", "k-equals-n", "rank-deficient-late", "empty-blocks",
+        "array-q2-q3", "n-1", "k-equals-n", "rank-deficient-late", "k3-spanning-sets",
+        "k3-rank-deficient-late", "empty-blocks",
         "nan-before-blocks", "nan-after-blocks", "infinity", "nested-blocks",
         "escaped-blocks", "blocks-zero-beside-nested-list"])
 def test_text_route_and_json_route_give_the_same_run(text, taken, code, tmp_path, capsys,
@@ -904,6 +923,15 @@ def test_text_route_and_json_route_give_the_same_run(text, taken, code, tmp_path
     monkeypatch.setattr(steiner, "_read_f2_designs", lambda text: None)
     assert (main(argv), capsys.readouterr()) == run
     assert (read[0] is not None, run[0]) == (taken, code)
+
+
+def test_a_rank_deficient_k3_block_is_named_by_the_json_route(tmp_path, capsys):
+    # the text route refuses the (1,3,6,2) file at its last block's third
+    # row, and the json route names that block
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(_k3_rank_deficient()), encoding="utf-8")
+    assert main(["verify-design", "--designs", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: block 8: expected dimension 3, got 2\n")
 
 
 def test_text_route_gives_up_at_the_first_design_over_another_field(tmp_path, capsys,

@@ -1,5 +1,7 @@
 import gc
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from oracles import (
@@ -11,6 +13,7 @@ from oracles import (
     spanning_count_bruteforce,
 )
 
+from qsteiner import gfspaces, steiner
 from qsteiner.exactq import gauss_binom, q_int
 from qsteiner.gfspaces import (
     FieldSpec,
@@ -18,9 +21,12 @@ from qsteiner.gfspaces import (
     _basis_for,
     _canonical_keys,
     _coverage_columns,
+    _f2_eliminate,
+    _f2_reduce_blocks,
     _free_positions,
     _inner_indices,
     _pivot_sets_colex,
+    _rref_key,
     count_fixed_intersection,
     field,
     gf_matmul,
@@ -333,6 +339,61 @@ def test_packed_f2_rref_recovers_every_subspace():
                     assert subspace_from_rows(rows, n, 2) == s
                     cases += 1
     assert cases == 3 * 464
+
+
+def _f2_keys(blocks) -> list[tuple[int, ...]]:
+    """Each block's RREF key from its own ``_f2_eliminate`` call."""
+    return [tuple([reduced[piv] for piv in sorted(reduced)])
+            for reduced in map(_f2_eliminate, blocks)]
+
+
+def test_whole_list_reduction_matches_per_block_elimination():
+    # the k passes over all blocks give each block the key its own
+    # elimination gives, and None once any block has rank below k, whichever
+    # row first falls into the span of the rows before it
+    import random
+
+    rng = random.Random(28)
+    cases = 0
+    for k in range(1, 6):
+        for n in range(k, 13):
+            blocks = []
+            while len(blocks) < 30:
+                words = [rng.getrandbits(n) for _ in range(k)]
+                if len(_f2_eliminate(words)) == k:
+                    blocks.append(words)
+            blocks += _f2_keys(blocks[:3])  # blocks already in RREF
+            assert _f2_reduce_blocks([w for b in blocks for w in b], k) == _f2_keys(blocks)
+            for j in range(k):
+                bad = [list(b) for b in blocks]
+                victim = bad[rng.randrange(len(bad))]
+                victim[j] = 0
+                for row in victim[:j]:
+                    victim[j] ^= row if rng.random() < 0.5 else 0
+                assert len(_f2_eliminate(victim)) < k
+                assert _f2_reduce_blocks([w for b in bad for w in b], k) is None
+                cases += 1
+    assert cases == sum(k * (13 - k) for k in range(1, 6))
+
+
+def test_text_route_makes_no_per_block_elimination(tmp_path, monkeypatch):
+    # the m = 5 spread file is read from its text with no _f2_eliminate
+    # call, and each key is the block's own _rref_key
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spreadgen
+
+    spread = spreadgen.make_spread(5, 1)
+    path = tmp_path / "spread.json"
+    spreadgen.write_design(path, spread.dim, spread.blocks)
+    text = path.read_text(encoding="utf-8")
+    expected = [_rref_key(mat, 10, 2) for mat in json.loads(text)["blocks"]]
+    calls = []
+    for module in (gfspaces, steiner):
+        monkeypatch.setattr(module, "_f2_eliminate",
+                            lambda words: calls.append(words) or _f2_eliminate(words))
+    [(params, keys)] = steiner._read_f2_designs(text)
+    assert calls == [] and (params.n, params.k) == (10, 2)
+    assert keys == expected and len(keys) == 341
 
 
 def test_packed_coverage_keys_match_gf_matmul():
