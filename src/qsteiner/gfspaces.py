@@ -3,7 +3,10 @@
 Supports F_q for prime q plus q in {4, 8, 9} with fixed irreducible
 polynomials (x^2+x+1, x^3+x+1 over F_2; x^2+2x+2 over F_3).  Field elements
 are encoded as integers 0..q-1 read as base-p coefficient vectors, so any
-k x n basis matrix is a plain nested list of small ints.
+k x n basis matrix is a plain nested list of small ints.  ``FieldSpec``
+chooses a field's arithmetic once: modular for prime q, and for q = 4, 8, 9
+lookups in addition, multiplication, negation and inverse tables built once
+from the base-p digits.  ``gf_matmul`` sums whole rows with ``row_sub``.
 
 Subspaces are kept in reduced row echelon form, which makes equality a tuple
 comparison and gives a total canonical order on each Grassmannian: pivot
@@ -47,11 +50,12 @@ _IRREDUCIBLE = {
 
 
 class FieldSpec:
-    """Arithmetic for F_q with the fixed element encoding.
+    """Arithmetic for F_q with the fixed element encoding, chosen once.
 
-    Prime fields use modular arithmetic directly; the supported extension
-    fields use multiplication tables built from the fixed polynomial.  The
-    elimination kernel works on whole rows through ``row_sub(v, c, b)``,
+    Prime fields bind modular arithmetic.  The supported extension fields
+    bind lookups in ``add``, ``mul``, ``neg`` and ``inv`` tables, built once
+    from base-p digits and the powers of x reduced by the fixed polynomial.
+    The elimination kernel works on whole rows through ``row_sub(v, c, b)``,
     which is v - c*b, and ``row_scale(c, v)``, which is c*v: modular list
     comprehensions for prime fields, table lookups otherwise.
     """
@@ -62,18 +66,19 @@ class FieldSpec:
         self.p = p
         self.e = e
         if e == 1:
-            self._mul_table = None
-            self._inv_table = None
+            self.add = lambda a, b: (a + b) % q
+            self.neg = lambda a: -a % q
+            self.mul = lambda a, b: a * b % q
+            self._inverse = lambda a: pow(a, q - 2, q)
             self.row_sub = lambda v, c, b: [(x - c * y) % q for x, y in zip(v, b)]
             self.row_scale = lambda c, v: [c * x % q for x in v]
         else:
             if q not in _IRREDUCIBLE:
                 raise ValueError(f"unsupported extension field order {q}")
-            self.modulus = _IRREDUCIBLE[q]
-            self._mul_table = mul = self._build_mul_table()
-            self._inv_table = self._build_inv_table()
+            add, mul = _extension_tables(q, p, e)
+            neg = [row.index(0) for row in add]
             # axpy[c][x][y] = x - c*y
-            axpy = [[[self.sub(x, mul[c][y]) for y in range(q)] for x in range(q)]
+            axpy = [[[add[x][neg[mul[c][y]]] for y in range(q)] for x in range(q)]
                     for c in range(q)]
 
             def row_sub(v, c, b):
@@ -84,51 +89,14 @@ class FieldSpec:
                 t = mul[c]
                 return [t[x] for x in v]
 
+            self.add = lambda a, b: add[a][b]
+            self.neg = neg.__getitem__
+            self.mul = lambda a, b: mul[a][b]
+            self._inverse = [0, *[row.index(1) for row in mul[1:]]].__getitem__
             self.row_sub = row_sub
             self.row_scale = row_scale
         if q <= 9:
             self._check_axioms()
-
-    def _coeffs(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _encode(self, coeffs: list[int]) -> int:
-        val = 0
-        for c in reversed(coeffs):
-            val = val * self.p + c
-        return val
-
-    def _build_mul_table(self) -> list[list[int]]:
-        q, p, e = self.q, self.p, self.e
-        table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            ca = self._coeffs(a)
-            for b in range(q):
-                cb = self._coeffs(b)
-                prod = [0] * (2 * e - 1)
-                for i, x in enumerate(ca):
-                    if x:
-                        for j, y in enumerate(cb):
-                            prod[i + j] = (prod[i + j] + x * y) % p
-                # reduce by the monic modulus: x^e = -(lower coefficients)
-                for d in range(2 * e - 2, e - 1, -1):
-                    c = prod[d]
-                    if c:
-                        prod[d] = 0
-                        for i in range(e):
-                            prod[d - e + i] = (prod[d - e + i] - c * self.modulus[i]) % p
-                table[a][b] = self._encode(prod[:e])
-        return table
-
-    def _build_inv_table(self) -> list[int]:
-        inv = [0] * self.q
-        for a in range(1, self.q):
-            inv[a] = next(b for b in range(1, self.q) if self._mul_table[a][b] == 1)
-        return inv
 
     def _check_axioms(self) -> None:
         q = self.q
@@ -146,31 +114,31 @@ class FieldSpec:
             if self.mul(a, self.inv(a)) != 1:
                 raise AssertionError("inverse fails")
 
-    def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        ca, cb = self._coeffs(a), self._coeffs(b)
-        return self._encode([(x + y) % self.p for x, y in zip(ca, cb)])
-
-    def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return self._encode([(-x) % self.p for x in self._coeffs(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return (a * b) % self.p
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return pow(a, self.p - 2, self.p)
+        return self._inverse(a)
+
+
+def _extension_tables(q: int, p: int, e: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The addition and multiplication tables of F_q = F_p[x]/(the fixed
+    polynomial), element a standing for the polynomial whose base-p digits,
+    lowest first, are its coefficients."""
+    digits = [ds[::-1] for ds in itertools.product(range(p), repeat=e)]
+    index = {ds: a for a, ds in enumerate(digits)}
+    # the digits of x^0 .. x^(2e-2): x^(i+1) is x^i shifted up one place,
+    # its top digit c folded back in as c * x^e = -c * (the lower coefficients)
+    powers = [[int(i == j) for j in range(e)] for i in range(e)]
+    for _ in range(e - 1):
+        *low, top = powers[-1]
+        powers.append([(x - top * m) % p for x, m in zip([0, *low], _IRREDUCIBLE[q])])
+    add = [[index[tuple([(x + y) % p for x, y in zip(da, db)])] for db in digits]
+           for da in digits]
+    # a*b: digit d sums x*y times digit d of x^(i+j) over a's digits x and b's y
+    mul = [[index[tuple([sum(x * y * powers[i + j][d] for i, x in enumerate(da)
+                             for j, y in enumerate(db)) % p for d in range(e)])]
+            for db in digits] for da in digits]
+    return add, mul
 
 
 @cache
@@ -513,16 +481,16 @@ def grassmannian(n: int, k: int, q: int) -> tuple[Subspace, ...]:
 
 
 def gf_matmul(a, b, fld: FieldSpec) -> list[list[int]]:
-    """Product of two coefficient matrices over F_q (nested int lists)."""
+    """Product of two coefficient matrices over F_q (nested int lists): each
+    row of a*b is a sum of whole rows of b, x*brow added as acc - (-x)*brow."""
+    sub, neg = fld.row_sub, fld.neg
     cols_b = len(b[0]) if b else 0
     out = []
     for row in a:
         acc = [0] * cols_b
         for x, brow in zip(row, b):
             if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] = fld.add(acc[j], fld.mul(x, y))
+                acc = sub(acc, neg(x), brow)
         out.append(acc)
     return out
 

@@ -6,7 +6,7 @@ here so that the checks built on it stay independent of the code under test.
 
 import json
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, combinations, compress
 from math import comb
 from operator import mul
@@ -78,6 +78,90 @@ def mat_mul_schoolbook(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         nonzero = [x for x in ra if x]
         out.append([sum(map(mul, nonzero, compress(cb, ra))) for cb in bt])
     return ExactMatrix(out, cols=b.cols)
+
+
+# const-first coefficients of the monic polynomial f with F_q = F_p[x]/(f):
+# x^2 + x + 1 and x^3 + x + 1 over F_2, x^2 + 2x + 2 over F_3, and x for
+# a prime field.  Stated here, not read from the package.
+_FIELD_POLYNOMIALS = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (2, 2, 1)}
+
+
+def _field_polynomial(q: int) -> tuple[int, tuple[int, ...]]:
+    """(p, f) for F_q: p the least divisor of q above 1."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    return p, _FIELD_POLYNOMIALS.get(q, (0, 1))
+
+
+def _coefficients(a: int, p: int, e: int) -> list[int]:
+    """The polynomial that the element a stands for: its e base-p digits, lowest first."""
+    return [a // p ** i % p for i in range(e)]
+
+
+def _element(coefficients: list[int], p: int) -> int:
+    return sum(c * p ** i for i, c in enumerate(coefficients))
+
+
+def poly_add(a: int, b: int, q: int) -> int:
+    """a + b in F_q, coefficient by coefficient mod p."""
+    p, f = _field_polynomial(q)
+    e = len(f) - 1
+    pairs = zip(_coefficients(a, p, e), _coefficients(b, p, e))
+    return _element([(x + y) % p for x, y in pairs], p)
+
+
+def poly_neg(a: int, q: int) -> int:
+    """-a in F_q, coefficient by coefficient mod p."""
+    p, f = _field_polynomial(q)
+    return _element([-x % p for x in _coefficients(a, p, len(f) - 1)], p)
+
+
+def poly_mul(a: int, b: int, q: int) -> int:
+    """a * b in F_q: the schoolbook product of the two polynomials, then its
+    remainder on long division by f."""
+    p, f = _field_polynomial(q)
+    e = len(f) - 1
+    product = [0] * (2 * e - 1)
+    for i, x in enumerate(_coefficients(a, p, e)):
+        for j, y in enumerate(_coefficients(b, p, e)):
+            product[i + j] = (product[i + j] + x * y) % p
+    for d in range(2 * e - 2, e - 1, -1):
+        c = product[d]
+        for i, m in enumerate(f):
+            product[d - e + i] = (product[d - e + i] - c * m) % p
+    return _element(product[:e], p)
+
+
+def poly_inv(a: int, q: int) -> int:
+    """The b with a * b = 1 in F_q, found by search; 0 has none."""
+    if a == 0:
+        raise ZeroDivisionError("inverse of 0")
+    return next(b for b in range(1, q) if poly_mul(a, b, q) == 1)
+
+
+@cache
+def poly_tables(q: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The addition and multiplication tables of F_q that the oracle gives."""
+    return ([[poly_add(a, b, q) for b in range(q)] for a in range(q)],
+            [[poly_mul(a, b, q) for b in range(q)] for a in range(q)])
+
+
+def poly_row_sub(v: list[int], c: int, b: list[int], q: int) -> list[int]:
+    """v - c*b over F_q, entry by entry."""
+    return [poly_add(x, poly_neg(poly_mul(c, y, q), q), q) for x, y in zip(v, b)]
+
+
+def poly_row_scale(c: int, v: list[int], q: int) -> list[int]:
+    """c*v over F_q, entry by entry."""
+    return [poly_mul(c, x, q) for x in v]
+
+
+def poly_matmul(a, b, q: int) -> list[list[int]]:
+    """a·b over F_q, each entry summed over a's row and b's column.  A b
+    with no rows gives rows with no entries, as a nested list cannot say
+    how many columns it has."""
+    cols = list(zip(*b))
+    return [[reduce(lambda s, xy: poly_add(s, poly_mul(*xy, q), q), zip(row, col), 0)
+             for col in cols] for row in a]
 
 
 def dense_gram(scheme: SchemeInstance, coefficients: Sequence[int]) -> ExactMatrix:

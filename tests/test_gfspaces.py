@@ -9,6 +9,14 @@ from oracles import (
     count_fixed_intersection_bruteforce,
     coverage_keys,
     mobius_delta_check,
+    poly_add,
+    poly_inv,
+    poly_matmul,
+    poly_mul,
+    poly_neg,
+    poly_row_scale,
+    poly_row_sub,
+    poly_tables,
     span_coverage_keys,
     spanning_count_bruteforce,
 )
@@ -57,6 +65,36 @@ def test_field_arithmetic_f4():
     assert fld.mul(2, 3) == 1
     assert fld.add(2, 3) == 1
     assert fld.inv(2) == 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_field_arithmetic_matches_the_polynomial_oracle(q):
+    import random
+
+    fld = field(q)
+    pairs = list(itertools.product(range(q), repeat=2))
+    assert [fld.add(a, b) for a, b in pairs] == [poly_add(a, b, q) for a, b in pairs]
+    assert [fld.mul(a, b) for a, b in pairs] == [poly_mul(a, b, q) for a, b in pairs]
+    assert [fld.neg(a) for a in range(q)] == [poly_neg(a, q) for a in range(q)]
+    assert [fld.inv(a) for a in range(1, q)] == [poly_inv(a, q) for a in range(1, q)]
+    rng = random.Random(q)
+    for _ in range(200):
+        n, c = rng.randint(0, 6), rng.randrange(q)
+        v, b = ([rng.randrange(q) for _ in range(n)] for _ in range(2))
+        assert fld.row_sub(v, c, b) == poly_row_sub(v, c, b, q)
+        assert fld.row_scale(c, v) == poly_row_scale(c, v, q)
+    # every shape up to 3 x 3 times 3 x 3, those with 0 rows or columns too
+    for rows, inner, cols in itertools.product(range(4), repeat=3):
+        for _ in range(3):
+            a = [[rng.randrange(q) for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.randrange(q) for _ in range(cols)] for _ in range(inner)]
+            assert gf_matmul(a, b, fld) == poly_matmul(a, b, q)
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, steiner._RANK_PRIME])
+def test_inverse_of_zero_raises(q):
+    with pytest.raises(ZeroDivisionError):
+        field(q).inv(0)
 
 
 def test_enumeration_sizes():
@@ -145,13 +183,15 @@ def test_rows_rank_matches_rref():
             assert rows_rank(m, fld) == len(rref(m, fld)[0])
 
 
-def _span(rows, n, fld):
-    """Every F_q combination of rows, summed entry by entry: no elimination."""
+def _span(rows, n, q):
+    """Every F_q combination of rows, summed entry by entry in the
+    polynomial oracle's arithmetic: no elimination, and no FieldSpec."""
+    add, mul = poly_tables(q)
     out = set()
-    for coeffs in itertools.product(range(fld.q), repeat=len(rows)):
+    for coeffs in itertools.product(range(q), repeat=len(rows)):
         v = [0] * n
         for c, row in zip(coeffs, rows):
-            v = [fld.add(x, fld.mul(c, y)) for x, y in zip(v, row)]
+            v = [add[x][mul[c][y]] for x, y in zip(v, row)]
         out.add(tuple(v))
     return out
 
@@ -167,8 +207,8 @@ def test_rref_and_rows_rank_match_the_span_oracle():
             m = [[rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(nc)]
                  for _ in range(nr)]
             basis, pivots = rref(m, fld)
-            span = _span(m, nc, fld)
-            assert _span(basis, nc, fld) == span
+            span = _span(m, nc, q)
+            assert _span(basis, nc, q) == span
             assert len(span) == q ** rows_rank(m, fld)
             assert len(basis) == len(pivots)
             assert list(pivots) == sorted(set(pivots))
@@ -455,7 +495,6 @@ def test_f2_subspaces_from_every_source_are_equal():
 def test_f2_basis_pivots_and_contains_read_off_the_packed_rows():
     # the tuple forms come off the packed key; the oracle is the RREF
     # built entry by entry from (pivots, digits) and a span without elimination
-    fld = field(2)
     cases = 0
     for n in range(1, 7):
         points = grassmannian(n, 1, 2)
@@ -471,7 +510,7 @@ def test_f2_basis_pivots_and_contains_read_off_the_packed_rows():
                 for t in (s, fresh):
                     assert (t.basis, t.pivots, t.dim) == (basis, pivots, k)
                     assert t.to_lists() == [list(r) for r in basis]
-                span = _span(basis, n, fld)
+                span = _span(basis, n, 2)
                 assert [s.contains(p) for p in points] == [p.basis[0] in span for p in points]
                 assert s.contains(s) and s.contains(grassmannian(n, 0, 2)[0])
                 assert fresh.contains(s) and s.contains(fresh)
