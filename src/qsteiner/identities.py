@@ -1,16 +1,20 @@
 """Exact both-sides evaluation of the q-series identities behind the spectrum.
 
-Each ``check_*`` function evaluates the two sides of one identity literally,
-term by term, sharing no intermediate values between sides, and returns an
-IdentityReport carrying both exact rationals.  A report is never "close":
-``equal`` is exact Fraction equality, and a side that is not an int or a
-Fraction (a float, a bool) raises TypeError.
+Each ``check_*`` function evaluates the two sides of one identity
+separately, sharing no intermediate values between sides, and returns an
+IdentityReport carrying both exact rationals.  A report is never "close": ``equal`` is exact Fraction equality,
+and a side that is not an int or a Fraction (a float, a bool) raises
+TypeError.
 
-The sums are accumulated in integers: ``_term`` writes each term as an
-unreduced (numerator, denominator) pair of Python ints, read off the cached
-``gauss_binom`` Fractions and powers of q, and ``_pair_sum`` adds the pairs
-without reducing them, so each side is normalised by one gcd, when its
-single Fraction is built at the end.
+The sums are accumulated in integers, from per-q tables (``_tables``) that
+hold each Gaussian binomial as its (numerator, denominator) pair of ints,
+the swapped pair for a binomial in a denominator, and each power of q as a
+pair, all read from ``gauss_binom`` on first use.  A term is multiplied out
+of these pairs in place, unreduced, and added to its side's running pair:
+numerators add when the denominators agree and cross-multiply otherwise.
+So each side is normalised by one gcd, when its single Fraction is built at
+the end.  ``tests/oracles.py`` keeps every summed family in its literal
+term-by-term form, and a test checks each sweep case of those against it.
 
 Parameter tuples that violate an identity's validity range (a vanishing
 denominator binomial, a non-terminating series) raise PreconditionError;
@@ -23,12 +27,12 @@ import marshal
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 from .exactq import (
     choose2,
     gauss_binom,
-    q_int,
     q_pochhammer,
     q_pow,
 )
@@ -68,6 +72,8 @@ class IdentityReport:
     rhs: Fraction
 
     def __post_init__(self) -> None:
+        if type(self.lhs) is Fraction is type(self.rhs):
+            return
         _require_exact(lhs=self.lhs, rhs=self.rhs)
         for side in ("lhs", "rhs"):
             if type(getattr(self, side)) is int:
@@ -85,50 +91,38 @@ class SkipRecord:
     reason: str
 
 
-def _term(sign: int, e: int, q: int, nums=(), dens=()) -> tuple[int, int]:
-    """sign * q^e * prod(nums) / prod(dens) as an unreduced (numerator,
-    denominator) pair of ints.
+class _Table(dict):
+    """A dict that fills a missing key from ``make(key)`` on first use."""
 
-    nums and dens hold ints or Fractions (the cached ``gauss_binom``
-    values), read through ``.numerator`` and ``.denominator``; e may be
-    negative.  Nothing is reduced, so no gcd is taken.
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+@lru_cache(maxsize=1)  # the sweep takes one q at a time; older tables only hold memory
+def _tables(q: int) -> tuple[_Table, _Table, _Table]:
+    """The integer pairs that every sum is built from, for one q.
+
+    ``binom[n, k]`` is [n k]_q as its (numerator, denominator) pair and
+    ``inv[n, k]`` the swapped pair, for a binomial in a denominator: it
+    raises VanishingDenominator when [n k]_q = 0.  ``power[e]`` is q^e as a
+    pair, for any integer e.
     """
-    num, den = (sign * q**e, 1) if e >= 0 else (sign, q**-e)
-    for x in nums:
-        num *= x.numerator
-        den *= x.denominator
-    for x in dens:
-        num *= x.denominator
-        den *= x.numerator
-    return num, den
+    def binom(nk):
+        v = gauss_binom(*nk, q)
+        return v.numerator, v.denominator
 
+    def inverse(nk):
+        num, den = binoms[nk]
+        if not num:
+            raise VanishingDenominator(f"[{nk[0]} {nk[1]}]_{q} = 0 in a denominator")
+        return den, num
 
-def _pair_sum(terms) -> Fraction:
-    """The sum of (numerator, denominator) pairs as one normalised Fraction.
-
-    Pairs are added unreduced: numerators add when the denominators agree,
-    and cross-multiply otherwise; the one gcd is taken at the end.
-    """
-    num, den = 0, 1
-    for a, b in terms:
-        if b == den:
-            num += a
-        else:
-            num, den = num * b + a * den, den * b
-    return Fraction(num, den)
-
-
-def _one_minus_q_pow(e: int, q: int) -> tuple[int, int]:
-    """1 - q^e as an unreduced (numerator, denominator) pair."""
-    return (1 - q**e, 1) if e >= 0 else (q**-e - 1, q**-e)
-
-
-def _qbin_den(n: int, k: int, q: int) -> Fraction:
-    """Gaussian binomial destined for a denominator; raises if it vanishes."""
-    v = gauss_binom(n, k, q)
-    if not v:
-        raise VanishingDenominator(f"[{n} {k}]_{q} = 0 in a denominator")
-    return v
+    binoms = _Table(binom)
+    return binoms, _Table(inverse), _Table(lambda e: (q**e, 1) if e >= 0 else (1, q**-e))
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +148,20 @@ def eval_3phi2(upper: tuple[int, int, int], lower: tuple[int, int], q: int) -> F
                 f"lower parameter q^{e} vanishes before term {m}"
             )
     # term ell+1 is term ell times q prod_upper (1 - q^(e+ell)) over
-    # prod_lower (1 - q^(e+ell)) and (1 - q^(ell+1))
-    num, den = 1, 1
-    terms = [(num, den)]
+    # prod_lower (1 - q^(e+ell)) and (1 - q^(ell+1)), with 1 - a/b = (b-a)/b
+    power = _tables(q)[2]
+    num = den = total = total_den = 1
     for ell in range(m):
         num *= q
         for e in upper:
-            a, b = _one_minus_q_pow(e + ell, q)
-            num, den = num * a, den * b
+            a, b = power[e + ell]
+            num, den = num * (b - a), den * b
         for e in (*lower, 1):
-            a, b = _one_minus_q_pow(e + ell, q)
-            num, den = num * b, den * a
-        terms.append((num, den))
-    return _pair_sum(terms)
+            a, b = power[e + ell]
+            num, den = num * b, den * (b - a)
+        total, total_den = ((total + num, den) if den == total_den
+                            else (total * den + num * total_den, total_den * den))
+    return Fraction(total, total_den)
 
 
 def check_3phi2_transformation(n: int, a: int, b: int, c: int, d: int,
@@ -270,10 +265,8 @@ def check_q_binomial_theorem(n: int, x: Fraction, y: Fraction,
     _require_exact(x=x, y=y)
     x = Fraction(x)
     y = Fraction(y)
-    lhs = _pair_sum(
-        _term(1, choose2(k), q, (gauss_binom(n, k, q), x**k, y ** (n - k)))
-        for k in range(n + 1)
-    )
+    lhs = sum(gauss_binom(n, k, q) * q_pow(choose2(k), q) * x**k * y ** (n - k)
+              for k in range(n + 1))
     rhs = Fraction(1)
     for i in range(n):
         rhs *= x * q**i + y
@@ -301,28 +294,27 @@ def check_product_expansion(x: int, y: int, h: int, p: int,
         raise PreconditionError("need 0 <= h <= p")
     params = {"x": x, "y": y, "h": h, "p": p, "q": q}
     lhs = gauss_binom(x, h, q) * gauss_binom(y - x, p - h, q)
-    rhs1 = _pair_sum(
-        _term((-1) ** (v - h), -(p - h) * (x - h) + choose2(v - h), q,
-              (gauss_binom(v, h, q), gauss_binom(y - v, p - v, q), gauss_binom(x, v, q)))
-        for v in range(h, p + 1)
-    )
-    rhs2 = _pair_sum(
-        _term((-1) ** (v - h), (v - h) * (y - x - p + h) + choose2(v - h + 1), q,
-              (gauss_binom(v, h, q), gauss_binom(y - v, p - v, q), gauss_binom(x, v, q)))
-        for v in range(h, p + 1)
-    )
-    return [
-        IdentityReport("product_expansion_descending", params, lhs, rhs1),
-        IdentityReport("product_expansion_ascending", params, lhs, rhs2),
-    ]
+    binom, _, power = _tables(q)
+    reports = []
+    for name, e0, e1 in (("descending", -(p - h) * (x - h), 0),
+                         ("ascending", 0, y - x - p + h + 1)):
+        # term v has q-exponent e0 + C(v-h) + (v-h) e1
+        num, den = 0, 1
+        for v in range(h, p + 1):
+            (a, b), (c, d), (e, f) = binom[v, h], binom[y - v, p - v], binom[x, v]
+            qn, qd = power[e0 + choose2(v - h) + (v - h) * e1]
+            a, b = (-1) ** (v - h) * a * c * e * qn, b * d * f * qd
+            num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
+        reports.append(IdentityReport(f"product_expansion_{name}", params, lhs,
+                                      Fraction(num, den)))
+    return reports
 
 
 def check_alternating_column_sum(x: int, a: int, q: int) -> IdentityReport:
     """sum_v (-1)^v [x v] q^C(v,2) for v <= a against q^(xa) [a-x a]."""
     if a < 0:
         raise PreconditionError("a must be nonnegative")
-    lhs = _pair_sum(_term((-1) ** v, choose2(v), q, (gauss_binom(x, v, q),))
-                    for v in range(a + 1))
+    lhs = sum((-1) ** v * q_pow(choose2(v), q) * gauss_binom(x, v, q) for v in range(a + 1))
     rhs = q_pow(x * a, q) * gauss_binom(a - x, a, q)
     return IdentityReport("alternating_column_sum", {"x": x, "a": a, "q": q}, lhs, rhs)
 
@@ -339,23 +331,22 @@ def check_shifted_sum_transform(n: int, r: int, k: int, u: int, i: int,
     if u < 0:
         raise PreconditionError("u must be nonnegative")
     params = {"n": n, "r": r, "k": k, "u": u, "i": i, "q": q}
-    lhs = _pair_sum(
-        _term((-1) ** s, choose2(u - s), q,
-              (gauss_binom(n - r + 1, u - s, q), gauss_binom(k - i + s, s, q),
-               gauss_binom(k - i + s, s, q)),
-              (_qbin_den(r - i + s, s, q),))
-        for s in range(u + 1)
-    )
+    binom, inv, power = _tables(q)
+    num, den = 0, 1
+    for s in range(u + 1):
+        (a, b), (c, d), (e, f) = binom[n - r + 1, u - s], binom[k - i + s, s], inv[r - i + s, s]
+        qn, qd = power[choose2(u - s)]
+        a, b = (-1) ** s * a * c * c * e * qn, b * d * d * f * qd
+        num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
+    lhs = Fraction(num, den)
     # the outer q^(u(2k-i-r+1)) is folded into every term's exponent
-    rhs = _pair_sum(
-        _term((-1) ** s,
-              choose2(u - s) + s * (2 * r - 2 * k + s - 1) + u * (2 * k - i - r + 1), q,
-              (gauss_binom(n - 2 * k + i, u - s, q), gauss_binom(k - r, s, q),
-               gauss_binom(k - r, s, q)),
-              (_qbin_den(r - i + s, s, q),))
-        for s in range(u + 1)
-    )
-    return IdentityReport("shifted_sum_transform", params, lhs, rhs)
+    num, den = 0, 1
+    for s in range(u + 1):
+        (a, b), (c, d), (e, f) = binom[n - 2 * k + i, u - s], binom[k - r, s], inv[r - i + s, s]
+        qn, qd = power[choose2(u - s) + s * (2 * r - 2 * k + s - 1) + u * (2 * k - i - r + 1)]
+        a, b = (-1) ** s * a * c * c * e * qn, b * d * d * f * qd
+        num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
+    return IdentityReport("shifted_sum_transform", params, lhs, Fraction(num, den))
 
 
 def check_shifted_sum_transform_diagonal(n: int, r: int, k: int, i: int,
@@ -366,23 +357,25 @@ def check_shifted_sum_transform_diagonal(n: int, r: int, k: int, i: int,
     if i < 0:
         raise PreconditionError("i must be nonnegative")
     params = {"n": n, "r": r, "k": k, "i": i, "q": q}
-    # the outer factors are folded into every term
-    lhs = _pair_sum(
-        _term((-1) ** s, choose2(i - s), q,
-              (gauss_binom(r, i - s, q), gauss_binom(k - i + s, s, q),
-               gauss_binom(k - i + s, s, q), gauss_binom(n - r + 1, i, q)),
-              (_qbin_den(n - r - i + s + 1, s, q),))
-        for s in range(i + 1)
-    )
-    rhs = _pair_sum(
-        _term((-1) ** s,
-              choose2(i - s) + s * (2 * r - 2 * k + s - 1) + i * (2 * k - r - i + 1), q,
-              (gauss_binom(r, i - s, q), gauss_binom(k - r, s, q),
-               gauss_binom(k - r, s, q), gauss_binom(n - 2 * k + i, i, q)),
-              (_qbin_den(n - 2 * k + s, s, q),))
-        for s in range(i + 1)
-    )
-    return IdentityReport("shifted_sum_transform_diagonal", params, lhs, rhs)
+    binom, inv, power = _tables(q)
+    # the outer factors are folded into every term; the whole left side is
+    # summed first, so that its vanishing denominator is the one named
+    g, h = binom[n - r + 1, i]
+    num, den = 0, 1
+    for s in range(i + 1):
+        (a, b), (c, d), (e, f) = binom[r, i - s], binom[k - i + s, s], inv[n - r - i + s + 1, s]
+        qn, qd = power[choose2(i - s)]
+        a, b = (-1) ** s * a * c * c * e * g * qn, b * d * d * f * h * qd
+        num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
+    lhs = Fraction(num, den)
+    g, h = binom[n - 2 * k + i, i]
+    num, den = 0, 1
+    for s in range(i + 1):
+        (a, b), (c, d), (e, f) = binom[r, i - s], binom[k - r, s], inv[n - 2 * k + s, s]
+        qn, qd = power[choose2(i - s) + s * (2 * r - 2 * k + s - 1) + i * (2 * k - r - i + 1)]
+        a, b = (-1) ** s * a * c * c * e * g * qn, b * d * d * f * h * qd
+        num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
+    return IdentityReport("shifted_sum_transform_diagonal", params, lhs, Fraction(num, den))
 
 
 def check_double_sum_reduction(n: int, r: int, k: int, t: int,
@@ -393,40 +386,43 @@ def check_double_sum_reduction(n: int, r: int, k: int, t: int,
     if r > n + 1:
         raise PreconditionError("need r <= n + 1")
     params = {"n": n, "r": r, "k": k, "t": t, "q": q}
-    lhs = _pair_sum(
-        _term((-1) ** s,
-              i * (2 * k - t - r + 1) + choose2(s) + s * (2 * r - 2 * k + s - i), q,
-              (gauss_binom(n - 2 * k + i, i, q), gauss_binom(k - i, t - i, q),
-               gauss_binom(r, i - s, q), gauss_binom(k - r, s, q), gauss_binom(k - r, s, q)),
-              (_qbin_den(k, i, q), _qbin_den(n - 2 * k + s, s, q)))
-        for i in range(t + 1)
-        for s in range(i + 1)
-    )
-    rhs = Fraction(*_term(1, 0, q, (gauss_binom(r, t, q), gauss_binom(n - r + 1, t, q)),
-                          (_qbin_den(k, t, q),)))
-    return IdentityReport("double_sum_reduction", params, lhs, rhs)
-
-
-def _triple_terms(n: int, k: int, r: int, t: int, q: int, e0: int,
-                  with_ratio: bool):
-    """The terms of the triple alternating sum over i, j, s as unreduced
-    pairs, each times q^e0; with_ratio adds the
-    [n-i-j t-i-j]/[k-i-j t-i-j] factor."""
+    binom, inv, power = _tables(q)
+    num, den = 0, 1
     for i in range(t + 1):
+        (a, b), (c, d), (e, f) = binom[n - 2 * k + i, i], binom[k - i, t - i], inv[k, i]
+        g, h = a * c * e, b * d * f
+        for s in range(i + 1):
+            (a, b), (c, d), (e, f) = binom[r, i - s], binom[k - r, s], inv[n - 2 * k + s, s]
+            qn, qd = power[i * (2 * k - t - r + 1) + choose2(s) + s * (2 * r - 2 * k + s - i)]
+            a, b = (-1) ** s * g * a * c * c * e * qn, h * b * d * d * f * qd
+            num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
+    (a, b), (c, d), (e, f) = binom[r, t], binom[n - r + 1, t], inv[k, t]
+    return IdentityReport("double_sum_reduction", params, Fraction(num, den),
+                          Fraction(a * c * e, b * d * f))
+
+
+def _triple_sum(n: int, k: int, r: int, t: int, q: int, e0: int,
+                with_ratio: bool) -> Fraction:
+    """The triple alternating sum over i, j, s, each term times q^e0;
+    with_ratio adds the [n-i-j t-i-j]/[k-i-j t-i-j] factor."""
+    binom, inv, power = _tables(q)
+    num, den = 0, 1
+    for i in range(t + 1):
+        (a, b), (c, d) = binom[n - 2 * k + i, i], inv[k, i]
+        ni, di = a * c, b * d
         for j in range(t - i + 1):
+            a, b = binom[k - i, j]
+            g, h = ni * a, di * b
+            if with_ratio:
+                (a, b), (c, d) = binom[n - i - j, t - i - j], inv[k - i - j, t - i - j]
+                g, h = g * a * c, h * b * d
+            ej = e0 - (k - i) ** 2 + choose2(j)
             for s in range(i + 1):
-                nums = (gauss_binom(n - 2 * k + i, i, q), gauss_binom(k - i, j, q),
-                        gauss_binom(r, i - s, q), gauss_binom(k - r, s, q),
-                        gauss_binom(k - r, s, q))
-                dens = (_qbin_den(k, i, q), _qbin_den(n - 2 * k + s, s, q))
-                if with_ratio:
-                    nums += (gauss_binom(n - i - j, t - i - j, q),)
-                    dens += (_qbin_den(k - i - j, t - i - j, q),)
-                yield _term(
-                    (-1) ** (i + j + s),
-                    e0 - (k - i) ** 2 + choose2(j) + choose2(s + r - i) + (k - s - r) * (k - s),
-                    q, nums, dens,
-                )
+                (a, b), (c, d), (e, f) = binom[r, i - s], binom[k - r, s], inv[n - 2 * k + s, s]
+                qn, qd = power[ej + choose2(s + r - i) + (k - s - r) * (k - s)]
+                a, b = (-1) ** (i + j + s) * g * a * c * c * e * qn, h * b * d * d * f * qd
+                num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
+    return Fraction(num, den)
 
 
 def check_triple_sum_closed_form(n: int, k: int, r: int, t: int,
@@ -437,50 +433,53 @@ def check_triple_sum_closed_form(n: int, k: int, r: int, t: int,
     if r > n + 1:
         raise PreconditionError("need r <= n + 1")
     params = {"n": n, "k": k, "r": r, "t": t, "q": q}
-    lhs = _pair_sum(_triple_terms(n, k, r, t, q, 0, with_ratio=True))
-    rhs = Fraction(*_term((-1) ** t, choose2(r) - k * r + choose2(t + 1), q,
-                          (gauss_binom(r - 1, t, q), gauss_binom(n - r, t, q)),
-                          (_qbin_den(k, t, q),)))
+    lhs = _triple_sum(n, k, r, t, q, 0, with_ratio=True)
+    binom, inv, power = _tables(q)
+    (a, b), (c, d), (e, f) = binom[r - 1, t], binom[n - r, t], inv[k, t]
+    qn, qd = power[choose2(r) - k * r + choose2(t + 1)]
+    rhs = Fraction((-1) ** t * a * c * e * qn, b * d * f * qd)
     return IdentityReport("triple_sum_closed_form", params, lhs, rhs)
-
-
-def _weighted_terms(n: int, k: int, r: int, t: int, q: int):
-    """The terms (-1)^a c_a [r-1 a][n-r a]/[k a] as unreduced pairs, with
-    c_t = q^C(t+1,2) and c_a = q^(C(a+1,2)+n-a) [k-n]/[k-a] for a < t."""
-    for a in range(t + 1):
-        if a == t:
-            e, nums, dens = choose2(t + 1), (), ()
-        else:
-            den = q_int(k - a, q)
-            if den == 0:
-                raise VanishingDenominator(f"[{k - a}]_{q} = 0 in c_{a}")
-            e, nums, dens = choose2(a + 1) + n - a, (q_int(k - n, q),), (den,)
-        yield _term((-1) ** a, e, q,
-                    nums + (gauss_binom(r - 1, a, q), gauss_binom(n - r, a, q)),
-                    dens + (_qbin_den(k, a, q),))
 
 
 def check_triple_sum_weighted_form(n: int, k: int, r: int, t: int,
                                    q: int) -> IdentityReport:
-    """Weighted single sum with coefficients c_a against the bare triple sum."""
+    """Weighted single sum with coefficients c_m against the bare triple sum:
+    the terms (-1)^m c_m [r-1 m][n-r m]/[k m], with c_t = q^C(t+1,2) and
+    c_m = q^(C(m+1,2)+n-m) [k-n]/[k-m] for m < t."""
     if t < 0:
         raise PreconditionError("t must be nonnegative")
     if r > n + 1:
         raise PreconditionError("need r <= n + 1")
     params = {"n": n, "k": k, "r": r, "t": t, "q": q}
-    lhs = _pair_sum(_weighted_terms(n, k, r, t, q))
+    binom, inv, power = _tables(q)
+    num, den = 0, 1
+    for m in range(t + 1):
+        if m == t:
+            g, h, qn, qd = 1, 1, *power[choose2(t + 1)]
+        elif k == m:
+            raise VanishingDenominator(f"[{k - m}]_{q} = 0 in c_{m}")
+        else:  # [j]_q = [j 1]_q
+            (a, b), (c, d) = binom[k - n, 1], inv[k - m, 1]
+            g, h, qn, qd = a * c, b * d, *power[choose2(m + 1) + n - m]
+        (a, b), (c, d), (e, f) = binom[r - 1, m], binom[n - r, m], inv[k, m]
+        a, b = (-1) ** m * g * a * c * e * qn, h * b * d * f * qd
+        num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
+    lhs = Fraction(num, den)
     # the outer q^(kr - C(r,2)) is folded into every term's exponent
-    rhs = _pair_sum(_triple_terms(n, k, r, t, q, k * r - choose2(r), with_ratio=False))
+    rhs = _triple_sum(n, k, r, t, q, k * r - choose2(r), with_ratio=False)
     return IdentityReport("triple_sum_weighted_form", params, lhs, rhs)
 
 
 def kernel_sum(n: int, k: int, t: int, r: int, q: int) -> Fraction:
     """The alternating sum whose vanishing kills the small Gram eigenvalues."""
-    return _pair_sum(
-        _term((-1) ** i, choose2(i), q,
-              (gauss_binom(k - i - 1, r - i - 1, q), gauss_binom(n - r, i, q)))
-        for i in range(t)
-    )
+    binom, _, power = _tables(q)
+    num, den = 0, 1
+    for i in range(t):
+        (a, b), (c, d) = binom[k - i - 1, r - i - 1], binom[n - r, i]
+        qn, qd = power[choose2(i)]
+        a, b = (-1) ** i * a * c * qn, b * d * qd
+        num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
+    return Fraction(num, den)
 
 
 def check_eigenvalue_kernel_sum(n: int, k: int, t: int, r: int,

@@ -6,6 +6,7 @@ here so that the checks built on it stay independent of the code under test.
 
 import json
 from collections import Counter
+from fractions import Fraction
 from functools import cache, reduce
 from itertools import chain, combinations, compress
 from math import comb
@@ -13,7 +14,7 @@ from operator import mul
 from pathlib import Path
 from typing import Sequence
 
-from qsteiner.exactq import gauss_binom, q_valuation
+from qsteiner.exactq import choose2, gauss_binom, q_int, q_pochhammer, q_pow, q_valuation
 from qsteiner.gfspaces import (
     Subspace,
     _coverage_columns,
@@ -29,7 +30,13 @@ from qsteiner.gfspaces import (
     subspace_from_rows,
 )
 from qsteiner.grassmann import SchemeInstance
-from qsteiner.identities import kernel_sum
+from qsteiner.identities import (
+    IdentityReport,
+    NonTerminatingSeries,
+    PreconditionError,
+    VanishingDenominator,
+    kernel_sum,
+)
 from qsteiner.linalg import ExactMatrix, Scalar
 from qsteiner.steiner import (
     ParamSet,
@@ -418,3 +425,289 @@ def kernel_sum_valuation(n: int, k: int, t: int, r: int, q: int) -> int:
     if val.denominator != 1:
         raise ValueError("kernel sum is not integral here")
     return q_valuation(val.numerator, q)
+
+
+# ---------------------------------------------------------------------------
+# the identity families, term by term
+# ---------------------------------------------------------------------------
+#
+# Each side written literally: every term an unreduced (numerator,
+# denominator) pair read off the cached ``gauss_binom`` Fractions by
+# ``_term``, the pairs summed by ``_pair_sum``.  Same signatures, reports
+# and skip reasons as the ``check_*`` functions of ``qsteiner.identities``.
+
+
+def _term(sign: int, e: int, q: int, nums=(), dens=()) -> tuple[int, int]:
+    """sign * q^e * prod(nums) / prod(dens) as an unreduced (numerator,
+    denominator) pair of ints; nums and dens hold ints or Fractions, and e
+    may be negative."""
+    num, den = (sign * q**e, 1) if e >= 0 else (sign, q**-e)
+    for x in nums:
+        num *= x.numerator
+        den *= x.denominator
+    for x in dens:
+        num *= x.denominator
+        den *= x.numerator
+    return num, den
+
+
+def _pair_sum(terms) -> Fraction:
+    """The sum of (numerator, denominator) pairs as one normalised Fraction:
+    numerators add when the denominators agree, and cross-multiply otherwise."""
+    num, den = 0, 1
+    for a, b in terms:
+        if b == den:
+            num += a
+        else:
+            num, den = num * b + a * den, den * b
+    return Fraction(num, den)
+
+
+def _one_minus_q_pow(e: int, q: int) -> tuple[int, int]:
+    """1 - q^e as an unreduced (numerator, denominator) pair."""
+    return (1 - q**e, 1) if e >= 0 else (q**-e - 1, q**-e)
+
+
+def _qbin_den(n: int, k: int, q: int) -> Fraction:
+    """Gaussian binomial destined for a denominator; raises if it vanishes."""
+    v = gauss_binom(n, k, q)
+    if not v:
+        raise VanishingDenominator(f"[{n} {k}]_{q} = 0 in a denominator")
+    return v
+
+
+def eval_3phi2_terms(upper: tuple[int, int, int], lower: tuple[int, int], q: int) -> Fraction:
+    """Terminating 3phi2 at the argument q, parameters given as exponents."""
+    nonpos = [-e for e in upper if e <= 0]
+    if not nonpos:
+        raise NonTerminatingSeries(f"no nonpositive upper exponent in {upper}")
+    m = min(nonpos)
+    for e in lower:
+        if e <= 0 and -e < m:
+            raise VanishingDenominator(f"lower parameter q^{e} vanishes before term {m}")
+    num, den = 1, 1
+    terms = [(num, den)]
+    for ell in range(m):
+        num *= q
+        for e in upper:
+            a, b = _one_minus_q_pow(e + ell, q)
+            num, den = num * a, den * b
+        for e in (*lower, 1):
+            a, b = _one_minus_q_pow(e + ell, q)
+            num, den = num * b, den * a
+        terms.append((num, den))
+    return _pair_sum(terms)
+
+
+def transformation_3phi2_terms(n: int, a: int, b: int, c: int, d: int,
+                               q: int) -> IdentityReport:
+    if n < 0:
+        raise PreconditionError("truncation order must be nonnegative")
+    params = {"n": n, "a": a, "b": b, "c": c, "d": d, "q": q}
+    lhs = eval_3phi2_terms((-n, a, b), (c, d), q)
+    den = q_pochhammer(d, n, q)
+    if den == 0:
+        raise VanishingDenominator(f"(q^{d};q)_{n} = 0 in the prefactor")
+    prefactor = q_pochhammer(c + d - a - b, n, q) / den * q_pow(n * (a + b - c), q)
+    rhs = prefactor * eval_3phi2_terms((-n, c - a, c - b), (c, c + d - a - b), q)
+    return IdentityReport("transformation_3phi2", params, lhs, rhs)
+
+
+def q_binomial_theorem_terms(n: int, x: Fraction, y: Fraction, q: int) -> IdentityReport:
+    if n < 0:
+        raise PreconditionError("n must be nonnegative")
+    lhs = _pair_sum(
+        _term(1, choose2(k), q, (gauss_binom(n, k, q), x**k, y ** (n - k)))
+        for k in range(n + 1)
+    )
+    rhs = Fraction(1)
+    for i in range(n):
+        rhs *= x * q**i + y
+    params = {"n": n, "x": f"{x.numerator}/{x.denominator}",
+              "y": f"{y.numerator}/{y.denominator}", "q": q}
+    return IdentityReport("q_binomial_theorem", params, lhs, rhs)
+
+
+def product_expansion_terms(x: int, y: int, h: int, p: int, q: int) -> list[IdentityReport]:
+    if not 0 <= h <= p:
+        raise PreconditionError("need 0 <= h <= p")
+    params = {"x": x, "y": y, "h": h, "p": p, "q": q}
+    lhs = gauss_binom(x, h, q) * gauss_binom(y - x, p - h, q)
+    rhs1 = _pair_sum(
+        _term((-1) ** (v - h), -(p - h) * (x - h) + choose2(v - h), q,
+              (gauss_binom(v, h, q), gauss_binom(y - v, p - v, q), gauss_binom(x, v, q)))
+        for v in range(h, p + 1)
+    )
+    rhs2 = _pair_sum(
+        _term((-1) ** (v - h), (v - h) * (y - x - p + h) + choose2(v - h + 1), q,
+              (gauss_binom(v, h, q), gauss_binom(y - v, p - v, q), gauss_binom(x, v, q)))
+        for v in range(h, p + 1)
+    )
+    return [IdentityReport("product_expansion_descending", params, lhs, rhs1),
+            IdentityReport("product_expansion_ascending", params, lhs, rhs2)]
+
+
+def alternating_column_sum_terms(x: int, a: int, q: int) -> IdentityReport:
+    if a < 0:
+        raise PreconditionError("a must be nonnegative")
+    lhs = _pair_sum(_term((-1) ** v, choose2(v), q, (gauss_binom(x, v, q),))
+                    for v in range(a + 1))
+    rhs = q_pow(x * a, q) * gauss_binom(a - x, a, q)
+    return IdentityReport("alternating_column_sum", {"x": x, "a": a, "q": q}, lhs, rhs)
+
+
+def shifted_sum_transform_terms(n: int, r: int, k: int, u: int, i: int,
+                                q: int) -> IdentityReport:
+    if r > n + 1:
+        raise PreconditionError("need r <= n + 1")
+    if u < 0:
+        raise PreconditionError("u must be nonnegative")
+    params = {"n": n, "r": r, "k": k, "u": u, "i": i, "q": q}
+    lhs = _pair_sum(
+        _term((-1) ** s, choose2(u - s), q,
+              (gauss_binom(n - r + 1, u - s, q), gauss_binom(k - i + s, s, q),
+               gauss_binom(k - i + s, s, q)),
+              (_qbin_den(r - i + s, s, q),))
+        for s in range(u + 1)
+    )
+    rhs = _pair_sum(
+        _term((-1) ** s,
+              choose2(u - s) + s * (2 * r - 2 * k + s - 1) + u * (2 * k - i - r + 1), q,
+              (gauss_binom(n - 2 * k + i, u - s, q), gauss_binom(k - r, s, q),
+               gauss_binom(k - r, s, q)),
+              (_qbin_den(r - i + s, s, q),))
+        for s in range(u + 1)
+    )
+    return IdentityReport("shifted_sum_transform", params, lhs, rhs)
+
+
+def shifted_sum_transform_diagonal_terms(n: int, r: int, k: int, i: int,
+                                         q: int) -> IdentityReport:
+    if r > n + 1:
+        raise PreconditionError("need r <= n + 1")
+    if i < 0:
+        raise PreconditionError("i must be nonnegative")
+    params = {"n": n, "r": r, "k": k, "i": i, "q": q}
+    lhs = _pair_sum(
+        _term((-1) ** s, choose2(i - s), q,
+              (gauss_binom(r, i - s, q), gauss_binom(k - i + s, s, q),
+               gauss_binom(k - i + s, s, q), gauss_binom(n - r + 1, i, q)),
+              (_qbin_den(n - r - i + s + 1, s, q),))
+        for s in range(i + 1)
+    )
+    rhs = _pair_sum(
+        _term((-1) ** s,
+              choose2(i - s) + s * (2 * r - 2 * k + s - 1) + i * (2 * k - r - i + 1), q,
+              (gauss_binom(r, i - s, q), gauss_binom(k - r, s, q),
+               gauss_binom(k - r, s, q), gauss_binom(n - 2 * k + i, i, q)),
+              (_qbin_den(n - 2 * k + s, s, q),))
+        for s in range(i + 1)
+    )
+    return IdentityReport("shifted_sum_transform_diagonal", params, lhs, rhs)
+
+
+def double_sum_reduction_terms(n: int, r: int, k: int, t: int, q: int) -> IdentityReport:
+    if t < 0:
+        raise PreconditionError("t must be nonnegative")
+    if r > n + 1:
+        raise PreconditionError("need r <= n + 1")
+    params = {"n": n, "r": r, "k": k, "t": t, "q": q}
+    lhs = _pair_sum(
+        _term((-1) ** s,
+              i * (2 * k - t - r + 1) + choose2(s) + s * (2 * r - 2 * k + s - i), q,
+              (gauss_binom(n - 2 * k + i, i, q), gauss_binom(k - i, t - i, q),
+               gauss_binom(r, i - s, q), gauss_binom(k - r, s, q), gauss_binom(k - r, s, q)),
+              (_qbin_den(k, i, q), _qbin_den(n - 2 * k + s, s, q)))
+        for i in range(t + 1)
+        for s in range(i + 1)
+    )
+    rhs = Fraction(*_term(1, 0, q, (gauss_binom(r, t, q), gauss_binom(n - r + 1, t, q)),
+                          (_qbin_den(k, t, q),)))
+    return IdentityReport("double_sum_reduction", params, lhs, rhs)
+
+
+def _triple_terms(n: int, k: int, r: int, t: int, q: int, e0: int, with_ratio: bool):
+    for i in range(t + 1):
+        for j in range(t - i + 1):
+            for s in range(i + 1):
+                nums = (gauss_binom(n - 2 * k + i, i, q), gauss_binom(k - i, j, q),
+                        gauss_binom(r, i - s, q), gauss_binom(k - r, s, q),
+                        gauss_binom(k - r, s, q))
+                dens = (_qbin_den(k, i, q), _qbin_den(n - 2 * k + s, s, q))
+                if with_ratio:
+                    nums += (gauss_binom(n - i - j, t - i - j, q),)
+                    dens += (_qbin_den(k - i - j, t - i - j, q),)
+                yield _term(
+                    (-1) ** (i + j + s),
+                    e0 - (k - i) ** 2 + choose2(j) + choose2(s + r - i) + (k - s - r) * (k - s),
+                    q, nums, dens,
+                )
+
+
+def triple_sum_closed_form_terms(n: int, k: int, r: int, t: int, q: int) -> IdentityReport:
+    if t < 0:
+        raise PreconditionError("t must be nonnegative")
+    if r > n + 1:
+        raise PreconditionError("need r <= n + 1")
+    params = {"n": n, "k": k, "r": r, "t": t, "q": q}
+    lhs = _pair_sum(_triple_terms(n, k, r, t, q, 0, with_ratio=True))
+    rhs = Fraction(*_term((-1) ** t, choose2(r) - k * r + choose2(t + 1), q,
+                          (gauss_binom(r - 1, t, q), gauss_binom(n - r, t, q)),
+                          (_qbin_den(k, t, q),)))
+    return IdentityReport("triple_sum_closed_form", params, lhs, rhs)
+
+
+def _weighted_terms(n: int, k: int, r: int, t: int, q: int):
+    for a in range(t + 1):
+        if a == t:
+            e, nums, dens = choose2(t + 1), (), ()
+        else:
+            den = q_int(k - a, q)
+            if den == 0:
+                raise VanishingDenominator(f"[{k - a}]_{q} = 0 in c_{a}")
+            e, nums, dens = choose2(a + 1) + n - a, (q_int(k - n, q),), (den,)
+        yield _term((-1) ** a, e, q,
+                    nums + (gauss_binom(r - 1, a, q), gauss_binom(n - r, a, q)),
+                    dens + (_qbin_den(k, a, q),))
+
+
+def triple_sum_weighted_form_terms(n: int, k: int, r: int, t: int, q: int) -> IdentityReport:
+    if t < 0:
+        raise PreconditionError("t must be nonnegative")
+    if r > n + 1:
+        raise PreconditionError("need r <= n + 1")
+    params = {"n": n, "k": k, "r": r, "t": t, "q": q}
+    lhs = _pair_sum(_weighted_terms(n, k, r, t, q))
+    rhs = _pair_sum(_triple_terms(n, k, r, t, q, k * r - choose2(r), with_ratio=False))
+    return IdentityReport("triple_sum_weighted_form", params, lhs, rhs)
+
+
+def kernel_sum_terms(n: int, k: int, t: int, r: int, q: int) -> Fraction:
+    return _pair_sum(
+        _term((-1) ** i, choose2(i), q,
+              (gauss_binom(k - i - 1, r - i - 1, q), gauss_binom(n - r, i, q)))
+        for i in range(t)
+    )
+
+
+def eigenvalue_kernel_sum_terms(n: int, k: int, t: int, r: int, q: int) -> IdentityReport:
+    if r < 1:
+        raise PreconditionError("r must be at least 1")
+    params = {"n": n, "k": k, "t": t, "r": r, "q": q}
+    rhs = (-1) ** (r - 1) * q_pow(k * r - k - choose2(r), q) * gauss_binom(n - k - 1, r - 1, q)
+    return IdentityReport("eigenvalue_kernel_sum", params, kernel_sum_terms(n, k, t, r, q), rhs)
+
+
+# the term-by-term oracle of each check that sums terms, by the check's name
+IDENTITY_ORACLES = {
+    "check_3phi2_transformation": transformation_3phi2_terms,
+    "check_q_binomial_theorem": q_binomial_theorem_terms,
+    "check_product_expansion": product_expansion_terms,
+    "check_alternating_column_sum": alternating_column_sum_terms,
+    "check_shifted_sum_transform": shifted_sum_transform_terms,
+    "check_shifted_sum_transform_diagonal": shifted_sum_transform_diagonal_terms,
+    "check_double_sum_reduction": double_sum_reduction_terms,
+    "check_triple_sum_closed_form": triple_sum_closed_form_terms,
+    "check_triple_sum_weighted_form": triple_sum_weighted_form_terms,
+    "check_eigenvalue_kernel_sum": eigenvalue_kernel_sum_terms,
+}

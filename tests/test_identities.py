@@ -9,14 +9,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import kernel_sum_valuation
+from oracles import IDENTITY_ORACLES, kernel_sum_valuation
 
 import qsteiner
 from qsteiner import identities
 from qsteiner.cli import main
 
-from qsteiner.exactq import choose2
+from qsteiner.exactq import choose2, gauss_binom
 from qsteiner.identities import (
+    DEFAULT_SWEEP_QS,
     IdentityReport,
     NonTerminatingSeries,
     PreconditionError,
@@ -35,6 +36,8 @@ from qsteiner.identities import (
     check_triple_sum_weighted_form,
     check_upper_negation,
     eval_3phi2,
+    _sweep_cases,
+    _tables,
     run_identity_sweep,
 )
 
@@ -191,6 +194,60 @@ def test_kernel_sum_valuation_outside_window():
                 for t in range(1, k):
                     for r in range(t + 1, k + 1):
                         assert kernel_sum_valuation(n, k, t, r, q) == choose2(t)
+
+
+def _outcome(check, kwargs):
+    """The exception class and message of a skipped case, or each report as
+    (name, parameters, lhs type, lhs, rhs type, rhs)."""
+    try:
+        result = check(**kwargs)
+    except PreconditionError as exc:
+        return type(exc), str(exc)
+    return [(r.identity_name, r.parameters, type(r.lhs), r.lhs, type(r.rhs), r.rhs)
+            for r in (result if isinstance(result, list) else [result])]
+
+
+def test_every_summed_family_matches_its_term_by_term_oracle():
+    """Each case of the max_n = 5 grid through the sums built from the pair
+    tables and through the literal _term/_pair_sum forms: equal Fractions, or
+    the same skip reason."""
+    seen = set()
+    for _, check, kwargs in _sweep_cases(DEFAULT_SWEEP_QS, 5):
+        oracle = IDENTITY_ORACLES.get(check.__name__)
+        if oracle is not None:
+            seen.add(check.__name__)
+            got = _outcome(check, kwargs)
+            assert got == _outcome(oracle, kwargs), (check.__name__, kwargs)
+            assert isinstance(got, tuple) or all(
+                lt is rt is Fraction for _, _, lt, _, rt, _ in got), got
+    assert seen == set(IDENTITY_ORACLES)
+
+
+def test_left_side_names_its_vanishing_denominator_first():
+    # the left side meets [0 2]_2 at s = 2, the right side [0 1]_2 at s = 1
+    with pytest.raises(VanishingDenominator) as exc:
+        check_shifted_sum_transform_diagonal(1, 0, 1, 4, 2)
+    assert str(exc.value) == "[0 2]_2 = 0 in a denominator"
+
+
+@pytest.mark.parametrize("q", DEFAULT_SWEEP_QS)
+def test_tables_hold_the_gauss_binom_pairs_as_ints(q):
+    binom, inv, power = _tables(q)
+    for n in range(-8, 11):
+        for k in range(-1, 11):
+            v = gauss_binom(n, k, q)
+            assert binom[n, k] == (v.numerator, v.denominator)
+            if v:
+                assert inv[n, k] == (v.denominator, v.numerator)
+            else:
+                with pytest.raises(VanishingDenominator) as exc:
+                    inv[n, k]
+                assert str(exc.value) == f"[{n} {k}]_{q} = 0 in a denominator"
+    for e in range(-12, 13):
+        assert Fraction(*power[e]) == Fraction(q) ** e
+    for table in (binom, inv, power):
+        assert all(type(x) is int for pair in table.values() for x in pair)
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in table.values())
 
 
 def test_small_sweep_all_equal():
