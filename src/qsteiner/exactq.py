@@ -70,6 +70,7 @@ def gauss_binom(n: int, k: int, q: int) -> Fraction:
     if n >= 0:
         if n < k:
             return Fraction(0)
+        k = min(k, n - k)  # [n k] = [n n-k]
         num = 1
         den = 1
         for i in range(k):

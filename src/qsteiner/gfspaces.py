@@ -437,6 +437,11 @@ def iter_subspaces(n: int, k: int, q: int):
         yield Subspace(n, q, key)
 
 
+# the F_2 walk tables one n-bit word per column, n^2/16 bytes, before its
+# first key (gigabytes at n = 200,000); 2^12 admits every n verified (<= 3000)
+_AMBIENT_GUARD = 1 << 12
+
+
 def _canonical_keys(n: int, k: int, q: int):
     """(key, pivots) of each k-subspace of F_q^n in canonical order, with
     no Subspace built.
@@ -450,6 +455,8 @@ def _canonical_keys(n: int, k: int, q: int):
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if n > _AMBIENT_GUARD:
+        raise ValueError(f"ambient guard exceeded: n {n} (<= {_AMBIENT_GUARD})")
     field(q)  # validates q
     bits = [(0, 1 << j) for j in range(n)]
     for pivots in _pivot_sets_colex(n, k):

@@ -98,7 +98,7 @@ class SchemeInstance:
         held as a bit mask over the canonical points of F_q^n.
         """
         n, k, q = self.n, self.k, self.q
-        if k == 0:  # the zero subspace alone, which has no points
+        if self.size == 1:  # k = 0 or k = n: one subspace, related to itself only
             return [[0]]
         masks = [sum(1 << p for p in points) for points in _inner_indices(n, k, 1, q)]
         relation_of = {(q**i - 1) // (q - 1): k - i for i in range(k + 1)}

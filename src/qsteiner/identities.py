@@ -2,9 +2,9 @@
 
 Each ``check_*`` function evaluates the two sides of one identity
 separately, sharing no intermediate values between sides, and returns an
-IdentityReport carrying both exact rationals.  A report is never "close": ``equal`` is exact Fraction equality,
-and a side that is not an int or a Fraction (a float, a bool) raises
-TypeError.
+IdentityReport carrying both exact rationals.  A report is never "close":
+``equal`` is exact Fraction equality, and a side that is not an int or a
+Fraction (a float, a bool) raises TypeError.
 
 The sums are accumulated in integers, from per-q tables (``_tables``) that
 hold each Gaussian binomial as its (numerator, denominator) pair of ints,
@@ -13,7 +13,12 @@ pair, all read from ``gauss_binom`` on first use.  A term is multiplied out
 of these pairs in place, unreduced, and added to its side's running pair:
 numerators add when the denominators agree and cross-multiply otherwise.
 So each side is normalised by one gcd, when its single Fraction is built at
-the end.  ``tests/oracles.py`` keeps every summed family in its literal
+the end.  One kernel, ``_alternating_sum``, carries all six alternating
+s-sums of the spectrum families: both sides of the shifted transform and of
+its diagonal, and the inner sums of the double and triple sums.  Its terms
+hold [b s]^2 q^(s(s-2b-1)); a left side's [m+s s]^2 is that term at
+b = -m-1, since upper negation gives [m+s s]^2 = q^(s(s+2m+1)) [-m-1 s]^2.
+``tests/oracles.py`` keeps every summed family in its literal
 term-by-term form, and a test checks each sweep case of those against it.
 
 Parameter tuples that violate an identity's validity range (a vanishing
@@ -323,6 +328,19 @@ def check_alternating_column_sum(x: int, a: int, q: int) -> IdentityReport:
 # the sum transformations feeding the Gram spectrum derivation
 # ---------------------------------------------------------------------------
 
+def _alternating_sum(q: int, a: int, u: int, b: int, c: int) -> tuple[int, int]:
+    """The module's one s-sum, as its unreduced (numerator, denominator):
+    sum_{s=0..u} (-1)^s [a u-s][b s]^2 / [c+s s] q^(C(u-s) + s(s-2b-1))."""
+    binom, inv, power = _tables(q)
+    num, den = 0, 1
+    for s in range(u + 1):
+        (e, f), (g, h), (x, y) = binom[a, u - s], binom[b, s], inv[c + s, s]
+        qn, qd = power[choose2(u - s) + s * (s - 2 * b - 1)]
+        e, f = (-1) ** s * e * g * g * x * qn, f * h * h * y * qd
+        num, den = (num + e, den) if f == den else (num * f + e * den, den * f)
+    return num, den
+
+
 def check_shifted_sum_transform(n: int, r: int, k: int, u: int, i: int,
                                 q: int) -> IdentityReport:
     """Equality of two alternating single sums with shifted top arguments."""
@@ -331,22 +349,10 @@ def check_shifted_sum_transform(n: int, r: int, k: int, u: int, i: int,
     if u < 0:
         raise PreconditionError("u must be nonnegative")
     params = {"n": n, "r": r, "k": k, "u": u, "i": i, "q": q}
-    binom, inv, power = _tables(q)
-    num, den = 0, 1
-    for s in range(u + 1):
-        (a, b), (c, d), (e, f) = binom[n - r + 1, u - s], binom[k - i + s, s], inv[r - i + s, s]
-        qn, qd = power[choose2(u - s)]
-        a, b = (-1) ** s * a * c * c * e * qn, b * d * d * f * qd
-        num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
-    lhs = Fraction(num, den)
-    # the outer q^(u(2k-i-r+1)) is folded into every term's exponent
-    num, den = 0, 1
-    for s in range(u + 1):
-        (a, b), (c, d), (e, f) = binom[n - 2 * k + i, u - s], binom[k - r, s], inv[r - i + s, s]
-        qn, qd = power[choose2(u - s) + s * (2 * r - 2 * k + s - 1) + u * (2 * k - i - r + 1)]
-        a, b = (-1) ** s * a * c * c * e * qn, b * d * d * f * qd
-        num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
-    return IdentityReport("shifted_sum_transform", params, lhs, Fraction(num, den))
+    lhs = Fraction(*_alternating_sum(q, n - r + 1, u, i - k - 1, r - i))
+    a, b = _alternating_sum(q, n - 2 * k + i, u, k - r, r - i)
+    c, d = _tables(q)[2][u * (2 * k - i - r + 1)]
+    return IdentityReport("shifted_sum_transform", params, lhs, Fraction(a * c, b * d))
 
 
 def check_shifted_sum_transform_diagonal(n: int, r: int, k: int, i: int,
@@ -357,25 +363,14 @@ def check_shifted_sum_transform_diagonal(n: int, r: int, k: int, i: int,
     if i < 0:
         raise PreconditionError("i must be nonnegative")
     params = {"n": n, "r": r, "k": k, "i": i, "q": q}
-    binom, inv, power = _tables(q)
-    # the outer factors are folded into every term; the whole left side is
-    # summed first, so that its vanishing denominator is the one named
-    g, h = binom[n - r + 1, i]
-    num, den = 0, 1
-    for s in range(i + 1):
-        (a, b), (c, d), (e, f) = binom[r, i - s], binom[k - i + s, s], inv[n - r - i + s + 1, s]
-        qn, qd = power[choose2(i - s)]
-        a, b = (-1) ** s * a * c * c * e * g * qn, b * d * d * f * h * qd
-        num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
-    lhs = Fraction(num, den)
-    g, h = binom[n - 2 * k + i, i]
-    num, den = 0, 1
-    for s in range(i + 1):
-        (a, b), (c, d), (e, f) = binom[r, i - s], binom[k - r, s], inv[n - 2 * k + s, s]
-        qn, qd = power[choose2(i - s) + s * (2 * r - 2 * k + s - 1) + i * (2 * k - r - i + 1)]
-        a, b = (-1) ** s * a * c * c * e * g * qn, b * d * d * f * h * qd
-        num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
-    return IdentityReport("shifted_sum_transform_diagonal", params, lhs, Fraction(num, den))
+    binom, _, power = _tables(q)
+    # the left side first, so that its vanishing denominator is the one named
+    (a, b), (c, d) = _alternating_sum(q, r, i, i - k - 1, n - r - i + 1), binom[n - r + 1, i]
+    lhs = Fraction(a * c, b * d)
+    (a, b), (c, d) = _alternating_sum(q, r, i, k - r, n - 2 * k), binom[n - 2 * k + i, i]
+    e, f = power[i * (2 * k - r - i + 1)]
+    return IdentityReport("shifted_sum_transform_diagonal", params, lhs,
+                          Fraction(a * c * e, b * d * f))
 
 
 def check_double_sum_reduction(n: int, r: int, k: int, t: int,
@@ -390,12 +385,10 @@ def check_double_sum_reduction(n: int, r: int, k: int, t: int,
     num, den = 0, 1
     for i in range(t + 1):
         (a, b), (c, d), (e, f) = binom[n - 2 * k + i, i], binom[k - i, t - i], inv[k, i]
-        g, h = a * c * e, b * d * f
-        for s in range(i + 1):
-            (a, b), (c, d), (e, f) = binom[r, i - s], binom[k - r, s], inv[n - 2 * k + s, s]
-            qn, qd = power[i * (2 * k - t - r + 1) + choose2(s) + s * (2 * r - 2 * k + s - i)]
-            a, b = (-1) ** s * g * a * c * c * e * qn, h * b * d * d * f * qd
-            num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
+        g, h = _alternating_sum(q, r, i, k - r, n - 2 * k)
+        qn, qd = power[i * (2 * k - t - r + 1) - choose2(i)]
+        a, b = a * c * e * g * qn, b * d * f * h * qd
+        num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
     (a, b), (c, d), (e, f) = binom[r, t], binom[n - r + 1, t], inv[k, t]
     return IdentityReport("double_sum_reduction", params, Fraction(num, den),
                           Fraction(a * c * e, b * d * f))
@@ -404,24 +397,22 @@ def check_double_sum_reduction(n: int, r: int, k: int, t: int,
 def _triple_sum(n: int, k: int, r: int, t: int, q: int, e0: int,
                 with_ratio: bool) -> Fraction:
     """The triple alternating sum over i, j, s, each term times q^e0;
-    with_ratio adds the [n-i-j t-i-j]/[k-i-j t-i-j] factor."""
+    with_ratio adds the [n-i-j t-i-j]/[k-i-j t-i-j] factor.  The s-sum is
+    the same for every j."""
     binom, inv, power = _tables(q)
     num, den = 0, 1
     for i in range(t + 1):
         (a, b), (c, d) = binom[n - 2 * k + i, i], inv[k, i]
-        ni, di = a * c, b * d
+        e, f = _alternating_sum(q, r, i, k - r, n - 2 * k)
+        ni, di = (-1) ** i * a * c * e, b * d * f
+        ei = e0 - (k - i) ** 2 + choose2(r - i) + k * (k - r) - choose2(i)
         for j in range(t - i + 1):
-            a, b = binom[k - i, j]
-            g, h = ni * a, di * b
+            (a, b), (qn, qd) = binom[k - i, j], power[ei + choose2(j)]
+            g, h = (-1) ** j * ni * a * qn, di * b * qd
             if with_ratio:
                 (a, b), (c, d) = binom[n - i - j, t - i - j], inv[k - i - j, t - i - j]
                 g, h = g * a * c, h * b * d
-            ej = e0 - (k - i) ** 2 + choose2(j)
-            for s in range(i + 1):
-                (a, b), (c, d), (e, f) = binom[r, i - s], binom[k - r, s], inv[n - 2 * k + s, s]
-                qn, qd = power[ej + choose2(s + r - i) + (k - s - r) * (k - s)]
-                a, b = (-1) ** (i + j + s) * g * a * c * c * e * qn, h * b * d * d * f * qd
-                num, den = (num + a, den) if b == den else (num * b + a * den, den * b)
+            num, den = (num + g, den) if h == den else (num * h + g * den, den * h)
     return Fraction(num, den)
 
 

@@ -14,6 +14,7 @@ import qsteiner
 from qsteiner import cli, grassmann, steiner
 from qsteiner.cli import main
 from qsteiner.exactq import gauss_binom
+from qsteiner.gfspaces import _AMBIENT_GUARD
 from qsteiner.grassmann import SchemeInstance
 from qsteiner.steiner import (
     ParamSet,
@@ -989,6 +990,46 @@ def _capped_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _run_capped(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a child with 1 GiB of address space and 10 s, so that a
+    runaway allocation fails there instead of exhausting the host."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qsteiner.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "qsteiner.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10,
+                          preexec_fn=_capped_address_space)
+
+
+@pytest.mark.parametrize("n, q", [(20, 2), (8, 7)])
+def test_scheme_of_the_whole_space_has_one_subspace(n, q):
+    """[n n]_q = 1 passes the dense guard, and the one subspace is related to
+    itself only.  Masking the [n 1]_q points of F_q^n for that relation ended
+    in a MemoryError at (20, 2) and ran past 30 s at (8, 7)."""
+    done = _run_capped("scheme", "--n", str(n), "--k", str(n), "--q", str(q))
+    assert (done.returncode, done.stderr) == (0, f"scheme ({n},{n},{q}): ok\n")
+    assert json.loads(done.stdout)["relations"][0]["eigenvalues"] == [
+        {"multiplicity": 1, "r": 0, "value": "1"}]
+
+
+@pytest.mark.parametrize("n", [_AMBIENT_GUARD, _AMBIENT_GUARD + 1, 200_000])
+def test_ambient_guard_refuses_before_the_walk(n, tmp_path):
+    """The F_2 walk tables n^2/16 bytes before its first key: at n = 200,000
+    both commands ended in a MemoryError.  At the guard both still run, and
+    scheme's one eigenvalue no longer builds [n n]_2 as an n-fold product."""
+    path = tmp_path / "design.json"
+    path.write_text(f'{{"q": 2, "n": {n}, "k": 2, "t": 1, "blocks": []}}', encoding="utf-8")
+    verified = _run_capped("verify-design", "--designs", str(path))
+    scheme = _run_capped("scheme", "--n", str(n), "--k", "0", "--q", "2")
+    refusal = f"ambient guard exceeded: n {n} (<= {_AMBIENT_GUARD})\n"
+    if n <= _AMBIENT_GUARD:
+        assert (verified.returncode, verified.stderr) == (1, "")
+        assert verified.stdout.startswith(f"design 0 (1,2,{n},2): FAILED - ")
+        assert (scheme.returncode, scheme.stderr) == (0, f"scheme ({n},0,2): ok\n")
+    else:
+        assert (verified.returncode, verified.stdout) == (2, "")
+        assert verified.stderr == f"error: {path}: design 0: {refusal}"
+        assert (scheme.returncode, scheme.stdout, scheme.stderr) == (2, "", f"error: {refusal}")
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_verify_design_refuses_a_block_over_the_coverage_guard(q, tmp_path):
     """One block with n = 40, k = 30, t = 20 has [30 20]_q t-subspaces to
@@ -998,10 +1039,7 @@ def test_verify_design_refuses_a_block_over_the_coverage_guard(q, tmp_path):
     block = [[int(i == j) for j in range(40)] for i in range(30)]
     path.write_text(json.dumps({"q": q, "n": 40, "k": 30, "t": 20, "blocks": [block]}),
                     encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(Path(qsteiner.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-m", "qsteiner.cli", "verify-design",
-                           "--designs", str(path)], env=env, capture_output=True, text=True,
-                          timeout=10, preexec_fn=_capped_address_space)
+    done = _run_capped("verify-design", "--designs", str(path))
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == (f"error: {path}: design 0: coverage guard exceeded: [k t] "
                            f">= {q}^200 t-subspaces per block (<= 65536)\n")
@@ -1015,10 +1053,7 @@ def test_verify_design_refuses_a_field_over_the_coverage_guard(q, tmp_path):
     prime below the guard still walks to its witness."""
     path = tmp_path / "design.json"
     path.write_text(json.dumps({"q": q, "n": 2, "k": 2, "t": 1, "blocks": []}), encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(Path(qsteiner.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-m", "qsteiner.cli", "verify-design",
-                           "--designs", str(path)], env=env, capture_output=True, text=True,
-                          timeout=10, preexec_fn=_capped_address_space)
+    done = _run_capped("verify-design", "--designs", str(path))
     if q < 1 << 16:
         assert (done.returncode, done.stderr) == (1, "")
         assert done.stdout == (f"design 0 (1,2,2,{q}): FAILED - t-subspace covered 0 times, "
@@ -1035,10 +1070,7 @@ def test_verify_design_finds_a_witness_at_huge_parameters(t, k, n, tmp_path):
     run out of time or memory.  The child gets 1 GiB of address space."""
     path = tmp_path / "design.json"
     path.write_text(json.dumps({"q": 2, "n": n, "k": k, "t": t, "blocks": []}), encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(Path(qsteiner.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-m", "qsteiner.cli", "verify-design",
-                           "--designs", str(path)], env=env, capture_output=True, text=True,
-                          timeout=10, preexec_fn=_capped_address_space)
+    done = _run_capped("verify-design", "--designs", str(path))
     assert (done.returncode, done.stderr) == (1, "")
     # the first t-subspace in canonical order is spanned by e_0, ..., e_(t-1)
     assert done.stdout == "".join(
